@@ -18,7 +18,7 @@ def main():
     print("\n== equiangular planar lines: spectra shrink as lines pack ==")
     print("   r   min eigenvalue of the kernel matrix")
     for r in (2, 4, 8, 16, 32, 64):
-        lam = p.min_eigenvalue(p.psi_apply(p.equiangular_2d(r).gram))
+        lam = p.min_eigenvalue(p.psi(p.equiangular_2d(r).gram))
         print("  %3d  %.3e" % (r, lam))
     print("positive for every finite r, so mass optima stay unique")
 
@@ -29,11 +29,11 @@ def main():
         d = int(rng.integers(2, 16))
         r = int(rng.integers(2, 40))
         lines = p.random_line_set(d, r, (0, trial))
-        worst = min(worst, p.min_eigenvalue(p.psi_apply(lines.gram)))
+        worst = min(worst, p.min_eigenvalue(p.psi(lines.gram)))
     print("worst min eigenvalue over 50 random line sets: %.2e" % worst)
 
     print("\n== the standard axes give the constant-off-diagonal matrix ==")
-    print(p.psi_apply(p.axes_line_set(3).gram))
+    print(p.psi(p.axes_line_set(3).gram))
 
 
 if __name__ == "__main__":

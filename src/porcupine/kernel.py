@@ -1,9 +1,13 @@
 """The relu cross-correlation kernel and its matrix machinery.
 
-``psi`` maps the cosine of the angle between two lines to the coefficient
-that the quadratic (mass) part of the population risk puts on that pair.
-Applied entrywise to a line-set Gram matrix it stays positive
-semidefinite, which is what makes the closed-form risks well behaved.
+Everything rests on the degree-1 arc-cosine kernel (Cho & Saul, NeurIPS
+2009): for unit vectors at angle ``theta`` with cosine ``c``,
+``k(c) = E[relu(u'x) relu(v'x)] = (sin theta + (pi - theta) c) / (2 pi)``.
+``psi(c) = 2 [k(c) + k(-c)]`` is its even part; it maps the cosine between
+two lines to the coefficient that the quadratic (mass) part of the
+population risk puts on that pair.  Applied entrywise to a line-set Gram
+matrix it stays positive semidefinite, which is what makes the
+closed-form risks well behaved.
 """
 from __future__ import annotations
 
@@ -21,7 +25,8 @@ PINV_CUTOFF = 1e-10
 def psi(x):
     """Kernel value ``x + (2/pi) * (sqrt(1-x^2) - x*arccos(x))``.
 
-    Accepts scalars or arrays with entries in [-1, 1]; inputs within
+    This is ``2 [k(x) + k(-x)]`` for the arc-cosine kernel ``k`` above.
+    Accepts scalars or arrays (matrices entrywise) in [-1, 1]; inputs within
     CLAMP_EPS of the interval are clamped, anything farther out raises
     DomainError (to distinguish roundoff from bugs).  The function is
     even, 1-Lipschitz, and takes values in [2/pi, 1].
@@ -36,10 +41,27 @@ def psi(x):
     return out
 
 
-def psi_apply(matrix) -> np.ndarray:
-    """Entrywise ``psi`` on a matrix; symmetry of the input is preserved."""
-    matrix = np.asarray(matrix, dtype=float)
-    return psi(matrix)
+def _column_angles(A: np.ndarray, B: np.ndarray):
+    """Column norms of ``A`` and ``B``, the cosines between their columns
+    clipped to [-1, 1], and the angles ``arccos`` of those cosines.
+
+    Returns ``(norms_a, norms_b, cosines, angles)`` with ``cosines[i, j]``
+    between column ``i`` of ``A`` and column ``j`` of ``B``.  A zero column
+    has cosine 0 (angle pi/2) against everything.
+    """
+    na = np.linalg.norm(A, axis=0)
+    nb = np.linalg.norm(B, axis=0)
+    Ah = np.divide(A, np.where(na > 0, na, 1.0)[None, :])
+    Bh = np.divide(B, np.where(nb > 0, nb, 1.0)[None, :])
+    cosines = np.clip(Ah.T @ Bh, -1.0, 1.0)
+    return na, nb, cosines, np.arccos(cosines)
+
+
+def _is_singular(matrix: np.ndarray, cutoff: float) -> bool:
+    """True when the smallest eigenvalue of the symmetrised ``matrix`` is
+    at most ``cutoff`` times max(largest eigenvalue, 1)."""
+    vals = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
+    return bool(vals[0] <= cutoff * max(vals[-1], 1.0))
 
 
 def equiangular_2d(r: int) -> LineSet:
@@ -94,17 +116,16 @@ def symmetric_pseudo_inverse(matrix, cutoff: float = PINV_CUTOFF,
 class KernelBundle:
     """Kernel blocks for a pair of line sets (model lines vs. target lines).
 
-    ``joint`` stacks the blocks as ``[[psi_lines, psi_cross],
-    [psi_cross.T, psi_star]]``; it is symmetric with unit diagonal and
-    positive semidefinite because it is the entrywise kernel of the Gram
-    matrix of the union of the two line families.  The source line sets
-    are kept so downstream updates can reach the geometry.
+    The blocks are ``psi`` of the model Gram matrix, of the cross Gram
+    matrix and of the target Gram matrix.  Together they form ``psi`` of
+    the Gram matrix of the union of the two line families, which is
+    symmetric with unit diagonal and positive semidefinite.  The source
+    line sets are kept so downstream updates can reach the geometry.
     """
 
     psi_lines: np.ndarray
     psi_cross: np.ndarray
     psi_star: np.ndarray
-    joint: np.ndarray
     lines: LineSet
     star: LineSet
 
@@ -123,17 +144,15 @@ def kernel_bundle(lines: LineSet, star: LineSet) -> KernelBundle:
         raise DimensionMismatch(
             "line sets live in d=%d and d=%d" % (lines.dim, star.dim)
         )
-    psi_lines = psi_apply(lines.gram)
-    psi_star = psi_apply(star.gram)
-    psi_cross = psi_apply(cross_gram(lines, star))
-    joint = np.block([[psi_lines, psi_cross], [psi_cross.T, psi_star]])
-    for arr in (psi_lines, psi_cross, psi_star, joint):
+    psi_lines = psi(lines.gram)
+    psi_star = psi(star.gram)
+    psi_cross = psi(cross_gram(lines, star))
+    for arr in (psi_lines, psi_cross, psi_star):
         arr.flags.writeable = False
     return KernelBundle(
         psi_lines=psi_lines,
         psi_cross=psi_cross,
         psi_star=psi_star,
-        joint=joint,
         lines=lines,
         star=star,
     )

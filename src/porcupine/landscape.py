@@ -24,12 +24,13 @@ from .errors import (
 from .kernel import (
     KernelBundle,
     PINV_CUTOFF,
+    _column_angles,
+    _is_singular,
     min_eigenvalue,
-    psi_apply,
+    psi,
     symmetric_pseudo_inverse,
 )
 from .lines import LineSet, PNNWeights, RegionSignature, ZERO_TOL, decompose_weights
-from .risk import truncated_covariance
 
 ONLY_GLOBAL = "OnlyGlobal"
 ONLY_BAD_LOCAL = "OnlyBadLocal"
@@ -116,7 +117,7 @@ def global_optimum_check(
     q_star, _ = decompose_weights(weights_star)
     sum_residual = float(np.linalg.norm(weights.column_sum() - weights_star.column_sum()))
     mass_residual = float(np.linalg.norm(q - q_star))
-    lam = min_eigenvalue(psi_apply(weights.line_set.gram))
+    lam = min_eigenvalue(psi(weights.line_set.gram))
     return GlobalOptimumCheck(
         is_global=(sum_residual <= tol and mass_residual <= tol),
         sum_residual=sum_residual,
@@ -158,32 +159,30 @@ def good_region_probability(r: int, d: int, neurons_per_line: int) -> float:
 def analytic_gradient(weights: PNNWeights, weights_star: PNNWeights):
     """Exact gradient of the population risk at ``weights``.
 
-    Assembled from truncated covariance blocks:
-    ``g_j = 2 sum_i Cov(w_j, w_i) w_i - 2 sum_i Cov(w_j, w*_i) w*_i``.
-    Returns ``(gradient, projected)`` where ``projected[j]`` is the
-    directional derivative along neuron ``j``'s line.  Requires every
-    column of ``weights`` to be non-zero (the risk is not differentiable
-    at zero columns).
+    ``g_j = 2 sum_i C(w_j, w_i) w_i - 2 sum_i C(w_j, w*_i) w*_i`` with
+    ``C(u, v) = E[1{u'x > 0, v'x > 0} x x']``, in the contracted closed form
+    ``C(w_j, v) v = ((pi - theta) v + |v| sin(theta) w_j / |w_j|) / (2 pi)``
+    where ``theta`` is the angle between ``w_j`` and ``v`` (Tian, ICML
+    2017).  All pairs come from one angle matrix.  Zero target columns
+    contribute nothing.  Returns ``(gradient, projected)`` where
+    ``projected[j]`` is the directional derivative along neuron ``j``'s
+    line.  Requires every column of ``weights`` to be non-zero (the risk
+    is not differentiable at zero columns).
     """
     if weights.dim != weights_star.dim:
         raise DimensionMismatch("networks live in different input dimensions")
     W = weights.matrix
     W_star = weights_star.matrix
-    norms = np.linalg.norm(W, axis=0)
+    W_star = W_star[:, np.linalg.norm(W_star, axis=0) > ZERO_TOL]
+    others = np.hstack([W, W_star])
+    norms, other_norms, _, theta = _column_angles(W, others)
     if np.any(norms <= ZERO_TOL):
         raise ZeroColumn("gradient undefined at zero weight columns")
-    d, k = W.shape
-    grad = np.zeros((d, k))
-    for j in range(k):
-        acc = np.zeros(d)
-        for i in range(k):
-            acc += truncated_covariance(W[:, j], W[:, i]) @ W[:, i]
-        for i in range(W_star.shape[1]):
-            col = W_star[:, i]
-            if np.linalg.norm(col) <= ZERO_TOL:
-                continue
-            acc -= truncated_covariance(W[:, j], col) @ col
-        grad[:, j] = 2.0 * acc
+    signs = np.concatenate([np.ones(W.shape[1]), -np.ones(W_star.shape[1])])
+    grad = (
+        others @ ((np.pi - theta) * signs).T
+        + (W / norms) * (np.sin(theta) @ (signs * other_norms))
+    ) / np.pi
     units = weights.line_set.unit_vectors[:, list(weights.neuron_map.assignment)]
     projected = np.einsum("dk,dk->k", grad, units)
     return grad, projected
@@ -226,27 +225,13 @@ def bad_region_stationary(
     D11 = bundle.psi_lines
     D12 = bundle.psi_cross
     projector = U @ S @ S.T @ U.T
-    proj_vals = np.linalg.eigvalsh((projector + projector.T) / 2.0)
-    if proj_vals[0] <= cutoff * max(proj_vals[-1], 1.0):
+    if _is_singular(projector, cutoff):
         raise SingularProjector("line matrix does not span the ambient space")
     core = symmetric_pseudo_inverse(S @ U.T @ U @ S + D11, cutoff=cutoff)
     rhs = D11 @ core @ (S @ U.T @ w0) + (D11 @ core - np.eye(r)) @ (D12 @ q_star)
     z = -np.linalg.solve(projector, U @ S @ rhs)
     q = core @ (S @ U.T @ w0 + D12 @ q_star)
     return z, q
-
-
-def bad_region_z(
-    line_set: LineSet,
-    bundle: KernelBundle,
-    q_star,
-    line_signs,
-    w0=None,
-    cutoff: float = PINV_CUTOFF,
-) -> np.ndarray:
-    """Column-sum gap at the stationary point of a bad region."""
-    z, _ = bad_region_stationary(line_set, bundle, q_star, line_signs, w0, cutoff)
-    return z
 
 
 def bad_region_loss(
@@ -261,8 +246,7 @@ def bad_region_loss(
     q_star = np.asarray(q_star, dtype=float).ravel()
     U = line_set.unit_vectors
     D11 = bundle.psi_lines
-    vals = np.linalg.eigvalsh((D11 + D11.T) / 2.0)
-    if vals[0] <= cutoff * max(vals[-1], 1.0):
+    if _is_singular(D11, cutoff):
         raise SingularKernel("line kernel matrix is numerically singular")
     augmented = D11 + U.T @ U
     inner = np.linalg.solve(augmented, bundle.psi_cross @ q_star)

@@ -3,7 +3,7 @@
 A porcupine network constrains each hidden neuron's incoming weight vector
 to a fixed line through the origin.  This module owns the geometry: every
 line is represented by a canonically oriented unit vector, a line set
-carries the pairwise angle and Gram matrices, and a weight matrix
+carries the Gram matrix of pairwise cosines, and a weight matrix
 decomposes into per-line mass and per-neuron orientation signs.
 """
 from __future__ import annotations
@@ -65,13 +65,12 @@ class LineSet:
 
     ``unit_vectors`` stores one canonical unit vector per line as columns
     of a ``dim x r`` matrix.  ``gram`` is the matrix of pairwise cosines
-    (clamped to [-1, 1], unit diagonal) and ``angle_matrix`` its entrywise
-    arccos, so every angle lies in [0, pi].
+    (clamped to [-1, 1], unit diagonal); the angle between lines ``i`` and
+    ``j`` is ``arccos(gram[i, j])`` in [0, pi].
     """
 
     dim: int
     unit_vectors: np.ndarray
-    angle_matrix: np.ndarray
     gram: np.ndarray
 
     @property
@@ -87,7 +86,6 @@ class LineSet:
         return LineSet(
             dim=self.dim,
             unit_vectors=_freeze(self.unit_vectors[:, idx]),
-            angle_matrix=_freeze(self.angle_matrix[np.ix_(idx, idx)]),
             gram=_freeze(self.gram[np.ix_(idx, idx)]),
         )
 
@@ -109,7 +107,6 @@ def _assemble_line_set(units: np.ndarray) -> LineSet:
     return LineSet(
         dim=units.shape[0],
         unit_vectors=_freeze(units),
-        angle_matrix=_freeze(np.arccos(gram)),
         gram=_freeze(gram),
     )
 
@@ -273,6 +270,11 @@ class RegionSignature:
     @property
     def mixed_line_count(self) -> int:
         return sum(self.mixed)
+
+    @property
+    def single_orientation_count(self) -> int:
+        """Lines whose non-zero neurons all share one orientation."""
+        return sum(plus or minus for plus, minus in zip(self.all_plus, self.all_minus))
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,13 +45,17 @@ def load_angular_net(path, delta: float) -> AngularNet:
     return AngularNet(dim=vectors.shape[0], delta=float(delta), vectors=vectors)
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta <= np.pi / 2:
+        raise DomainError("delta must lie in (0, pi/2]")
+
+
 def net_size_bound(n: int, delta: float) -> float:
     """Size of an angular delta-net guaranteed to exist in n dimensions:
     ``(1/2) (1 + sqrt(2)/sqrt(1 - cos delta))^n``."""
+    _check_delta(delta)
     if n < 1:
         raise ParameterOutOfRange("need n >= 1")
-    if not 0.0 < delta <= np.pi / 2:
-        raise DomainError("delta must lie in (0, pi/2]")
     return 0.5 * (1.0 + math.sqrt(2.0) / math.sqrt(1.0 - math.cos(delta))) ** n
 
 
@@ -61,11 +65,10 @@ def sparse_net_size(d: int, s: int, delta: float, k: int | None = None) -> float
     Counts one net per support: ``(1/2) C(d, s)`` supports in general, or
     ``k/2`` when the sparsity patterns of the ``k`` neurons are known.
     """
+    _check_delta(delta)
     if not 1 <= s <= d:
         raise DomainError("need 1 <= s <= d")
     per_support = (1.0 + math.sqrt(2.0) / math.sqrt(1.0 - math.cos(delta))) ** s
-    if not 0.0 < delta <= np.pi / 2:
-        raise DomainError("delta must lie in (0, pi/2]")
     if k is None:
         return 0.5 * math.comb(d, s) * per_support
     if k < 1:
@@ -100,14 +103,13 @@ def greedy_angular_net(
     construction radius.  Intended for small dimensions (coverage checks
     blow up beyond ``max_dim``).
     """
+    _check_delta(delta)
     if d < 1:
         raise ParameterOutOfRange("need d >= 1")
     if d > max_dim:
         raise ParameterOutOfRange(
             "greedy construction is desk-scale only (d <= %d)" % max_dim
         )
-    if not 0.0 < delta <= np.pi / 2:
-        raise DomainError("delta must lie in (0, pi/2]")
     if not 0.0 < margin <= 1.0:
         raise ParameterOutOfRange("margin must lie in (0, 1]")
     rng = np.random.default_rng(seed)
@@ -172,6 +174,7 @@ def nearest_net_approx(w_star, net: AngularNet):
 
 def minimax_risk_bound(k: int, M: float, d: int, delta: float) -> float:
     """``k M sqrt(2 d (1 - cos delta))`` on expected absolute output error."""
+    _check_delta(delta)
     if k < 1 or d < 1 or M <= 0:
         raise ParameterOutOfRange("need k, d >= 1 and M > 0")
     return k * M * math.sqrt(2.0 * d * (1.0 - math.cos(delta)))

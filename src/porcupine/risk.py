@@ -21,7 +21,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroVector,
 )
-from .kernel import kernel_bundle, psi_apply
+from .kernel import _column_angles, kernel_bundle, psi
 from .lines import (
     FEASIBILITY_TOL,
     NeuronLineMap,
@@ -178,7 +178,7 @@ def matched_risk(weights: PNNWeights, weights_star: PNNWeights) -> RiskBreakdown
     q_star, _ = decompose_weights(weights_star)
     diff = weights.column_sum() - weights_star.column_sum()
     dq = q - q_star
-    kernel_matrix = psi_apply(weights.line_set.gram)
+    kernel_matrix = psi(weights.line_set.gram)
     return RiskBreakdown(
         linear_term=0.25 * float(diff @ diff),
         kernel_term=0.25 * float(dq @ kernel_matrix @ dq),
@@ -204,7 +204,10 @@ def mismatched_risk(weights: PNNWeights, weights_star: PNNWeights) -> RiskBreakd
 def truncated_covariance(w1, w2, zero_tol: float = ZERO_TOL) -> np.ndarray:
     """``E[1{w1'x > 0, w2'x > 0} x x']`` for standard Gaussian ``x``.
 
-    Depends only on the directions of the two vectors.  The aligned
+    An independent oracle that the package's own code does not call: it
+    builds the full d x d matrix with its own arctan2 angle convention.
+    Tests check it against Monte Carlo, and check the contracted gradient
+    of ``landscape.analytic_gradient`` against it.  Depends only on the directions of the two vectors.  The aligned
     (theta -> 0) and opposite (theta -> pi) limits are exact: the formula
     below carries no divided differences, every term is scaled by sin or
     sin^2 of the angle.
@@ -235,12 +238,7 @@ def truncated_covariance(w1, w2, zero_tol: float = ZERO_TOL) -> np.ndarray:
 
 def _pairwise_correlations(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Matrix of ``E[relu(a_i'x) relu(b_j'x)]`` over columns of A and B."""
-    na = np.linalg.norm(A, axis=0)
-    nb = np.linalg.norm(B, axis=0)
-    Ah = np.divide(A, np.where(na > 0, na, 1.0)[None, :])
-    Bh = np.divide(B, np.where(nb > 0, nb, 1.0)[None, :])
-    G = np.clip(Ah.T @ Bh, -1.0, 1.0)
-    theta = np.arccos(G)
+    na, nb, G, theta = _column_angles(A, B)
     scale = np.outer(na, nb)
     return scale * (np.sin(theta) + (np.pi - theta) * G) / (2.0 * np.pi)
 
@@ -248,9 +246,9 @@ def _pairwise_correlations(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def pairwise_population_risk(weights, weights_star) -> float:
     """``E[(h(x;W) - h(x;W*))^2]`` for arbitrary weight matrices.
 
-    General closed form assembled column pair by column pair; useful as a
-    second route that needs no line bookkeeping.  Zero columns contribute
-    nothing.
+    General closed form assembled column pair by column pair.  An
+    independent oracle for the line-based closed forms: it needs no line
+    bookkeeping.  Zero columns contribute nothing.
     """
     A = _as_matrix(weights)
     B = _as_matrix(weights_star)

@@ -25,6 +25,7 @@ from .errors import (
 from .kernel import (
     KernelBundle,
     PINV_CUTOFF,
+    _is_singular,
     kernel_bundle,
     min_eigenvalue,
     psi,
@@ -89,8 +90,7 @@ def add_line_update(report: SchurReport, bundle: KernelBundle, new_line):
     if np.max(np.abs(z1)) >= 1.0 - COLLINEARITY_TOL:
         raise DuplicateLine("the added line coincides with an existing model line")
     D11 = bundle.psi_lines
-    vals = np.linalg.eigvalsh((D11 + D11.T) / 2.0)
-    if vals[0] <= PINV_CUTOFF * max(vals[-1], 1.0):
+    if _is_singular(D11, PINV_CUTOFF):
         raise SingularKernel("model-line kernel block is numerically singular")
     zeta1 = psi(z1)
     zeta2 = psi(z2)

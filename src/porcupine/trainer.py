@@ -102,22 +102,8 @@ def full_scale_matched_config(seed: int = 0) -> TrainConfig:
 
 
 def desk_mismatched_config(seed: int = 0) -> TrainConfig:
-    """Desk-scale defaults for mismatched runs."""
-    return TrainConfig(
-        batch_size=100,
-        epochs=100,
-        learning_rate=1e-3,
-        momentum=0.0,
-        decay_rate=0.95,
-        decay_every_steps=390,
-        early_stop_window=10,
-        early_stop_threshold=None,
-        seed=seed,
-    )
-
-
-def full_scale_mismatched_config(seed: int = 0) -> TrainConfig:
-    """Full-scale mismatched protocol (pair with 10000-sample datasets)."""
+    """Defaults for mismatched runs, desk and full scale alike (the full
+    protocol pairs them with 10000-sample datasets)."""
     return TrainConfig(
         batch_size=100,
         epochs=100,
@@ -298,9 +284,7 @@ def classify_outcome(
     """
     signature = result.final_signature
     condition = region_condition(signature, result.line_set.dim)
-    violated = sum(
-        1 for plus, minus in zip(signature.all_plus, signature.all_minus) if plus or minus
-    )
+    violated = signature.single_orientation_count
     if result.final_train_loss <= tol:
         return OutcomeReport(
             outcome=GLOBAL,
@@ -499,11 +483,6 @@ def experiment_mismatched_random(
                     train, init, run_config, projection=True, test_data=test
                 )
                 signature = result.final_signature
-                violated = sum(
-                    1
-                    for plus, minus in zip(signature.all_plus, signature.all_minus)
-                    if plus or minus
-                )
                 runs.append(
                     MismatchedRun(
                         k=int(k),
@@ -515,7 +494,7 @@ def experiment_mismatched_random(
                         normalized_test_mse=result.final_test_loss_normalized,
                         feasibility_ok=result.line_feasibility_ok,
                         region_condition_ok=region_condition(signature, d),
-                        violated_lines=violated,
+                        violated_lines=signature.single_orientation_count,
                     )
                 )
     return MismatchedSummary(d=d, k_star=k_star, runs=tuple(runs))

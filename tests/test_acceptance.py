@@ -105,7 +105,7 @@ def test_criterion_03_kernel_matrices_positive_semidefinite():
         d = int(rng.integers(2, 21))
         r = int(rng.integers(2, 51))
         line_set = p.random_line_set(d, r, (301, trial))
-        lam = p.min_eigenvalue(p.psi_apply(line_set.gram))
+        lam = p.min_eigenvalue(p.psi(line_set.gram))
         assert lam >= -1e-9, "trial %d: min eig %.3g" % (trial, lam)
         worst = min(worst, lam)
     _verdict(3, True, "200 kernel matrices PSD (worst min eig %.2e)" % worst)
@@ -115,7 +115,7 @@ def test_criterion_04_degree_one_identity():
     """Axes kernel equals the 2/pi constant matrix; risks agree to 1e-12."""
     d_max_err = 0.0
     for d in (2, 3, 5, 8):
-        kernel_matrix = p.psi_apply(p.axes_line_set(d).gram)
+        kernel_matrix = p.psi(p.axes_line_set(d).gram)
         expected = np.full((d, d), 2.0 / np.pi)
         np.fill_diagonal(expected, 1.0)
         d_max_err = max(d_max_err, float(np.max(np.abs(kernel_matrix - expected))))
@@ -221,7 +221,7 @@ def test_criterion_07_equiangular_minimum_eigenvalue_trend():
     """Planar equiangular kernels: min eig positive, strictly decreasing."""
     values = []
     for r in (2, 4, 8, 16, 32, 64):
-        lam = p.min_eigenvalue(p.psi_apply(p.equiangular_2d(r).gram))
+        lam = p.min_eigenvalue(p.psi(p.equiangular_2d(r).gram))
         assert lam > 0.0, "r=%d gave min eig %.3g" % (r, lam)
         values.append(lam)
     for a, b in zip(values, values[1:]):

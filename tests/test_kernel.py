@@ -31,6 +31,17 @@ class TestPsiValues:
         assert np.all(steps <= np.abs(np.diff(x)) + 1e-14)
         assert np.all(values >= 2.0 / np.pi - 1e-14) and np.all(values <= 1.0 + 1e-14)
 
+    def test_even_part_of_arc_cosine_kernel(self):
+        # psi(c) = 2 [k(c) + k(-c)] with the degree-1 arc-cosine kernel
+        # k(c) = (sin t + (pi - t) c) / (2 pi), t = arccos c (Cho & Saul 2009).
+        c = np.linspace(-1.0, 1.0, 2001)
+
+        def k(c):
+            t = np.arccos(c)
+            return (np.sin(t) + (np.pi - t) * c) / (2.0 * np.pi)
+
+        np.testing.assert_allclose(p.psi(c), 2.0 * (k(c) + k(-c)), rtol=0, atol=1e-15)
+
     def test_monte_carlo_identity(self):
         # psi(cos t) = 4 E[relu(u'x) relu(v'x)] - cos t for unit u, v at angle t.
         t = 1.1
@@ -54,17 +65,17 @@ class TestPsiValues:
 
 class TestPsiApply:
     def test_identity_matrix(self):
-        out = p.psi_apply(np.eye(3))
+        out = p.psi(np.eye(3))
         np.testing.assert_allclose(np.diag(out), 1.0, atol=1e-15)
         off = out[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, 2.0 / np.pi, atol=1e-15)
 
     def test_all_ones(self):
-        np.testing.assert_array_equal(p.psi_apply(np.ones((4, 4))), np.ones((4, 4)))
+        np.testing.assert_array_equal(p.psi(np.ones((4, 4))), np.ones((4, 4)))
 
     def test_kernel_matrix_psd(self):
         ls = p.random_line_set(6, 8, seed=3)
-        assert p.min_eigenvalue(p.psi_apply(ls.gram)) >= -1e-10
+        assert p.min_eigenvalue(p.psi(ls.gram)) >= -1e-10
 
     def test_psd_random_sweep(self):
         rng = np.random.default_rng(77)
@@ -72,31 +83,31 @@ class TestPsiApply:
             d = int(rng.integers(2, 12))
             r = int(rng.integers(2, 20))
             ls = p.random_line_set(d, r, seed=(77, trial))
-            assert p.min_eigenvalue(p.psi_apply(ls.gram)) >= -1e-9
+            assert p.min_eigenvalue(p.psi(ls.gram)) >= -1e-9
 
 
 class TestEquiangular2d:
     def test_pair_is_orthogonal(self):
         ls = p.equiangular_2d(2)
-        assert ls.angle_matrix[0, 1] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert ls.gram[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_adjacent_angle_r4(self):
         ls = p.equiangular_2d(4)
         for i in range(3):
-            assert ls.angle_matrix[i, i + 1] == pytest.approx(np.pi / 4, abs=1e-12)
+            assert ls.gram[i, i + 1] == pytest.approx(np.cos(np.pi / 4), abs=1e-12)
 
     def test_angle_law(self):
         r = 6
         ls = p.equiangular_2d(r)
         for i in range(r):
             for j in range(r):
-                assert ls.angle_matrix[i, j] == pytest.approx(
-                    np.pi * abs(i - j) / r, abs=1e-10
+                assert ls.gram[i, j] == pytest.approx(
+                    np.cos(np.pi * abs(i - j) / r), abs=1e-10
                 )
 
     def test_min_eigenvalue_shrinks_with_more_lines(self):
-        lam4 = p.min_eigenvalue(p.psi_apply(p.equiangular_2d(4).gram))
-        lam16 = p.min_eigenvalue(p.psi_apply(p.equiangular_2d(16).gram))
+        lam4 = p.min_eigenvalue(p.psi(p.equiangular_2d(4).gram))
+        lam16 = p.min_eigenvalue(p.psi(p.equiangular_2d(16).gram))
         assert 0.0 < lam16 < lam4
 
     def test_requires_two_lines(self):
@@ -119,7 +130,7 @@ class TestMinEigenvalue:
         # Independent oracle: mpmath eigenvalues at 50 digits for the
         # kernel matrix of eight equiangular planar lines.
         mpmath = pytest.importorskip("mpmath")
-        matrix = p.psi_apply(p.equiangular_2d(8).gram)
+        matrix = p.psi(p.equiangular_2d(8).gram)
         mpmath.mp.dps = 50
         eigenvalues = mpmath.eig(mpmath.matrix(matrix.tolist()), left=False, right=False)
         oracle = min(float(mpmath.re(v)) for v in eigenvalues)
@@ -143,25 +154,41 @@ class TestSymmetricPseudoInverse:
 
 
 class TestKernelBundle:
+    @staticmethod
+    def _union_kernel(lines, star):
+        # psi of the Gram matrix of both line families stacked together.
+        units = np.hstack([lines.unit_vectors, star.unit_vectors])
+        return p.psi(np.clip(units.T @ units, -1.0, 1.0))
+
+    def _check_blocks(self, joint, bundle):
+        r = bundle.num_lines
+        np.testing.assert_allclose(joint[:r, :r], bundle.psi_lines, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(joint[:r, r:], bundle.psi_cross, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(joint[r:, :r], bundle.psi_cross.T, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(joint[r:, r:], bundle.psi_star, rtol=0, atol=1e-15)
+
     def test_joint_structure(self):
         lines = p.random_line_set(5, 4, seed=41)
         star = p.random_line_set(5, 3, seed=42)
         bundle = p.kernel_bundle(lines, star)
-        joint = bundle.joint
+        joint = self._union_kernel(lines, star)
         assert joint.shape == (7, 7)
         np.testing.assert_array_equal(joint, joint.T)
         np.testing.assert_allclose(np.diag(joint), 1.0, atol=1e-15)
         assert p.min_eigenvalue(joint) >= -1e-9
+        self._check_blocks(joint, bundle)
 
     def test_joint_psd_with_overlapping_families(self):
         lines = p.random_line_set(4, 5, seed=51)
         star = lines.subset([0, 2])
         bundle = p.kernel_bundle(lines, star)
-        assert p.min_eigenvalue(bundle.joint) >= -1e-9
+        joint = self._union_kernel(lines, star)
+        assert p.min_eigenvalue(joint) >= -1e-9
+        self._check_blocks(joint, bundle)
 
     def test_degree_one_axes_give_constant_off_diagonal(self):
         axes = p.axes_line_set(4)
-        kernel_matrix = p.psi_apply(axes.gram)
+        kernel_matrix = p.psi(axes.gram)
         expected = np.full((4, 4), 2.0 / np.pi)
         np.fill_diagonal(expected, 1.0)
         np.testing.assert_array_equal(kernel_matrix, expected)

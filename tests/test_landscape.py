@@ -263,6 +263,50 @@ class TestAnalyticGradient:
                 ) / (2 * h)
                 assert grad[axis, j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
+    @staticmethod
+    def _covariance_route(W, W_star):
+        # Independent route: one d x d truncated covariance block per
+        # neuron pair, skipping zero target columns.
+        d, k = W.shape
+        grad = np.zeros((d, k))
+        for j in range(k):
+            acc = np.zeros(d)
+            for i in range(k):
+                acc += p.truncated_covariance(W[:, j], W[:, i]) @ W[:, i]
+            for col in W_star.T:
+                if np.linalg.norm(col) > 1e-12:
+                    acc -= p.truncated_covariance(W[:, j], col) @ col
+            grad[:, j] = 2.0 * acc
+        return grad
+
+    @pytest.mark.parametrize("matched", [True, False])
+    @pytest.mark.parametrize("k", [8, 32, 64])
+    def test_contracted_form_matches_covariance_route(self, k, matched):
+        # Two neurons per line with random signs give aligned (theta = 0)
+        # and opposite (theta = pi) model pairs; the target adds a zero
+        # column and, when mismatched, an aligned and an opposite column.
+        d, r = 8, k // 2
+        seq = np.random.SeedSequence([25, k, int(matched)]).spawn(3)
+        ls = p.random_line_set(d, r, seq[0])
+        m = p.NeuronLineMap(k, tuple(np.repeat(np.arange(r), 2)))
+        rng = np.random.default_rng(seq[1])
+        w = p.weights_from_masses(ls, m, rng.uniform(0.4, 2.0, k) * rng.choice([-1, 1], k))
+        if matched:
+            masses = rng.uniform(0.4, 2.0, k) * rng.choice([-1, 1], k)
+            masses[3] = 0.0
+            star = p.weights_from_masses(ls, m, masses)
+        else:
+            columns = rng.standard_normal((d, r))
+            columns[:, 1] = 1.5 * w.matrix[:, 0]
+            columns[:, 2] = -0.7 * w.matrix[:, 1]
+            base = p.weights_from_columns(columns)
+            columns[:, 0] = 0.0
+            star = p.PNNWeights(columns, base.line_set, base.neuron_map)
+        grad, _ = p.analytic_gradient(w, star)
+        reference = self._covariance_route(w.matrix, star.matrix)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(grad - reference)) <= 1e-12 * scale
+
     def test_zero_column_rejected(self):
         ls = p.random_line_set(3, 2, seed=24)
         m = p.NeuronLineMap(2, (0, 1))
@@ -329,7 +373,9 @@ class TestBadRegion:
 
     def test_zero_right_hand_side(self):
         ls, star, bundle, q_star, _ = self._setup(70)
-        z = p.bad_region_z(ls, bundle, np.zeros(star.num_lines), np.ones(ls.num_lines))
+        z = p.bad_region_stationary(
+            ls, bundle, np.zeros(star.num_lines), np.ones(ls.num_lines)
+        )[0]
         np.testing.assert_allclose(z, 0.0, atol=1e-12)
 
     def test_orthonormal_lines_match_direct_inverse(self):
@@ -337,7 +383,7 @@ class TestBadRegion:
         star = p.random_line_set(4, 2, seed=71)
         bundle = p.kernel_bundle(axes, star)
         q_star = np.array([1.0, 2.0])
-        z = p.bad_region_z(axes, bundle, q_star, np.ones(4))
+        z = p.bad_region_stationary(axes, bundle, q_star, np.ones(4))[0]
         D11 = bundle.psi_lines
         U = axes.unit_vectors
         direct = np.linalg.solve(
@@ -389,7 +435,6 @@ class TestBadRegion:
             psi_lines=np.ones((2, 2)),
             psi_cross=bundle.psi_cross,
             psi_star=bundle.psi_star,
-            joint=bundle.joint,
             lines=ls,
             star=star,
         )

@@ -48,9 +48,6 @@ class TestBuildLineSet:
     def test_orthogonal_axes(self):
         ls = p.build_line_set([[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(ls.gram, np.eye(2))
-        np.testing.assert_allclose(
-            ls.angle_matrix, [[0.0, np.pi / 2], [np.pi / 2, 0.0]]
-        )
 
     def test_opposite_vectors_are_one_line(self):
         with pytest.raises(DuplicateLine):
@@ -58,13 +55,14 @@ class TestBuildLineSet:
 
     def test_diagonal_pair(self):
         ls = p.build_line_set([[1.0, 0.0], [1.0 / np.sqrt(2), 1.0 / np.sqrt(2)]])
-        assert ls.gram[0, 1] == pytest.approx(1.0 / np.sqrt(2), abs=1e-15)
-        assert ls.angle_matrix[0, 1] == pytest.approx(np.pi / 4, abs=1e-12)
+        assert ls.gram[0, 1] == pytest.approx(np.cos(np.pi / 4), abs=1e-15)
 
     def test_angle_cosine_consistency(self):
         ls = p.random_line_set(7, 9, seed=11)
-        assert np.all(ls.angle_matrix >= 0.0) and np.all(ls.angle_matrix <= np.pi)
-        np.testing.assert_allclose(np.cos(ls.angle_matrix), ls.gram, atol=1e-12)
+        assert np.all(ls.gram >= -1.0) and np.all(ls.gram <= 1.0)
+        np.testing.assert_array_equal(np.diag(ls.gram), 1.0)
+        U = ls.unit_vectors
+        np.testing.assert_allclose(ls.gram, U.T @ U, atol=1e-12)
 
     def test_gram_psd(self):
         ls = p.random_line_set(5, 12, seed=2)
@@ -154,6 +152,7 @@ class TestDecomposeWeights:
         np.testing.assert_allclose(q, [5.0], atol=1e-12)
         assert signature.signs == ((1, -1),)
         assert signature.mixed == (True,)
+        assert signature.single_orientation_count == 0
 
     def test_masses_match_brute_force(self):
         rng = np.random.default_rng(5)
@@ -186,6 +185,7 @@ class TestDecomposeWeights:
         # a zero column does not make the line mixed
         assert signature.mixed == (False, False)
         assert signature.all_plus == (True, True)
+        assert signature.single_orientation_count == 2
 
     def test_infeasible_column_rejected(self):
         ls = p.build_line_set([[1.0, 0.0]])

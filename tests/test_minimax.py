@@ -50,6 +50,10 @@ class TestSparseNetSize:
         with pytest.raises(DomainError):
             p.sparse_net_size(3, 4, 0.3)
 
+    def test_zero_delta_rejected_before_division(self):
+        with pytest.raises(DomainError):
+            p.sparse_net_size(4, 2, 0.0)
+
 
 class TestGreedyAngularNet:
     def test_one_dimension_single_vector(self):
@@ -137,6 +141,11 @@ class TestMinimaxRiskBound:
     def test_vanishes_with_delta(self):
         assert p.minimax_risk_bound(3, 1.0, 4, 1e-9) <= 1e-3
         assert p.minimax_risk_bound(3, 1.0, 4, 1e-12) <= 1e-4
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, np.pi / 2 + 1e-6, float("nan")])
+    def test_out_of_domain_delta_rejected(self, delta):
+        with pytest.raises(DomainError):
+            p.minimax_risk_bound(2, 1.0, 3, delta)
 
     def test_unit_case(self):
         assert p.minimax_risk_bound(1, 1.0, 1, np.pi / 2) == pytest.approx(

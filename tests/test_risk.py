@@ -211,7 +211,7 @@ class TestMismatchedRisk:
         )
         breakdown = p.mismatched_risk(zero, w_star)
         q_star, _ = p.decompose_weights(w_star)
-        kernel_matrix = p.psi_apply(w_star.line_set.gram)
+        kernel_matrix = p.psi(w_star.line_set.gram)
         expected = 0.25 * float(
             w_star.column_sum() @ w_star.column_sum()
         ) + 0.25 * float(q_star @ kernel_matrix @ q_star)

@@ -217,7 +217,7 @@ class TestPerturbationBound:
 
     def test_small_perturbation_dominates_schur_norm(self):
         lines, star = self._perturbed_pair(10, 10, 1e-4, seed=41)
-        delta = 0.9 * p.min_eigenvalue(p.psi_apply(star.gram))
+        delta = 0.9 * p.min_eigenvalue(p.psi(star.gram))
         bound = p.perturbation_bound(lines, star, delta)
         actual = p.schur_complement(p.kernel_bundle(lines, star)).spectral_norm
         assert actual <= bound + 1e-9
