@@ -6,7 +6,9 @@ echo the full parameter map, the tool version, and the master seed;
 rerunning the same spec reproduces the body byte for byte (timing
 measurements are opt-in via --timing for that reason).
 
-Exit codes: 0 success, 2 validation error, 3 numeric failure.
+Exit codes: 0 success, 2 validation error (bad arguments, and the
+library's DomainError, ParameterOutOfRange and ConfigError), 3 numeric
+failure (every other library error).
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from ._seeds import as_seed_sequence
-from .errors import PorcupineError
+from .errors import ConfigError, DomainError, ParameterOutOfRange, PorcupineError
 from .kernel import kernel_bundle
 from .landscape import scalar_region_classify
 from .lines import NeuronLineMap, random_line_set, save_vectors_csv, weights_from_masses
@@ -289,7 +291,7 @@ def _cmd_train(args) -> int:
         config = desk_matched_config(seed=args.seed)
     else:
         config = desk_mismatched_config(seed=args.seed)
-    if args.epochs:
+    if args.epochs is not None:
         config = replace(config, epochs=args.epochs)
     spec = {
         "mode": args.mode, "d": args.d, "k": k_grid, "trials": args.trials,
@@ -470,10 +472,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.threads < 1:
+            raise ValidationError("--threads must be >= 1")
         if args.command == "train" and args.samples is None:
             args.samples = 2000 if args.mode == "matched" else 4000
         return args.func(args)
-    except ValidationError as exc:
+    # These library errors mean an argument was out of range, not that the
+    # numerics failed.
+    except (ValidationError, DomainError, ParameterOutOfRange, ConfigError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (PorcupineError, np.linalg.LinAlgError, FloatingPointError) as exc:

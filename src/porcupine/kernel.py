@@ -27,13 +27,13 @@ def psi(x):
 
     This is ``2 [k(x) + k(-x)]`` for the arc-cosine kernel ``k`` above.
     Accepts scalars or arrays (matrices entrywise) in [-1, 1]; inputs within
-    CLAMP_EPS of the interval are clamped, anything farther out raises
-    DomainError (to distinguish roundoff from bugs).  The function is
+    CLAMP_EPS of the interval are clamped, anything farther out and NaN
+    raise DomainError (to distinguish roundoff from bugs).  The function is
     even, 1-Lipschitz, and takes values in [2/pi, 1].
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + CLAMP_EPS):
-        raise DomainError("kernel argument outside [-1, 1] beyond tolerance")
+    if not np.all(np.abs(arr) <= 1.0 + CLAMP_EPS):  # NaN fails this test too
+        raise DomainError("kernel argument outside [-1, 1] beyond tolerance or NaN")
     c = np.clip(arr, -1.0, 1.0)
     out = c + (2.0 / np.pi) * (np.sqrt(1.0 - c * c) - c * np.arccos(c))
     if np.isscalar(x) or arr.ndim == 0:

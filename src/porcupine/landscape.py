@@ -30,7 +30,7 @@ from .kernel import (
     psi,
     symmetric_pseudo_inverse,
 )
-from .lines import LineSet, PNNWeights, RegionSignature, ZERO_TOL, decompose_weights
+from .lines import LineSet, PNNWeights, RegionSignature, ZERO_TOL, _line_masses
 
 ONLY_GLOBAL = "OnlyGlobal"
 ONLY_BAD_LOCAL = "OnlyBadLocal"
@@ -113,8 +113,8 @@ def global_optimum_check(
     """Test ``sum_i w_i = sum_i w*_i`` and equal per-line masses."""
     if not weights.same_config(weights_star):
         raise ConfigMismatch("both networks must share the line configuration")
-    q, _ = decompose_weights(weights)
-    q_star, _ = decompose_weights(weights_star)
+    q = _line_masses(weights)
+    q_star = _line_masses(weights_star)
     sum_residual = float(np.linalg.norm(weights.column_sum() - weights_star.column_sum()))
     mass_residual = float(np.linalg.norm(q - q_star))
     lam = min_eigenvalue(psi(weights.line_set.gram))

@@ -313,18 +313,19 @@ class PNNWeights:
         self._check_feasible()
 
     def _check_feasible(self):
-        U = self.line_set.unit_vectors
-        for i, line in enumerate(self.neuron_map.assignment):
-            col = self.matrix[:, i]
-            norm = float(np.linalg.norm(col))
-            if norm <= ZERO_TOL:
-                continue
-            residual = col - (U[:, line] @ col) * U[:, line]
-            if np.linalg.norm(residual) > FEASIBILITY_TOL * max(1.0, norm):
-                raise InfeasibleWeights(
-                    "column %d deviates from line %d by %.3g"
-                    % (i, line, float(np.linalg.norm(residual)))
-                )
+        assignment = self.neuron_map.assignment
+        U = self.line_set.unit_vectors[:, list(assignment)]
+        norms = np.linalg.norm(self.matrix, axis=0)
+        residuals = np.linalg.norm(
+            self.matrix - U * np.einsum("dk,dk->k", U, self.matrix), axis=0
+        )
+        bad = (norms > ZERO_TOL) & (residuals > FEASIBILITY_TOL * np.maximum(1.0, norms))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InfeasibleWeights(
+                "column %d deviates from line %d by %.3g"
+                % (i, assignment[i], float(residuals[i]))
+            )
 
     @property
     def dim(self) -> int:
@@ -372,11 +373,17 @@ def decompose_weights(weights: PNNWeights):
     over the neurons assigned to line ``l``.  Zero columns contribute no
     mass and a +1 placeholder sign.
     """
-    norms = np.linalg.norm(weights.matrix, axis=0)
-    q = np.zeros(weights.line_set.num_lines)
-    for i, line in enumerate(weights.neuron_map.assignment):
-        q[line] += norms[i]
-    return q, signature_from_matrix(weights.matrix, weights.neuron_map)
+    return _line_masses(weights), signature_from_matrix(weights.matrix, weights.neuron_map)
+
+
+def _line_masses(weights: PNNWeights) -> np.ndarray:
+    """Per line, the sum of the column norms of the neurons assigned to it,
+    accumulated in neuron order."""
+    return np.bincount(
+        weights.neuron_map.assignment,
+        weights=np.linalg.norm(weights.matrix, axis=0),
+        minlength=weights.line_set.num_lines,
+    )
 
 
 def weights_from_masses(

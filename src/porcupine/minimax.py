@@ -18,6 +18,9 @@ from .errors import CoverageNotReached, DimensionMismatch, DomainError, \
     ParameterOutOfRange
 from .lines import canonicalize_vector, load_vectors_csv, save_vectors_csv
 
+# Probes drawn and screened against the net per matmul.
+_PROBE_BLOCK = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class AngularNet:
@@ -102,6 +105,15 @@ def greedy_angular_net(
     pocket of that mass can reach ~sqrt(6/S) radians past the
     construction radius.  Intended for small dimensions (coverage checks
     blow up beyond ``max_dim``).
+
+    Probes are drawn and screened against the net in blocks, then walked
+    in draw order.  Adding a net vector only raises a probe's best
+    ``|cos|``, so a probe covered at the start of its block stays covered,
+    and later probes of the block need checking only against the vectors
+    the walk adds.  Screening needs only ``|cos|``, so only the probes
+    that join the net are canonically oriented.  The decisions, the
+    stopping rule and the ``probe_budget`` count are those of a
+    one-probe-at-a-time loop.
     """
     _check_delta(delta)
     if d < 1:
@@ -114,22 +126,32 @@ def greedy_angular_net(
         raise ParameterOutOfRange("margin must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     threshold = math.cos(margin * delta)
-    vectors: list[np.ndarray] = []
-    stacked = None
+    net = np.empty((d, 0))
     covered_streak = 0
-    for _ in range(probe_budget):
-        probe = rng.standard_normal(d)
-        if np.linalg.norm(probe) == 0.0:  # pragma: no cover - probability zero
-            continue
-        unit, _ = canonicalize_vector(probe)
-        if stacked is None or float(np.max(np.abs(stacked.T @ unit))) < threshold:
-            vectors.append(unit)
-            stacked = np.column_stack(vectors)
+    drawn = 0
+    while drawn < probe_budget:
+        # An (m, d) draw is the stream of m successive standard_normal(d) calls.
+        probes = rng.standard_normal((min(_PROBE_BLOCK, probe_budget - drawn), d))
+        drawn += probes.shape[0]
+        norms = np.linalg.norm(probes, axis=1)
+        # A zero probe (probability zero) is skipped but counts against the budget.
+        probes = probes[norms > 0.0]
+        units = probes / norms[norms > 0.0, None]
+        best = np.abs(units @ net).max(axis=1, initial=-np.inf)
+        start = 0
+        while True:
+            uncovered = np.flatnonzero(best[start:] < threshold)
+            stop = start + int(uncovered[0]) if uncovered.size else len(units)
+            covered_streak += stop - start
+            if stop > start and covered_streak >= max_probes:
+                return AngularNet(dim=d, delta=float(delta), vectors=net)
+            if stop == len(units):
+                break
+            added, _ = canonicalize_vector(probes[stop])
+            net = np.column_stack([net, added])
             covered_streak = 0
-        else:
-            covered_streak += 1
-            if covered_streak >= max_probes:
-                return AngularNet(dim=d, delta=float(delta), vectors=stacked)
+            start = stop + 1
+            best[start:] = np.maximum(best[start:], np.abs(units[start:] @ added))
     raise CoverageNotReached(
         "no %d consecutive covered probes within a budget of %d"
         % (max_probes, probe_budget)

@@ -17,6 +17,7 @@ from ._seeds import as_seed_sequence
 from .errors import (
     ConfigMismatch,
     DimensionMismatch,
+    DomainError,
     InfeasibleWeights,
     ParameterOutOfRange,
     ZeroVector,
@@ -27,7 +28,7 @@ from .lines import (
     NeuronLineMap,
     PNNWeights,
     ZERO_TOL,
-    decompose_weights,
+    _line_masses,
 )
 
 _MC_CHUNK_PAIRS = 1 << 16
@@ -72,11 +73,14 @@ def monte_carlo_risk(weights, weights_star, n_samples: int = 2_000_000,
     """Monte Carlo estimate of ``E[(h(x;W) - h(x;W*))^2]``.
 
     Uses antithetic pairs ``(x, -x)`` to cut variance; ``n_samples`` is
-    rounded up to an even number of samples.  Returns ``(estimate,
+    rounded up to an even number of samples.  The gap at ``-x`` costs no
+    second relu pass: ``relu(z) - relu(-z) = z`` makes it the gap at ``x``
+    minus ``x' (sum_i w_i - sum_i w*_i)``.  Returns ``(estimate,
     standard_error)`` where the standard error is that of the mean of
     the per-pair averages.  Deterministic given the seed: work is split
     into fixed-size chunks with seeds derived per chunk, and the
-    reduction runs in chunk order regardless of ``threads``.
+    reduction runs in chunk order regardless of ``threads``.  Non-finite
+    weights raise DomainError.
     """
     A = _as_matrix(weights)
     B = _as_matrix(weights_star)
@@ -84,7 +88,10 @@ def monte_carlo_risk(weights, weights_star, n_samples: int = 2_000_000,
         raise DimensionMismatch("weight matrices disagree on input dimension")
     if n_samples < 1:
         raise ParameterOutOfRange("need n_samples >= 1")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise DomainError("Monte Carlo needs finite weights")
     d = A.shape[0]
+    sum_gap = A.sum(axis=1) - B.sum(axis=1)
     pairs = (int(n_samples) + 1) // 2
     n_chunks = (pairs + _MC_CHUNK_PAIRS - 1) // _MC_CHUNK_PAIRS
     seeds = as_seed_sequence(seed).spawn(n_chunks)
@@ -95,8 +102,9 @@ def monte_carlo_risk(weights, weights_star, n_samples: int = 2_000_000,
         X = rng.standard_normal((count, d))
         ZA = X @ A
         ZB = X @ B
-        forward = np.maximum(ZA, 0.0).sum(axis=1) - np.maximum(ZB, 0.0).sum(axis=1)
-        backward = np.maximum(-ZA, 0.0).sum(axis=1) - np.maximum(-ZB, 0.0).sum(axis=1)
+        forward = (np.maximum(ZA, 0.0, out=ZA).sum(axis=1)
+                   - np.maximum(ZB, 0.0, out=ZB).sum(axis=1))
+        backward = forward - X @ sum_gap
         pair_mean = 0.5 * (forward * forward + backward * backward)
         return float(pair_mean.sum()), float((pair_mean * pair_mean).sum())
 
@@ -174,8 +182,8 @@ def matched_risk(weights: PNNWeights, weights_star: PNNWeights) -> RiskBreakdown
     """Closed form when both networks share one line configuration."""
     if not weights.same_config(weights_star):
         raise ConfigMismatch("matched risk needs identical (lines, map) on both sides")
-    q, _ = decompose_weights(weights)
-    q_star, _ = decompose_weights(weights_star)
+    q = _line_masses(weights)
+    q_star = _line_masses(weights_star)
     diff = weights.column_sum() - weights_star.column_sum()
     dq = q - q_star
     kernel_matrix = psi(weights.line_set.gram)
@@ -189,8 +197,8 @@ def mismatched_risk(weights: PNNWeights, weights_star: PNNWeights) -> RiskBreakd
     """Closed form when the two networks use different line sets."""
     if weights.dim != weights_star.dim:
         raise DimensionMismatch("networks live in different input dimensions")
-    q, _ = decompose_weights(weights)
-    q_star, _ = decompose_weights(weights_star)
+    q = _line_masses(weights)
+    q_star = _line_masses(weights_star)
     bundle = kernel_bundle(weights.line_set, weights_star.line_set)
     diff = weights.column_sum() - weights_star.column_sum()
     kernel = (

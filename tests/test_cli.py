@@ -61,6 +61,18 @@ class TestRiskCommand:
     def test_missing_dimensions_rejected(self):
         assert run_cli(["risk", "--matched"]) == 2
 
+    @pytest.mark.parametrize("mode", [["--matched"], ["--mismatched", "--r-star", "2", "--k-star", "3"]])
+    def test_monte_carlo_threads_do_not_change_output(self, tmp_path, mode):
+        out_a = tmp_path / "a.csv"
+        out_b = tmp_path / "b.csv"
+        # 150000 antithetic pairs: three Monte Carlo chunks
+        base = ["risk"] + mode + ["--d", "5", "--r", "3", "--k", "6", "--seed", "4",
+                                  "--mc-samples", "300000"]
+        assert run_cli(base + ["--threads", "1", "--out", str(out_a)]) == 0
+        assert run_cli(base + ["--threads", "2", "--out", str(out_b)]) == 0
+        assert "mc_estimate" in read_body(out_a)[0]
+        assert out_a.read_bytes().split(b"\n", 3)[3] == out_b.read_bytes().split(b"\n", 3)[3]
+
 
 class TestLandscapeCommand:
     def test_scalar_classification_table(self, tmp_path):
@@ -215,6 +227,36 @@ class TestExitCodes:
 
     def test_unknown_argument_exits_two(self):
         assert run_cli(["risk", "--definitely-not-a-flag"]) == 2
+
+    def test_out_of_domain_delta_exits_two(self, capsys):
+        code = run_cli(["minimax", "bound", "--d", "4", "--s", "2", "--delta", "0",
+                        "--k", "8", "--M", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_parameter_out_of_range_exits_two(self):
+        # net_size_bound raises ParameterOutOfRange for n < 1
+        assert run_cli(["minimax", "bound", "--d", "0", "--delta", "0.3"]) == 2
+
+    def test_batch_larger_than_samples_exits_two(self, capsys):
+        code = run_cli(["train", "matched", "--d", "2", "--k", "4", "--trials", "1",
+                        "--epochs", "2", "--samples", "50"])
+        assert code == 2
+        assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_non_positive_threads_exit_two(self, threads, tmp_path):
+        code = run_cli(["schur-sweep", "--d", "4", "--r-star", "2", "--r", "3",
+                        "--trials", "1", "--threads", threads,
+                        "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_non_positive_epochs_exit_two(self, epochs, tmp_path):
+        code = run_cli(["train", "matched", "--d", "2", "--k", "4", "--trials", "1",
+                        "--epochs", epochs, "--samples", "400",
+                        "--out", str(tmp_path / "x.csv")])
+        assert code == 2
 
 
 class TestHeaderEcho:

@@ -13,6 +13,19 @@ class TestPsiValues:
         assert p.psi(-1.0) == pytest.approx(1.0, abs=1e-15)
         assert p.psi(0.0) == pytest.approx(2.0 / np.pi, abs=1e-16)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalar_rejected(self, bad):
+        with pytest.raises(DomainError):
+            p.psi(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_matrix_with_one_non_finite_entry_rejected(self, bad):
+        matrix = np.full((3, 3), 0.25)
+        np.fill_diagonal(matrix, 1.0)
+        matrix[2, 1] = bad
+        with pytest.raises(DomainError):
+            p.psi(matrix)
+
     def test_domain_error_beyond_clamp(self):
         with pytest.raises(DomainError):
             p.psi(1.0 + 1e-6)

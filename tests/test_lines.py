@@ -194,6 +194,101 @@ class TestDecomposeWeights:
             p.PNNWeights(matrix=np.array([[1.0], [0.5]]), line_set=ls, neuron_map=m)
 
 
+class TestLineMasses:
+    def test_matches_per_neuron_loop_with_zero_columns(self):
+        rng = np.random.default_rng(31)
+        ls = p.random_line_set(5, 4, seed=31)
+        assignment = (3, 0, 1, 2, 0, 3, 3, 1, 0)
+        m = p.NeuronLineMap(num_neurons=9, assignment=assignment)
+        masses = rng.standard_normal(9)
+        masses[[1, 3, 6]] = 0.0  # line 2 carries only a zero column
+        w = p.weights_from_masses(ls, m, masses)
+        norms = np.linalg.norm(w.matrix, axis=0)
+        want = np.zeros(4)
+        for i, line in enumerate(assignment):
+            want[line] += norms[i]
+        np.testing.assert_array_equal(p.lines._line_masses(w), want)
+        np.testing.assert_array_equal(p.decompose_weights(w)[0], want)
+
+
+def feasibility_reference(matrix, line_set, neuron_map):
+    """Index of the first column off its line, checked one column at a time,
+    or None when every column is feasible."""
+    U = line_set.unit_vectors
+    for i, line in enumerate(neuron_map.assignment):
+        col = matrix[:, i]
+        norm = float(np.linalg.norm(col))
+        if norm <= p.lines.ZERO_TOL:
+            continue
+        residual = col - (U[:, line] @ col) * U[:, line]
+        if np.linalg.norm(residual) > p.lines.FEASIBILITY_TOL * max(1.0, norm):
+            return i
+    return None
+
+
+class TestFeasibilityCheck:
+    """PNNWeights accepts and rejects what a column-by-column check does."""
+
+    def setup_method(self):
+        self.ls = p.build_line_set([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 2.0]])
+        self.map = p.NeuronLineMap(num_neurons=5, assignment=(0, 1, 2, 1, 0))
+        base = p.weights_from_masses(self.ls, self.map, [2.0, -0.5, 3.0, 0.25, -4.0])
+        self.base = np.array(base.matrix)
+        # unit direction orthogonal to line 1 (the (1, 1, 0) line)
+        self.off_line_1 = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+
+    def outcome(self, matrix):
+        try:
+            p.PNNWeights(matrix=matrix, line_set=self.ls, neuron_map=self.map)
+        except InfeasibleWeights as exc:
+            return str(exc).split(" deviates")[0]
+        return None
+
+    def check_same_as_reference(self, matrix):
+        want = feasibility_reference(matrix, self.ls, self.map)
+        got = self.outcome(matrix)
+        assert got == (None if want is None else "column %d" % want)
+        return got
+
+    def test_feasible_matrix_accepted(self):
+        assert self.check_same_as_reference(self.base) is None
+
+    def test_just_inside_tolerance_accepted(self):
+        matrix = self.base.copy()
+        # column 3 has norm 0.25, so the bound is FEASIBILITY_TOL * 1
+        matrix[:, 3] += 0.5 * p.lines.FEASIBILITY_TOL * self.off_line_1
+        # column 2 has norm 3, so the bound is 3 * FEASIBILITY_TOL
+        matrix[:, 2] += 2.0 * p.lines.FEASIBILITY_TOL * np.array([1.0, 0.0, 0.0])
+        assert self.check_same_as_reference(matrix) is None
+
+    def test_just_outside_tolerance_rejected(self):
+        matrix = self.base.copy()
+        matrix[:, 3] += 2.0 * p.lines.FEASIBILITY_TOL * self.off_line_1
+        assert self.check_same_as_reference(matrix) == "column 3"
+
+    def test_relative_bound_scales_with_norm(self):
+        matrix = self.base.copy()
+        matrix[:, 2] += 4.0 * p.lines.FEASIBILITY_TOL * np.array([1.0, 0.0, 0.0])
+        assert self.check_same_as_reference(matrix) == "column 2"
+
+    def test_zero_column_accepted(self):
+        matrix = self.base.copy()
+        matrix[:, 1] = 0.0
+        matrix[:, 4] = 1e-13  # below ZERO_TOL in norm, treated as zero
+        assert self.check_same_as_reference(matrix) is None
+
+    def test_column_on_wrong_line_rejected(self):
+        matrix = self.base.copy()
+        matrix[:, 4] = self.base[:, 2]
+        assert self.check_same_as_reference(matrix) == "column 4"
+
+    def test_first_bad_column_is_named(self):
+        matrix = self.base.copy()
+        matrix[:, 3] = self.base[:, 0]
+        matrix[:, 1] = self.base[:, 2]
+        assert self.check_same_as_reference(matrix) == "column 1"
+
+
 class TestWeightsFromColumns:
     def test_groups_collinear_columns(self):
         matrix = np.array([[1.0, -2.0, 0.0], [0.0, 0.0, 3.0]])

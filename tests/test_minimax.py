@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import porcupine as p
-from porcupine.errors import DomainError, ParameterOutOfRange
+from porcupine.errors import CoverageNotReached, DomainError, ParameterOutOfRange
 
 
 class TestNetSizeBound:
@@ -93,6 +93,56 @@ class TestGreedyAngularNet:
         loaded = p.load_angular_net(path, delta=0.4)
         np.testing.assert_array_equal(loaded.vectors, net.vectors)
         assert loaded.delta == net.delta
+
+
+def one_probe_at_a_time_net(d, delta, seed, max_probes, margin=0.9):
+    """Greedy construction drawing and screening one probe per step.
+
+    Returns ``(vectors, probes_drawn)``; ``probes_drawn`` counts the probe
+    that completed the covered streak.
+    """
+    rng = np.random.default_rng(seed)
+    threshold = math.cos(margin * delta)
+    vectors = []
+    streak = 0
+    drawn = 0
+    while True:
+        unit, _ = p.canonicalize_vector(rng.standard_normal(d))
+        drawn += 1
+        if not vectors or np.max(np.abs(np.column_stack(vectors).T @ unit)) < threshold:
+            vectors.append(unit)
+            streak = 0
+        else:
+            streak += 1
+            if streak >= max_probes:
+                return np.column_stack(vectors), drawn
+
+
+class TestGreedyNetInBlocks:
+    """Block-drawn probes make the decisions of the one-probe loop."""
+
+    CASES = [(2, 0.3, 0), (2, 0.2, 1), (3, 0.5, 2), (3, 0.4, 3), (4, 0.7, 4), (4, 0.6, 5)]
+
+    @pytest.mark.parametrize("d,delta,seed", CASES)
+    def test_same_net_as_one_probe_loop(self, d, delta, seed):
+        want, _ = one_probe_at_a_time_net(d, delta, seed, max_probes=1500)
+        net = p.greedy_angular_net(d, delta, seed=seed, max_probes=1500)
+        assert net.size == want.shape[1]
+        np.testing.assert_allclose(net.vectors, want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("d,delta,seed", CASES[::2])
+    def test_budget_counts_probes_like_one_probe_loop(self, d, delta, seed):
+        want, drawn = one_probe_at_a_time_net(d, delta, seed, max_probes=700)
+        net = p.greedy_angular_net(d, delta, seed=seed, max_probes=700,
+                                   probe_budget=drawn)
+        assert net.size == want.shape[1]
+        with pytest.raises(CoverageNotReached):
+            p.greedy_angular_net(d, delta, seed=seed, max_probes=700,
+                                 probe_budget=drawn - 1)
+
+    def test_tiny_budget_raises(self):
+        with pytest.raises(CoverageNotReached):
+            p.greedy_angular_net(3, 0.3, seed=0, max_probes=5, probe_budget=5)
 
 
 class TestNearestNetApprox:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import porcupine as p
+from porcupine._seeds import as_seed_sequence
 from porcupine.errors import (
     ConfigMismatch,
     DimensionMismatch,
+    DomainError,
     InfeasibleWeights,
     ParameterOutOfRange,
     ZeroVector,
@@ -89,6 +91,58 @@ class TestMonteCarloRisk:
         w = random_instance(3, 2, 3, seed=13)
         with pytest.raises(ParameterOutOfRange):
             p.monte_carlo_risk(w, w, n_samples=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        A = np.ones((3, 2))
+        B = np.ones((3, 4))
+        A[1, 0] = bad
+        with pytest.raises(DomainError):
+            p.monte_carlo_risk(A, B, n_samples=100)
+        with pytest.raises(DomainError):
+            p.monte_carlo_risk(B, A, n_samples=100)
+
+
+def two_sided_monte_carlo(A, B, n_samples, seed):
+    """The antithetic estimator with a relu pass on each side of every pair,
+    using the chunking, seeding and reduction order of ``monte_carlo_risk``."""
+    d = A.shape[0]
+    chunk = p.risk._MC_CHUNK_PAIRS
+    pairs = (n_samples + 1) // 2
+    n_chunks = (pairs + chunk - 1) // chunk
+    total = total_sq = 0.0
+    for index, child in enumerate(as_seed_sequence(seed).spawn(n_chunks)):
+        count = min(chunk, pairs - index * chunk)
+        X = np.random.default_rng(child).standard_normal((count, d))
+        forward = np.maximum(X @ A, 0.0).sum(axis=1) - np.maximum(X @ B, 0.0).sum(axis=1)
+        backward = np.maximum(-X @ A, 0.0).sum(axis=1) - np.maximum(-X @ B, 0.0).sum(axis=1)
+        pair_mean = 0.5 * (forward * forward + backward * backward)
+        total += float(pair_mean.sum())
+        total_sq += float((pair_mean * pair_mean).sum())
+    mean = total / pairs
+    var = max((total_sq - pairs * mean * mean) / (pairs - 1), 0.0)
+    return mean, float(np.sqrt(var / pairs))
+
+
+class TestMonteCarloOneReluPass:
+    """The gap at -x comes from the gap at x and one mat-vec; the estimate
+    is the two-sided formula's."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("matched", [True, False])
+    def test_matches_two_sided_formula(self, matched, threads):
+        if matched:
+            w, w_star = random_matched_pair(8, 4, 10, seed=21)
+        else:
+            w = random_instance(8, 4, 10, seed=22)
+            w_star = random_instance(8, 3, 5, seed=23)
+        # 150001 pairs: three chunks, the last one partial.
+        n_samples = 300_001
+        assert (n_samples + 1) // 2 > 2 * p.risk._MC_CHUNK_PAIRS
+        got = p.monte_carlo_risk(w, w_star, n_samples=n_samples, seed=[7, 1],
+                                 threads=threads)
+        want = two_sided_monte_carlo(w.matrix, w_star.matrix, n_samples, [7, 1])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestScalarRisk:
