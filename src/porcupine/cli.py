@@ -285,8 +285,8 @@ def _cmd_asymptotic(args) -> int:
 
 def _cmd_train(args) -> int:
     k_grid = _int_list(args.k)
-    if args.trials < 1:
-        raise ValidationError("--trials must be positive")
+    if args.d < 1 or args.trials < 1:
+        raise ValidationError("need positive --d and --trials")
     if args.mode == "matched":
         config = desk_matched_config(seed=args.seed)
     else:

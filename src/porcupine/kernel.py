@@ -76,23 +76,46 @@ def _require_symmetric(matrix, tol: float) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch("expected a square matrix")
+    # Kernel blocks are exactly symmetric, and then (m + m') / 2 is m itself.
+    if np.array_equal(matrix, matrix.T):
+        return matrix
     if matrix.size and np.max(np.abs(matrix - matrix.T)) > tol:
         raise NotSymmetric("asymmetry %.3g exceeds %.3g"
                            % (float(np.max(np.abs(matrix - matrix.T))), tol))
     return (matrix + matrix.T) / 2.0
 
 
+def _norm_and_min(sym: np.ndarray):
+    """Spectral norm and smallest eigenvalue of the symmetric ``sym``, from
+    one ``eigvalsh``."""
+    vals = np.linalg.eigvalsh(sym)
+    return float(max(abs(vals[0]), abs(vals[-1]))), float(vals[0])
+
+
 def min_eigenvalue(matrix, asym_tol: float = 1e-9) -> float:
     """Smallest eigenvalue via a full symmetric eigendecomposition."""
-    sym = _require_symmetric(matrix, asym_tol)
-    return float(np.linalg.eigvalsh(sym)[0])
+    return _norm_and_min(_require_symmetric(matrix, asym_tol))[1]
 
 
 def spectral_norm(matrix, asym_tol: float = 1e-9) -> float:
     """Operator norm of a symmetric matrix (largest |eigenvalue|)."""
-    sym = _require_symmetric(matrix, asym_tol)
-    vals = np.linalg.eigvalsh(sym)
-    return float(max(abs(vals[0]), abs(vals[-1])))
+    return _norm_and_min(_require_symmetric(matrix, asym_tol))[0]
+
+
+def _inverted_spectrum(matrix, cutoff: float = PINV_CUTOFF, asym_tol: float = 1e-9):
+    """Eigenvectors of a symmetric matrix and its inverted eigenvalues.
+
+    Returns ``(vecs, inv)`` with ``pinv(matrix) = vecs diag(inv) vecs'``.
+    Eigenvalues with magnitude at most ``cutoff`` times the largest
+    magnitude are treated as zero (their ``inv`` entry is 0); this is the
+    one place the pseudo-inverse cutoff is applied.
+    """
+    vals, vecs = np.linalg.eigh(_require_symmetric(matrix, asym_tol))
+    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+    keep = np.abs(vals) > cutoff * scale
+    inv = np.zeros_like(vals)
+    inv[keep] = 1.0 / vals[keep]
+    return vecs, inv
 
 
 def symmetric_pseudo_inverse(matrix, cutoff: float = PINV_CUTOFF,
@@ -103,12 +126,7 @@ def symmetric_pseudo_inverse(matrix, cutoff: float = PINV_CUTOFF,
     magnitude are treated as zero; the same convention is used everywhere
     a pseudo-inverse appears in this package.
     """
-    sym = _require_symmetric(matrix, asym_tol)
-    vals, vecs = np.linalg.eigh(sym)
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    keep = np.abs(vals) > cutoff * scale
-    inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / vals[keep]
+    vecs, inv = _inverted_spectrum(matrix, cutoff, asym_tol)
     return (vecs * inv[None, :]) @ vecs.T
 
 

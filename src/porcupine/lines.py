@@ -8,12 +8,14 @@ decomposes into per-line mass and per-neuron orientation signs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     DuplicateLine,
     InfeasibleWeights,
     ParameterOutOfRange,
@@ -27,6 +29,9 @@ FEASIBILITY_TOL = 1e-9
 
 # 17 significant digits round-trip any IEEE double exactly.
 _FLOAT_FMT = "%.17g"
+
+# Side of the square tiles in which a Gram matrix is symmetrised.
+_TILE = 64
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -44,12 +49,20 @@ def canonicalize_vector(v, zero_tol: float = ZERO_TOL):
     if ``v`` already points in the canonical direction and -1 otherwise,
     so that ``unit = flag * v / ||v||``.
 
-    Raises ZeroVector when ``||v|| <= zero_tol``.
+    Raises DomainError when an entry is NaN or infinite and ZeroVector
+    when ``||v|| <= zero_tol``.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch("expected a 1-D vector, got shape %s" % (v.shape,))
     norm = float(np.linalg.norm(v))
+    if not math.isfinite(norm):
+        # Decide on the entries: finite ones whose squares overflow (a
+        # vector of 1e200s) also give an infinite norm.
+        if not np.isfinite(v).all():
+            raise DomainError("cannot orient a vector with non-finite entries")
+        v = v / np.max(np.abs(v))
+        norm = float(np.linalg.norm(v))
     if norm <= zero_tol:
         raise ZeroVector("cannot orient a vector of norm %.3g" % norm)
     unit = v / norm
@@ -101,14 +114,27 @@ class LineSet:
 
 
 def _assemble_line_set(units: np.ndarray) -> LineSet:
+    """LineSet of the canonical unit vectors in the columns of ``units``.
+
+    The Gram matrix is ``clip((G + G') / 2, -1, 1)`` with a unit diagonal,
+    ``G = units' units``.  It is symmetrised and clipped in place, one pair
+    of mirrored tiles at a time: the same bits, without a transposed pass
+    over the whole matrix.
+    """
     gram = units.T @ units
-    gram = np.clip((gram + gram.T) / 2.0, -1.0, 1.0)
+    n = gram.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper = gram[i:i + _TILE, j:j + _TILE]
+            lower = gram[j:j + _TILE, i:i + _TILE]
+            tile = upper + lower.T
+            tile /= 2.0
+            np.clip(tile, -1.0, 1.0, out=tile)
+            upper[...] = tile
+            lower[...] = tile.T
     np.fill_diagonal(gram, 1.0)
-    return LineSet(
-        dim=units.shape[0],
-        unit_vectors=_freeze(units),
-        gram=_freeze(gram),
-    )
+    gram.flags.writeable = False
+    return LineSet(dim=units.shape[0], unit_vectors=_freeze(units), gram=gram)
 
 
 def build_line_set(raw_vectors, collinearity_tol: float = COLLINEARITY_TOL) -> LineSet:
@@ -157,25 +183,55 @@ def random_line_set(
     oriented.  Near-collinear collisions are rejected and redrawn, which
     preserves uniformity; TooManyCollisions is raised if the draw budget
     is exhausted (only plausible for tiny ``d`` and huge ``r``).
+
+    The lines are drawn as one ``(r, d)`` block, the stream of ``r`` calls
+    of ``standard_normal(d)``, and screened for collisions on the Gram
+    matrix of the assembled set.  Only when a pair collides is the block
+    walked in draw order: a line is kept unless it collides with a line
+    kept before it.  The shortfall is drawn as the next block and screened
+    by its cosines against every line.  Every drawn vector counts against
+    ``max_draws``, so the lines and the budget are those of drawing one
+    vector at a time.
     """
     if d < 1 or r < 1:
         raise ParameterOutOfRange("need d >= 1 and r >= 1, got d=%d r=%d" % (d, r))
     rng = np.random.default_rng(seed)
     budget = max_draws if max_draws is not None else max(1000, 200 * r)
-    units = np.empty((d, r))
-    count = 0
-    for _ in range(budget):
-        g = rng.standard_normal(d)
-        try:
-            u, _ = canonicalize_vector(g)
-        except ZeroVector:  # pragma: no cover - probability zero
-            continue
-        if count and np.max(np.abs(units[:, :count].T @ u)) >= 1.0 - collinearity_tol:
-            continue
-        units[:, count] = u
-        count += 1
-        if count == r:
-            return _assemble_line_set(units)
+    threshold = 1.0 - collinearity_tol
+    units = np.empty((d, 0))
+    draws = 0
+    while draws < budget:
+        block = rng.standard_normal((min(r - units.shape[1], budget - draws), d))
+        draws += len(block)
+        count = size = units.shape[1]
+        grown = np.empty((d, count + len(block)))
+        grown[:, :count] = units
+        for g in block:
+            try:
+                grown[:, size] = canonicalize_vector(g)[0]
+            except ZeroVector:  # pragma: no cover - probability zero
+                continue
+            size += 1
+        units = grown[:, :size]
+        # The first block is screened on the Gram of the assembled set, a
+        # shortfall block on the cosines of its lines against every line.
+        if count == 0:
+            line_set = _assemble_line_set(units)
+            cos = line_set.gram
+        else:
+            line_set = None
+            cos = units[:, count:].T @ units
+        hits = cos >= threshold
+        hits |= cos <= -threshold
+        kept = np.ones(units.shape[1], dtype=bool)
+        # Walk, in draw order, the fresh lines that hit a line besides themselves.
+        for i in np.flatnonzero(np.count_nonzero(hits, axis=1) > 1):
+            j = count + i
+            kept[j] = not (hits[i, :j] & kept[:j]).any()
+        if not kept.all():
+            units = units[:, kept]
+        elif units.shape[1] == r:
+            return line_set if line_set is not None else _assemble_line_set(units)
     raise TooManyCollisions(
         "could not draw %d collision-free lines in d=%d within %d attempts"
         % (r, d, budget)
@@ -281,9 +337,10 @@ class RegionSignature:
 class PNNWeights:
     """A ``d x k`` weight matrix tied to a line configuration.
 
-    Every non-zero column must lie on its assigned line within
-    FEASIBILITY_TOL (relative to max(1, column norm)); zero columns are
-    legal, they arise transiently during optimization.
+    Entries must be finite (DomainError otherwise).  Every non-zero
+    column must lie on its assigned line within FEASIBILITY_TOL (relative
+    to max(1, column norm)); zero columns are legal, they arise
+    transiently during optimization.
     """
 
     matrix: np.ndarray
@@ -294,6 +351,9 @@ class PNNWeights:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2:
             raise DimensionMismatch("weights must be a d x k matrix")
+        # Every comparison in the feasibility check is False for NaN.
+        if not np.isfinite(matrix).all():
+            raise DomainError("weights must be finite")
         d, k = matrix.shape
         if d != self.line_set.dim:
             raise DimensionMismatch(

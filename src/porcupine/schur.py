@@ -25,23 +25,34 @@ from .errors import (
 from .kernel import (
     KernelBundle,
     PINV_CUTOFF,
+    _inverted_spectrum,
     _is_singular,
+    _norm_and_min,
     kernel_bundle,
     min_eigenvalue,
     psi,
-    spectral_norm,
-    symmetric_pseudo_inverse,
 )
 from .lines import COLLINEARITY_TOL, LineSet, canonicalize_vector
 
 
 @dataclass(frozen=True, eq=False)
 class SchurReport:
-    """Schur complement of the model-line kernel block, with its spectrum."""
+    """Schur complement of the model-line kernel block, with its spectrum.
+
+    The health of the pseudo-inverse of the model-line block is read from
+    the eigenvalues ``schur_complement`` computes: ``kept_rank`` counts the
+    eigenvalues kept, ``dropped_eigenvalues`` those the cutoff zeroed, and
+    ``condition`` is the largest kept |eigenvalue| over the smallest kept
+    one (inf when none is kept).  ``add_line_update`` solves instead of
+    decomposing, so its reports leave the three fields None.
+    """
 
     schur: np.ndarray
     spectral_norm: float
     min_eigenvalue: float
+    kept_rank: int | None = None
+    dropped_eigenvalues: int | None = None
+    condition: float | None = None
 
     def loss_at_good_local(self, q_star) -> float:
         """Risk attained at good-region optima for target masses ``q_star``."""
@@ -49,21 +60,33 @@ class SchurReport:
         return 0.25 * float(q @ self.schur @ q)
 
 
-def _report_from_matrix(schur: np.ndarray) -> SchurReport:
+def _report_from_matrix(schur: np.ndarray, **health) -> SchurReport:
     schur = (schur + schur.T) / 2.0
     schur.flags.writeable = False
-    return SchurReport(
-        schur=schur,
-        spectral_norm=spectral_norm(schur),
-        min_eigenvalue=min_eigenvalue(schur),
-    )
+    norm, min_eig = _norm_and_min(schur)
+    return SchurReport(schur=schur, spectral_norm=norm, min_eigenvalue=min_eig, **health)
 
 
 def schur_complement(bundle: KernelBundle, cutoff: float = PINV_CUTOFF) -> SchurReport:
-    """``psi_star - psi_cross' pinv(psi_lines) psi_cross`` with spectrum."""
-    inv = symmetric_pseudo_inverse(bundle.psi_lines, cutoff=cutoff)
-    schur = bundle.psi_star - bundle.psi_cross.T @ inv @ bundle.psi_cross
-    return _report_from_matrix(schur)
+    """``psi_star - psi_cross' pinv(psi_lines) psi_cross`` with spectrum.
+
+    One eigendecomposition ``psi_lines = V diag(lam) V'`` gives the
+    pseudo-inverse in factored form: with ``M = V' psi_cross`` the
+    complement is ``psi_star - M' diag(1/lam) M``, so no r x r inverse is
+    formed.  The report carries the kept rank, the eigenvalues dropped by
+    ``cutoff`` and the condition number of the kept part.
+    """
+    vecs, inv = _inverted_spectrum(bundle.psi_lines, cutoff)
+    m = vecs.T @ bundle.psi_cross
+    schur = bundle.psi_star - (m.T * inv) @ m
+    kept = np.abs(inv[inv != 0.0])
+    return _report_from_matrix(
+        schur,
+        kept_rank=int(kept.size),
+        dropped_eigenvalues=int(inv.size - kept.size),
+        # max |lam| / min |lam| over the kept eigenvalues, read off 1/lam
+        condition=float(kept.max() / kept.min()) if kept.size else float("inf"),
+    )
 
 
 def good_local_loss(report: SchurReport, q_star):
@@ -82,7 +105,10 @@ def add_line_update(report: SchurReport, bundle: KernelBundle, new_line):
     ``new_line`` must span a line distinct from every current model line,
     and the model-line kernel block must be invertible.  Returns
     ``(new_report, alpha, v)`` with ``new_schur = schur - alpha * v v'``
-    and ``alpha >= 0``, so the spectral norm never increases.
+    and ``alpha >= 0``, so the spectral norm never increases.  The new
+    report's ``kept_rank``, ``dropped_eigenvalues`` and ``condition`` are
+    None: the update solves with the model-line block instead of
+    decomposing it.
     """
     unit, _ = canonicalize_vector(np.asarray(new_line, dtype=float))
     z1 = np.clip(bundle.lines.unit_vectors.T @ unit, -1.0, 1.0)

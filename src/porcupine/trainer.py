@@ -8,7 +8,8 @@ porcupine network throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,6 +56,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Every ordered comparison below is False for NaN: check finiteness first.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError("%s must be finite, got %r" % (field.name, value))
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be positive")
         if self.learning_rate <= 0:

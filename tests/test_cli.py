@@ -259,6 +259,26 @@ class TestExitCodes:
         assert code == 2
 
 
+    @pytest.mark.parametrize("mode", [["matched"], ["mismatched", "--k-star", "3"]])
+    def test_zero_dimension_train_exits_two(self, mode, capsys):
+        code = run_cli(["train", *mode, "--d", "0", "--k", "4", "--trials", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_finite_train_config_exits_two(self, monkeypatch, capsys):
+        # No flag sets a float field, so make the preset carry a NaN.
+        from dataclasses import replace
+
+        preset = cli.desk_matched_config
+        monkeypatch.setattr(
+            cli, "desk_matched_config",
+            lambda seed: replace(preset(seed), learning_rate=float("nan")),
+        )
+        code = run_cli(["train", "matched", "--d", "2", "--k", "4", "--trials", "1"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+
 class TestHeaderEcho:
     def test_header_lines(self, tmp_path):
         out = tmp_path / "sweep.csv"

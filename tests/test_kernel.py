@@ -150,6 +150,12 @@ class TestMinEigenvalue:
         assert p.min_eigenvalue(matrix) == pytest.approx(oracle, abs=1e-8)
 
 
+class TestSpectralNorm:
+    @pytest.mark.parametrize("diagonal, norm", [([3.0, -2.0], 3.0), ([1.0, -4.0], 4.0)])
+    def test_largest_magnitude_of_either_sign(self, diagonal, norm):
+        assert p.spectral_norm(np.diag(diagonal)) == norm
+
+
 class TestSymmetricPseudoInverse:
     def test_invertible_matches_inverse(self):
         rng = np.random.default_rng(4)

@@ -6,11 +6,15 @@ import pytest
 import porcupine as p
 from porcupine.errors import (
     DimensionMismatch,
+    DomainError,
     DuplicateLine,
     InfeasibleWeights,
     ParameterOutOfRange,
+    TooManyCollisions,
     ZeroVector,
 )
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 class TestCanonicalizeVector:
@@ -43,6 +47,18 @@ class TestCanonicalizeVector:
             assert flag == 1
             np.testing.assert_allclose(again, unit, atol=1e-15)
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(DomainError):
+            p.canonicalize_vector([1.0, bad, 0.5])
+
+    def test_huge_finite_vector_oriented(self):
+        # The squares overflow, so the norm is inf although every entry is finite.
+        with np.errstate(over="ignore"):
+            unit, flag = p.canonicalize_vector([1e200, -1e200])
+        assert flag == -1
+        np.testing.assert_allclose(unit, [-1.0, 1.0] / np.sqrt(2.0), rtol=1e-15)
+
 
 class TestBuildLineSet:
     def test_orthogonal_axes(self):
@@ -67,6 +83,11 @@ class TestBuildLineSet:
     def test_gram_psd(self):
         ls = p.random_line_set(5, 12, seed=2)
         assert np.linalg.eigvalsh(ls.gram)[0] >= -1e-10
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(DomainError):
+            p.build_line_set([[1.0, 0.0], [0.5, bad]])
 
 
 class TestCrossGram:
@@ -129,6 +150,61 @@ class TestRandomLineSet:
     def test_validates_arguments(self):
         with pytest.raises(ParameterOutOfRange):
             p.random_line_set(0, 3, seed=0)
+
+
+def one_draw_reference(d, r, seed, max_draws=None, collinearity_tol=1e-9):
+    """Draw one vector at a time, as random_line_set did before drawing in
+    blocks.  Returns the unit vectors, their Gram matrix and the draws used."""
+    rng = np.random.default_rng(seed)
+    budget = max_draws if max_draws is not None else max(1000, 200 * r)
+    units = np.empty((d, r))
+    count = 0
+    for draw in range(1, budget + 1):
+        u, _ = p.canonicalize_vector(rng.standard_normal(d))
+        if count and np.max(np.abs(units[:, :count].T @ u)) >= 1.0 - collinearity_tol:
+            continue
+        units[:, count] = u
+        count += 1
+        if count == r:
+            gram = units.T @ units
+            gram = np.clip((gram + gram.T) / 2.0, -1.0, 1.0)
+            np.fill_diagonal(gram, 1.0)
+            return units, gram, draw
+    raise TooManyCollisions("reference ran out of draws")
+
+
+class TestRandomLineSetInBlocks:
+    # (d, r, max_draws): collision-heavy low dimensions and wide sets.
+    CASES = [(2, 3000, 4000), (3, 50, None), (4, 200, None), (256, 512, None)]
+
+    @pytest.mark.parametrize("d, r, max_draws", CASES)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bit_identical_to_one_draw_loop(self, d, r, max_draws, seed):
+        units, gram, _ = one_draw_reference(d, r, seed, max_draws)
+        ls = p.random_line_set(d, r, seed, max_draws=max_draws)
+        np.testing.assert_array_equal(ls.unit_vectors, units)
+        np.testing.assert_array_equal(ls.gram, gram)
+
+    def test_collisions_were_redrawn(self):
+        # The (2, 3000) case must exercise the walk and the shortfall draws.
+        _, _, draws = one_draw_reference(2, 3000, 0, 4000)
+        assert draws > 3000
+
+    @pytest.mark.parametrize("d, r, max_draws", CASES[:2])
+    def test_budget_counts_every_draw(self, d, r, max_draws):
+        units, _, draws = one_draw_reference(d, r, 0, max_draws)
+        ls = p.random_line_set(d, r, 0, max_draws=draws)
+        np.testing.assert_array_equal(ls.unit_vectors, units)
+        with pytest.raises(TooManyCollisions):
+            p.random_line_set(d, r, 0, max_draws=draws - 1)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_budget_error_when_lines_cannot_differ(self, seed):
+        # In d=1 every draw spans the same line.
+        with pytest.raises(TooManyCollisions):
+            one_draw_reference(1, 2, seed)
+        with pytest.raises(TooManyCollisions):
+            p.random_line_set(1, 2, seed)
 
 
 class TestNeuronLineMap:
@@ -299,6 +375,21 @@ class TestWeightsFromColumns:
     def test_zero_column_rejected(self):
         with pytest.raises(ZeroVector):
             p.weights_from_columns(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_column_rejected(self, bad):
+        with pytest.raises(DomainError):
+            p.weights_from_columns(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_pnn_weights_rejects_non_finite_column(self, bad):
+        line_set = p.build_line_set([[1.0, 0.0], [0.0, 1.0]])
+        neuron_map = p.NeuronLineMap(2, (0, 1))
+        matrix = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(DomainError):
+            p.PNNWeights(matrix, line_set, neuron_map)
 
 
 class TestCsvRoundTrip:

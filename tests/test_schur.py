@@ -5,6 +5,7 @@ import pytest
 
 import porcupine as p
 from porcupine.errors import (
+    DomainError,
     DuplicateLine,
     NegativeMass,
     ParameterOutOfRange,
@@ -68,6 +69,48 @@ class TestSchurComplement:
             assert p.mismatched_risk(w, w_star).total >= floor - 1e-10
 
 
+class TestSchurOneEigh:
+    @pytest.mark.parametrize("d", [8, 64, 256])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_matches_explicit_pseudo_inverse(self, d, factor):
+        bundle = random_bundle(d, factor * d, d, (30, d, factor))
+        report = p.schur_complement(bundle)
+        C = bundle.psi_cross
+        explicit = bundle.psi_star - C.T @ p.symmetric_pseudo_inverse(bundle.psi_lines) @ C
+        assert np.all(
+            np.abs(report.schur - explicit) <= 1e-10 * np.maximum(1.0, np.abs(explicit))
+        )
+        assert report.spectral_norm == p.spectral_norm(report.schur)
+        assert report.min_eigenvalue == p.min_eigenvalue(report.schur)
+
+
+class TestSchurHealth:
+    def test_full_rank_block(self):
+        bundle = random_bundle(6, 9, 4, 31)
+        report = p.schur_complement(bundle)
+        assert report.kept_rank == 9
+        assert report.dropped_eigenvalues == 0
+        vals = np.abs(np.linalg.eigvalsh(bundle.psi_lines))
+        assert report.condition == pytest.approx(vals.max() / vals.min(), rel=1e-12)
+
+    def test_many_planar_lines_drop_eigenvalues(self):
+        # The kernel block of 60 lines in d=2 has numerical rank 57.
+        lines = p.random_line_set(2, 60, 11)
+        star = p.random_line_set(2, 5, 12)
+        report = p.schur_complement(p.kernel_bundle(lines, star))
+        assert report.dropped_eigenvalues == 3
+        assert report.kept_rank == 57
+        assert report.condition > 1e9
+
+    def test_update_leaves_health_unset(self):
+        bundle = random_bundle(4, 3, 2, 32)
+        report = p.schur_complement(bundle)
+        updated, _, _ = p.add_line_update(report, bundle, np.array([1.0, 2.0, -1.0, 0.5]))
+        assert updated.kept_rank is None
+        assert updated.dropped_eigenvalues is None
+        assert updated.condition is None
+
+
 class TestGoodLocalLoss:
     def test_zero_mass(self):
         report = p.schur_complement(random_bundle(4, 5, 2, 10))
@@ -126,6 +169,13 @@ class TestAddLineUpdate:
         report = p.schur_complement(bundle)
         with pytest.raises(DuplicateLine):
             p.add_line_update(report, bundle, bundle.lines.line(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_line_rejected(self, bad):
+        bundle = random_bundle(4, 3, 2, 21)
+        report = p.schur_complement(bundle)
+        with pytest.raises(DomainError):
+            p.add_line_update(report, bundle, np.array([1.0, bad, 0.0, 0.5]))
 
 
 class TestNearestLineSubset:

@@ -25,6 +25,14 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             p.TrainConfig(early_stop_threshold=-1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["learning_rate", "momentum", "decay_rate", "early_stop_threshold"]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_floats(self, field, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            p.TrainConfig(**{field: bad})
+
 
 class TestGenerateDataset:
     def test_zero_network(self):
