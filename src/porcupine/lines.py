@@ -406,24 +406,32 @@ class PNNWeights:
 
 
 def signature_from_matrix(matrix, neuron_map: NeuronLineMap) -> RegionSignature:
-    """Orientation signature of arbitrary columns grouped by their lines."""
+    """Orientation signature of arbitrary columns grouped by their lines.
+
+    A column of norm at most ZERO_TOL is recorded as zero with a +1 flag;
+    any other column gets the flag of ``canonicalize_vector``: the sign of
+    its last entry whose normalized magnitude exceeds ZERO_TOL.
+    """
     matrix = np.asarray(matrix, dtype=float)
-    signs = []
-    nonzero = []
-    for line in range(neuron_map.num_lines):
-        line_signs = []
-        line_nonzero = []
-        for i in neuron_map.neurons_on_line(line):
-            col = matrix[:, i]
-            if np.linalg.norm(col) <= ZERO_TOL:
-                line_signs.append(1)
-                line_nonzero.append(False)
-            else:
-                line_signs.append(canonicalize_vector(col)[1])
-                line_nonzero.append(True)
-        signs.append(tuple(line_signs))
-        nonzero.append(tuple(line_nonzero))
-    return RegionSignature(signs=tuple(signs), nonzero=tuple(nonzero))
+    norms = np.linalg.norm(matrix, axis=0)
+    nonzero = ~(norms <= ZERO_TOL)  # a NaN norm is not zero
+    flags = np.ones(matrix.shape[1], dtype=int)
+    regular = np.flatnonzero(nonzero & np.isfinite(norms))
+    unit = matrix[:, regular] / norms[regular]
+    last = unit.shape[0] - 1 - np.argmax(np.abs(unit[::-1]) > ZERO_TOL, axis=0)
+    flags[regular] = np.where(unit[last, np.arange(len(regular))] > 0, 1, -1)
+    # Non-finite norms: canonicalize_vector rescales or raises DomainError.
+    for i in np.flatnonzero(~np.isfinite(norms)):
+        flags[i] = canonicalize_vector(matrix[:, i])[1]
+    assignment = np.asarray(neuron_map.assignment)
+    order = np.argsort(assignment, kind="stable")
+    edges = [0, *np.cumsum(np.bincount(assignment)).tolist()]
+    signs = flags[order].tolist()
+    active = nonzero[order].tolist()
+    return RegionSignature(
+        signs=tuple(tuple(signs[a:b]) for a, b in zip(edges, edges[1:])),
+        nonzero=tuple(tuple(active[a:b]) for a, b in zip(edges, edges[1:])),
+    )
 
 
 def decompose_weights(weights: PNNWeights):

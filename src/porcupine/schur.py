@@ -157,17 +157,19 @@ def nearest_line_subset(lines: LineSet, targets: LineSet) -> NearestSubset:
             % (lines.num_lines, targets.num_lines)
         )
     affinity = np.abs(lines.unit_vectors.T @ targets.unit_vectors)
-    taken: list[int] = []
+    winners = np.argmax(affinity, axis=0).tolist()
+    taken = np.zeros(lines.num_lines, dtype=bool)
+    chosen: list[int] = []
     conflicts: list[int] = []
-    for i in range(targets.num_lines):
-        order = np.argsort(-affinity[:, i])
-        best = int(order[0])
-        if best in taken:
+    for i, best in enumerate(winners):
+        if taken[best]:
             conflicts.append(i)
-            best = next(int(j) for j in order if int(j) not in taken)
-        taken.append(best)
+            # Closest line still free; affinities are >= 0, taken ones drop to -1.
+            best = int(np.argmax(np.where(taken, -1.0, affinity[:, i])))
+        taken[best] = True
+        chosen.append(best)
     return NearestSubset(
-        line_set=lines.subset(taken), indices=tuple(taken), conflicts=tuple(conflicts)
+        line_set=lines.subset(chosen), indices=tuple(chosen), conflicts=tuple(conflicts)
     )
 
 

@@ -4,7 +4,8 @@ Training minimizes the empirical squared error of a two-layer relu
 network on data generated by a ground-truth network.  With projection
 enabled, each neuron's gradient is projected onto its assigned line
 before the update, so columns never leave their lines and the run stays a
-porcupine network throughout.
+porcupine network throughout; such a run trains the neurons' signed
+scalars along their lines, one number per neuron.
 """
 from __future__ import annotations
 
@@ -125,6 +126,13 @@ def desk_mismatched_config(seed: int = 0) -> TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrainResult:
+    """Final state and per-epoch mean losses (``trajectory``) of one run.
+
+    ``max_line_deviation`` is the largest distance of a final column from
+    its assigned line, measured once on ``final_matrix``;
+    ``line_feasibility_ok`` says it is at most ``LINE_DEVIATION_TOL``.
+    """
+
     final_train_loss: float
     final_test_loss_normalized: float
     epochs_run: int
@@ -180,6 +188,103 @@ def _line_deviation(matrix: np.ndarray, units: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(residual, axis=0)))
 
 
+def _run_epochs(n: int, config: TrainConfig, step) -> list:
+    """The epoch loop shared by both parametrizations.
+
+    ``step(idx, lr)`` applies one update on the rows ``idx`` and returns
+    the batch's mean squared residual before the update.  Returns the
+    per-epoch mean losses; raises Diverged as soon as the running loss of
+    an epoch stops being finite.
+    """
+    lr = config.learning_rate
+    rng = np.random.default_rng(config.seed)
+    steps = 0
+    trajectory: list[float] = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        batches = 0
+        for start in range(0, n, config.batch_size):
+            loss_sum += step(order[start : start + config.batch_size], lr)
+            batches += 1
+            if not math.isfinite(loss_sum):
+                raise Diverged(
+                    "training loss became non-finite at epoch %d, step %d"
+                    % (epoch, steps)
+                )
+            steps += 1
+            if config.decay_every_steps and steps % config.decay_every_steps == 0:
+                lr *= config.decay_rate
+        trajectory.append(loss_sum / batches)
+        if (
+            config.early_stop_threshold is not None
+            and len(trajectory) >= config.early_stop_window
+            and float(np.mean(trajectory[-config.early_stop_window :]))
+            < config.early_stop_threshold
+        ):
+            break
+    return trajectory
+
+
+def _train_line_coordinates(X, y, init_weights: PNNWeights, units, config):
+    """Projected SGD on the signed scalars ``c`` of ``W = units diag(c)``.
+
+    With ``z = X u`` for a line ``u``, ``relu(c z) = max(c, 0) relu(z) +
+    min(c, 0) min(z, 0)``.  One table ``Q = [relu(X U), min(X U, 0)]``
+    (n x 2r, U the line set's unit vectors) therefore serves every step:
+    a batch's output is ``Q[idx] @ mass``, where ``mass`` sums the signed
+    scalars of the neurons on each line and half (column ``line`` for
+    c >= 0, ``line + r`` for c < 0), and neuron ``j``'s gradient is the
+    residual's product with its column, zero when ``c_j = 0``.  This is
+    the d-space gradient projected on the neuron's line.
+    """
+    U = init_weights.line_set.unit_vectors
+    r = U.shape[1]
+    Q = np.empty((X.shape[0], 2 * r))
+    np.matmul(X, U, out=Q[:, :r])
+    np.minimum(Q[:, :r], 0.0, out=Q[:, r:])
+    np.maximum(Q[:, :r], 0.0, out=Q[:, :r])
+    line = np.asarray(init_weights.neuron_map.assignment)
+    shifted = line + r
+    c = np.einsum("dk,dk->k", units, init_weights.matrix)
+    velocity = np.zeros_like(c)
+    momentum = config.momentum
+
+    def step(idx, lr):
+        nonlocal c, velocity
+        Qb = Q.take(idx, axis=0)
+        col = np.where(c < 0.0, shifted, line)
+        mass = np.bincount(col, weights=c, minlength=2 * r)
+        residual = Qb @ mass - y[idx]
+        grad = (2.0 / len(idx)) * (residual @ Qb)[col] * (c != 0.0)
+        velocity = momentum * velocity + grad
+        c = c - lr * velocity
+        return float(residual @ residual) / len(idx)
+
+    trajectory = _run_epochs(X.shape[0], config, step)
+    return units * c[None, :], trajectory
+
+
+def _train_columns(X, y, init_weights: PNNWeights, config):
+    """Unconstrained SGD on the full d x k matrix."""
+    W = init_weights.matrix.copy()
+    velocity = np.zeros_like(W)
+    momentum = config.momentum
+
+    def step(idx, lr):
+        nonlocal W, velocity
+        Xb = X[idx]
+        preact = Xb @ W
+        residual = np.maximum(preact, 0.0).sum(axis=1) - y[idx]
+        grad = (2.0 / len(idx)) * (Xb.T @ ((preact > 0.0) * residual[:, None]))
+        velocity = momentum * velocity + grad
+        W = W - lr * velocity
+        return float(residual @ residual) / len(idx)
+
+    trajectory = _run_epochs(X.shape[0], config, step)
+    return W, trajectory
+
+
 def sgd_train(
     data,
     init_weights: PNNWeights,
@@ -191,8 +296,13 @@ def sgd_train(
 
     The relu subgradient at exactly zero is taken to be zero.  With
     ``projection`` on, each neuron's gradient is replaced by its component
-    along the neuron's line before the update.  Returns the last state
-    (no best-iterate selection), with per-epoch mean losses recorded.
+    along the neuron's line before the update; the run then trains the
+    neurons' signed scalars on their lines directly (the start point is
+    the init projected on its lines).  With it off, the full matrix is
+    trained.  Returns the last state (no best-iterate selection), with
+    per-epoch mean losses recorded.  Raises Diverged after the first
+    batch whose loss makes the epoch's running loss non-finite.
+    ``max_line_deviation`` is measured on the final matrix.
     """
     X, y = data
     X = np.asarray(X, dtype=float)
@@ -202,46 +312,12 @@ def sgd_train(
         raise ConfigError("training data is empty")
     if config.batch_size > n:
         raise ConfigError("batch_size %d exceeds n=%d" % (config.batch_size, n))
-    W = init_weights.matrix.copy()
-    velocity = np.zeros_like(W)
-    assignment = list(init_weights.neuron_map.assignment)
-    units = init_weights.line_set.unit_vectors[:, assignment]
-    lr = config.learning_rate
-    rng = np.random.default_rng(config.seed)
-    step = 0
-    trajectory: list[float] = []
-    max_deviation = 0.0
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            Xb = X[idx]
-            preact = Xb @ W
-            residual = np.maximum(preact, 0.0).sum(axis=1) - y[idx]
-            loss_sum += float(residual @ residual) / len(idx)
-            batches += 1
-            grad = (2.0 / len(idx)) * (Xb.T @ ((preact > 0.0) * residual[:, None]))
-            if projection:
-                grad = units * np.einsum("dk,dk->k", units, grad)[None, :]
-            velocity = config.momentum * velocity + grad
-            W = W - lr * velocity
-            step += 1
-            if config.decay_every_steps and step % config.decay_every_steps == 0:
-                lr *= config.decay_rate
-        epoch_loss = loss_sum / batches
-        if not np.isfinite(epoch_loss):
-            raise Diverged("training loss became non-finite at epoch %d" % epoch)
-        trajectory.append(epoch_loss)
-        max_deviation = max(max_deviation, _line_deviation(W, units))
-        if (
-            config.early_stop_threshold is not None
-            and len(trajectory) >= config.early_stop_window
-            and float(np.mean(trajectory[-config.early_stop_window :]))
-            < config.early_stop_threshold
-        ):
-            break
+    units = init_weights.line_set.unit_vectors[:, list(init_weights.neuron_map.assignment)]
+    if projection:
+        W, trajectory = _train_line_coordinates(X, y, init_weights, units, config)
+    else:
+        W, trajectory = _train_columns(X, y, init_weights, config)
+    deviation = _line_deviation(W, units)
 
     if test_data is not None:
         X_test, y_test = test_data
@@ -257,8 +333,8 @@ def sgd_train(
         final_test_loss_normalized=normalized,
         epochs_run=len(trajectory),
         final_signature=signature_from_matrix(W, init_weights.neuron_map),
-        line_feasibility_ok=max_deviation <= LINE_DEVIATION_TOL,
-        max_line_deviation=max_deviation,
+        line_feasibility_ok=deviation <= LINE_DEVIATION_TOL,
+        max_line_deviation=deviation,
         trajectory=tuple(trajectory),
         final_matrix=W,
         line_set=init_weights.line_set,

@@ -287,6 +287,74 @@ class TestLineMasses:
         np.testing.assert_array_equal(p.decompose_weights(w)[0], want)
 
 
+def signature_reference(matrix, neuron_map):
+    """Signature built one column at a time, line by line, with
+    canonicalize_vector deciding each non-zero column's flag."""
+    signs, nonzero = [], []
+    for line in range(neuron_map.num_lines):
+        line_signs, line_nonzero = [], []
+        for i in neuron_map.neurons_on_line(line):
+            col = matrix[:, i]
+            if np.linalg.norm(col) <= p.lines.ZERO_TOL:
+                line_signs.append(1)
+                line_nonzero.append(False)
+            else:
+                line_signs.append(p.canonicalize_vector(col)[1])
+                line_nonzero.append(True)
+        signs.append(tuple(line_signs))
+        nonzero.append(tuple(line_nonzero))
+    return tuple(signs), tuple(nonzero)
+
+
+class TestSignatureFromMatrix:
+    @pytest.mark.parametrize("per_line", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_column_loop(self, per_line, seed):
+        rng = np.random.default_rng(seed)
+        d, r = 4, 5
+        k = per_line * r
+        assignment = tuple(rng.permutation(np.repeat(np.arange(r), per_line)))
+        m = p.NeuronLineMap(num_neurons=k, assignment=assignment)
+        matrix = rng.standard_normal((d, k))
+        special = rng.permutation(k)
+        matrix[:, special[0]] = 0.0
+        if k > 1:
+            matrix[:, special[1]] *= 1e-14  # below ZERO_TOL
+        if k > 2:
+            # Last entry of |unit| just below ZERO_TOL: the pivot moves up.
+            matrix[:, special[2]] = [0.6, -0.8, 0.0, -0.5e-12]
+        if k > 3:
+            # Last entry just above ZERO_TOL: it is the pivot.
+            matrix[:, special[3]] = [0.6, 0.8, 0.0, -2e-12]
+        if k > 4:
+            matrix[:, special[4]] = [0.0, 0.0, -3.0, 0.0]
+        got = p.signature_from_matrix(matrix, m)
+        signs, nonzero = signature_reference(matrix, m)
+        assert got.signs == signs
+        assert got.nonzero == nonzero
+        assert all(type(s) is int for line in got.signs for s in line)
+        assert all(type(z) is bool for line in got.nonzero for z in line)
+
+    def test_near_pivot_flags(self):
+        m = p.NeuronLineMap(num_neurons=2, assignment=(0, 0))
+        matrix = np.array([[0.6, 0.6], [-0.8, 0.8], [-0.5e-12, -2e-12]])
+        assert p.signature_from_matrix(matrix, m).signs == ((-1, -1),)
+
+    def test_overflowing_column_is_rescaled(self):
+        m = p.NeuronLineMap(num_neurons=2, assignment=(0, 0))
+        matrix = np.array([[1e200, 1.0], [-1e200, 2.0]])
+        with np.errstate(over="ignore"):
+            got = p.signature_from_matrix(matrix, m)
+            assert (got.signs, got.nonzero) == signature_reference(matrix, m)
+        assert got.signs == ((-1, 1),)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_column_rejected(self, bad):
+        m = p.NeuronLineMap(num_neurons=2, assignment=(0, 0))
+        with pytest.raises(DomainError):
+            p.signature_from_matrix(np.array([[1.0, bad], [0.0, 1.0]]), m)
+
+
 def feasibility_reference(matrix, line_set, neuron_map):
     """Index of the first column off its line, checked one column at a time,
     or None when every column is feasible."""

@@ -225,6 +225,56 @@ class TestNearestLineSubset:
             )
 
 
+def nearest_reference(lines, targets):
+    """Winners picked with one full argsort of the affinities per target."""
+    affinity = np.abs(lines.unit_vectors.T @ targets.unit_vectors)
+    taken, conflicts = [], []
+    for i in range(targets.num_lines):
+        order = np.argsort(-affinity[:, i])
+        best = int(order[0])
+        if best in taken:
+            conflicts.append(i)
+            best = next(int(j) for j in order if int(j) not in taken)
+        taken.append(best)
+    return tuple(taken), tuple(conflicts)
+
+
+class TestNearestLineSubsetOneArgmax:
+    @pytest.mark.parametrize("d, r, r_star, seed", [
+        (3, 40, 20, 0), (8, 64, 32, 1), (16, 32, 32, 2), (64, 128, 64, 3),
+    ])
+    def test_matches_argsort_loop(self, d, r, r_star, seed):
+        lines = p.random_line_set(d, r, seed=seed)
+        targets = p.random_line_set(d, r_star, seed=seed + 100)
+        got = p.nearest_line_subset(lines, targets)
+        indices, conflicts = nearest_reference(lines, targets)
+        assert got.indices == indices
+        assert got.conflicts == conflicts
+        np.testing.assert_array_equal(
+            got.line_set.unit_vectors, lines.unit_vectors[:, list(indices)]
+        )
+
+    def test_duplicated_targets_force_conflicts(self):
+        lines = p.random_line_set(5, 30, seed=7)
+        base = p.random_line_set(5, 6, seed=8)
+        # Each target line appears up to three times: its winner is taken
+        # by the first copy, the later copies fall back to the next free line.
+        targets = base.subset([0, 1, 0, 2, 1, 0, 3, 4, 5, 5])
+        got = p.nearest_line_subset(lines, targets)
+        indices, conflicts = nearest_reference(lines, targets)
+        assert len(conflicts) >= 4
+        assert got.indices == indices
+        assert got.conflicts == conflicts
+        assert len(set(got.indices)) == targets.num_lines
+
+    def test_all_lines_taken(self):
+        lines = p.random_line_set(4, 6, seed=9)
+        targets = lines.subset([2, 2, 2, 2, 2, 2])
+        got = p.nearest_line_subset(lines, targets)
+        assert (got.indices, got.conflicts) == nearest_reference(lines, targets)
+        assert sorted(got.indices) == list(range(6))
+
+
 class TestAsymptoticReference:
     def test_matrix_eigenvalues(self):
         ref = p.asymptotic_reference(d=32, r=48, r_star=8)

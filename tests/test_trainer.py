@@ -1,5 +1,7 @@
 """Data generation, projected SGD, outcome classification, experiments."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -139,12 +141,168 @@ class TestSgdTrain:
         with np.errstate(over="ignore"), pytest.raises(Diverged):
             p.sgd_train((X, y), init, config)
 
+    @pytest.mark.parametrize("projection", [True, False])
+    def test_divergence_caught_at_the_step(self, projection):
+        # One epoch of 2000 batches that overflows within its first 200.
+        line_set, neuron_map, truth = scalar_setup([5.0, 5.0])
+        X, y = p.generate_dataset(truth, 20_000, seed=13)
+        init = p.weights_from_masses(line_set, neuron_map, [30.0, 30.0])
+        config = p.TrainConfig(batch_size=10, epochs=1, learning_rate=5.0, seed=14)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            Diverged, match=r"epoch 0, step \d+"
+        ) as info:
+            p.sgd_train((X, y), init, config, projection=projection)
+        step = int(re.search(r"step (\d+)", str(info.value)).group(1))
+        assert step < 2000 - 1
+
     def test_batch_size_validated(self):
         line_set, neuron_map, truth = scalar_setup([1.0])
         X, y = p.generate_dataset(truth, 10, seed=15)
         config = p.TrainConfig(batch_size=50, epochs=1, learning_rate=0.01)
         with pytest.raises(ConfigError):
             p.sgd_train((X, y), truth, config)
+
+
+def projected_reference(data, init_weights, config):
+    """Projected SGD stepping the full d x k matrix: the whole gradient,
+    then its component along each neuron's line.  Returns the final matrix
+    and the per-epoch mean losses."""
+    X, y = data
+    n = X.shape[0]
+    W = init_weights.matrix.copy()
+    velocity = np.zeros_like(W)
+    units = init_weights.line_set.unit_vectors[:, list(init_weights.neuron_map.assignment)]
+    lr = config.learning_rate
+    rng = np.random.default_rng(config.seed)
+    step = 0
+    trajectory = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        batches = 0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            Xb = X[idx]
+            preact = Xb @ W
+            residual = np.maximum(preact, 0.0).sum(axis=1) - y[idx]
+            loss_sum += float(residual @ residual) / len(idx)
+            batches += 1
+            grad = (2.0 / len(idx)) * (Xb.T @ ((preact > 0.0) * residual[:, None]))
+            grad = units * np.einsum("dk,dk->k", units, grad)[None, :]
+            velocity = config.momentum * velocity + grad
+            W = W - lr * velocity
+            step += 1
+            if config.decay_every_steps and step % config.decay_every_steps == 0:
+                lr *= config.decay_rate
+        trajectory.append(loss_sum / batches)
+        if (
+            config.early_stop_threshold is not None
+            and len(trajectory) >= config.early_stop_window
+            and float(np.mean(trajectory[-config.early_stop_window :]))
+            < config.early_stop_threshold
+        ):
+            break
+    return W, trajectory
+
+
+def _random_lines_case(d, r, assignment, masses, truth_masses, n, seed):
+    seq = np.random.SeedSequence(seed).spawn(3)
+    line_set = p.random_line_set(d, r, seq[0])
+    neuron_map = p.NeuronLineMap(len(assignment), tuple(assignment))
+    truth = p.weights_from_masses(line_set, neuron_map, truth_masses)
+    X, y = p.generate_dataset(truth, n, seq[1])
+    return (X, y), p.weights_from_masses(line_set, neuron_map, masses)
+
+
+def _trainer_case(name):
+    """(data, init, config) of one named comparison case."""
+    base = dict(batch_size=100, epochs=6, learning_rate=0.01, momentum=0.9, seed=40)
+    if name == "matched_axes":
+        rng = np.random.default_rng(41)
+        line_set, neuron_map = p.axes_line_set(5), p.degree_one_map(5, 10)
+        truth = p.weights_from_masses(line_set, neuron_map, rng.standard_normal(10))
+        init = p.weights_from_masses(line_set, neuron_map, rng.standard_normal(10))
+        return p.generate_dataset(truth, 1000, 42), init, p.TrainConfig(**base)
+    if name == "two_per_line":
+        seq = np.random.SeedSequence(43).spawn(3)
+        _, _, truth = p.init_random_pnn(4, 3, seq[0])
+        _, _, init = p.init_random_pnn(4, 5, seq[1])
+        return p.generate_dataset(truth, 1000, seq[2]), init, p.TrainConfig(**base)
+    if name == "three_and_one":
+        data, init = _random_lines_case(
+            3, 2, (0, 1, 0, 0), [0.4, -0.7, -0.2, 0.9], [1.0, 0.5, -1.5, 0.3], 1000, 44
+        )
+        return data, init, p.TrainConfig(**base)
+    if name == "zero_mass":
+        data, init = _random_lines_case(
+            3, 3, (0, 0, 1, 1, 2, 2), [0.5, -0.5, 0.0, 0.3, -0.2, 0.6],
+            [1.0, -1.0, 0.5, -0.5, 1.5, 0.2], 1000, 45,
+        )
+        return data, init, p.TrainConfig(**base)
+    if name == "sign_change":
+        line_set, neuron_map, truth = scalar_setup([1.0, 2.0])
+        init = p.weights_from_masses(line_set, neuron_map, [0.5, -0.5])
+        config = p.TrainConfig(**{**base, "learning_rate": 0.05, "epochs": 8})
+        return p.generate_dataset(truth, 1000, 46), init, config
+    if name == "ragged_batches":
+        data, init = _random_lines_case(
+            4, 3, (0, 1, 2, 0, 1, 2), [0.3, 0.2, -0.4, -0.3, 0.6, 0.1],
+            [1.0, -0.8, 0.4, 0.7, -0.2, 0.9], 1050, 51,
+        )
+        return data, init, p.TrainConfig(**base)
+    if name == "decay_and_early_stop":
+        line_set, neuron_map, truth = scalar_setup([2.0, 3.0])
+        init = p.weights_from_masses(line_set, neuron_map, [1.0, 1.5])
+        config = p.TrainConfig(
+            batch_size=100, epochs=60, learning_rate=0.01, momentum=0.9,
+            decay_rate=0.9, decay_every_steps=50, early_stop_window=5,
+            early_stop_threshold=1e-3, seed=48,
+        )
+        return p.generate_dataset(truth, 1000, 49), init, config
+    raise KeyError(name)
+
+
+TRAINER_CASES = [
+    "matched_axes", "two_per_line", "three_and_one", "zero_mass",
+    "sign_change", "ragged_batches", "decay_and_early_stop",
+]
+
+
+class TestLineCoordinateTrainer:
+    @pytest.mark.parametrize("name", TRAINER_CASES)
+    def test_matches_projected_matrix_loop(self, name):
+        data, init, config = _trainer_case(name)
+        got = p.sgd_train(data, init, config, projection=True)
+        want_matrix, want_trajectory = projected_reference(data, init, config)
+        np.testing.assert_allclose(got.final_matrix, want_matrix, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.trajectory, want_trajectory, rtol=1e-12, atol=0)
+        assert got.epochs_run == len(want_trajectory)
+        assert got.final_signature == p.signature_from_matrix(
+            want_matrix, init.neuron_map
+        )
+        assert got.line_feasibility_ok
+        assert got.max_line_deviation <= 1e-12
+
+    def test_cases_cover_their_features(self):
+        data, init, config = _trainer_case("zero_mass")
+        result = p.sgd_train(data, init, config)
+        assert not result.final_matrix[:, 2].any()
+        assert result.final_signature.nonzero[1] == (False, True)
+
+        data, init, config = _trainer_case("sign_change")
+        final = p.sgd_train(data, init, config).final_matrix.ravel()
+        assert init.matrix[0, 1] < 0.0 < final[1]
+
+        data, init, config = _trainer_case("ragged_batches")
+        assert data[0].shape[0] % config.batch_size != 0
+
+        data, init, config = _trainer_case("decay_and_early_stop")
+        result = p.sgd_train(data, init, config)
+        assert result.epochs_run < config.epochs
+        assert result.epochs_run * 10 > config.decay_every_steps
+
+        data, init, config = _trainer_case("three_and_one")
+        assert init.neuron_map.neurons_on_line(0) == (0, 2, 3)
 
 
 class TestClassifyOutcome:
