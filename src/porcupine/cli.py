@@ -4,17 +4,20 @@ Subcommands: ``risk``, ``landscape``, ``schur-sweep``, ``asymptotic``,
 ``train``, ``minimax``.  Every CSV output starts with comment lines that
 echo the full parameter map, the tool version, and the master seed;
 rerunning the same spec reproduces the body byte for byte (timing
-measurements are opt-in via --timing for that reason).
+measurements are opt-in via --timing for that reason).  Each subcommand
+checks its arguments, computes its rows, and hands them to one writer,
+so a run that fails writes no CSV and leaves an existing file untouched.
 
-Exit codes: 0 success, 2 validation error (bad arguments, and the
-library's DomainError, ParameterOutOfRange and ConfigError), 3 numeric
-failure (every other library error).
+Exit codes: 0 success, 2 validation error (bad arguments, an unwritable
+output path, and the library's DomainError, ParameterOutOfRange and
+ConfigError), 3 numeric failure (every other library error).
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -60,6 +63,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(args, command: str, spec: dict, columns, rows) -> None:
+    """Write one CSV to ``--out`` (or stdout): the header, columns and rows.
+
+    Every value is formatted before the file is opened, so the output is
+    all or nothing.
+    """
+    lines = [
+        "# porcupine %s" % __version__,
+        "# spec: %s" % json.dumps({"command": command, **spec}, sort_keys=True),
+        "# master_seed: %s" % args.seed,
+        ",".join(columns),
+    ]
+    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _echoed_args(args) -> dict:
+    """Every set argument except the handler and the output path."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
+
+
 def _int_list(text: str):
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
@@ -67,6 +96,8 @@ def _int_list(text: str):
         raise ValidationError("expected a comma-separated integer list: %r" % text) from exc
     if not values:
         raise ValidationError("empty grid: %r" % text)
+    if min(values) < 1:
+        raise ValidationError("grid entries must be positive: %r" % text)
     return values
 
 
@@ -77,28 +108,9 @@ def _float_list(text: str):
         raise ValidationError("expected a comma-separated float list: %r" % text) from exc
     if not values:
         raise ValidationError("empty vector: %r" % text)
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError("vector entries must be finite: %r" % text)
     return values
-
-
-class _Output:
-    def __init__(self, path):
-        self.path = path
-
-    def __enter__(self):
-        self.handle = open(self.path, "w", encoding="utf-8", newline="") if self.path else sys.stdout
-        return self.handle
-
-    def __exit__(self, *exc):
-        if self.path:
-            self.handle.close()
-        return False
-
-
-def _write_header(fh, command: str, spec: dict, seed) -> None:
-    echoed = {"command": command, **spec}
-    fh.write("# porcupine %s\n" % __version__)
-    fh.write("# spec: %s\n" % json.dumps(echoed, sort_keys=True))
-    fh.write("# master_seed: %s\n" % seed)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -107,12 +119,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     parser.add_argument("--mc-samples", type=int, default=None,
                         help="Monte Carlo sample count (enables MC cross-checks)")
-
-
-def _mc_samples(args):
-    if args.mc_samples is not None and args.mc_samples < 1:
-        raise ValidationError("--mc-samples must be >= 1")
-    return args.mc_samples
 
 
 def _random_instance(d, r, k, seed, scale=1.0):
@@ -125,9 +131,10 @@ def _random_instance(d, r, k, seed, scale=1.0):
     return weights_from_masses(line_set, neuron_map, masses)
 
 
-def _cmd_risk(args) -> int:
-    mc = _mc_samples(args)
-    rows = []
+def _cmd_risk(args) -> None:
+    # (name, model, target, closed-form breakdown) per row; the model and
+    # target are what monte_carlo_risk takes.
+    instances = []
     if args.demo == "scalar":
         demos = [
             ("flat-valley", np.array([5.0, 5.0]), np.array([6.0, 4.0])),
@@ -136,82 +143,52 @@ def _cmd_risk(args) -> int:
             ("global-mixed", np.array([7.0, -5.0]), np.array([6.0, -4.0])),
         ]
         for name, w, w_star in demos:
-            breakdown = scalar_risk(w, w_star)
-            row = {
-                "instance": name,
-                "linear_term": breakdown.linear_term,
-                "kernel_term": breakdown.kernel_term,
-                "total": breakdown.total,
-            }
-            if mc:
-                estimate, stderr = monte_carlo_risk(
-                    w[None, :], w_star[None, :], n_samples=mc, seed=args.seed,
-                    threads=args.threads,
-                )
-                row["mc_estimate"] = estimate
-                row["mc_stderr"] = stderr
-            rows.append(row)
+            instances.append((name, w[None, :], w_star[None, :], scalar_risk(w, w_star)))
     else:
         if args.d is None or args.r is None or args.k is None:
             raise ValidationError("need --d, --r, --k (or --demo scalar)")
         if args.k < args.r:
             raise ValidationError("need k >= r so the line map can be surjective")
+        r_star = args.r if args.r_star is None else args.r_star
+        k_star = args.k if args.k_star is None else args.k_star
+        if args.mismatched and k_star < r_star:
+            raise ValidationError("need k_star >= r_star")
         seq = np.random.SeedSequence(args.seed).spawn(2)
         weights = _random_instance(args.d, args.r, args.k, seq[0])
         if args.mismatched:
-            r_star = args.r_star or args.r
-            k_star = args.k_star or args.k
-            if k_star < r_star:
-                raise ValidationError("need k_star >= r_star")
             star = _random_instance(args.d, r_star, k_star, seq[1])
-            breakdown = mismatched_risk(weights, star)
+            instances.append(("mismatched", weights, star, mismatched_risk(weights, star)))
         else:
             star_masses = np.random.default_rng(seq[1]).standard_normal(args.k)
             star = weights_from_masses(weights.line_set, weights.neuron_map, star_masses)
-            breakdown = matched_risk(weights, star)
-        row = {
-            "instance": "mismatched" if args.mismatched else "matched",
-            "linear_term": breakdown.linear_term,
-            "kernel_term": breakdown.kernel_term,
-            "total": breakdown.total,
-        }
-        if mc:
-            estimate, stderr = monte_carlo_risk(
-                weights, star, n_samples=mc, seed=args.seed, threads=args.threads
-            )
-            row["mc_estimate"] = estimate
-            row["mc_stderr"] = stderr
+            instances.append(("matched", weights, star, matched_risk(weights, star)))
+
+    columns = ["instance", "linear_term", "kernel_term", "total"]
+    if args.mc_samples:
+        columns += ["mc_estimate", "mc_stderr"]
+    rows = []
+    for name, model, target, breakdown in instances:
+        row = [name, breakdown.linear_term, breakdown.kernel_term, breakdown.total]
+        if args.mc_samples:
+            row.extend(monte_carlo_risk(model, target, n_samples=args.mc_samples,
+                                        seed=args.seed, threads=args.threads))
         rows.append(row)
-
-    spec = {k: v for k, v in vars(args).items()
-            if k not in ("func", "out") and v is not None}
-    with _Output(args.out) as fh:
-        _write_header(fh, "risk", spec, args.seed)
-        columns = list(rows[0].keys())
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-    return 0
+    _write_csv(args, "risk", _echoed_args(args), columns, rows)
 
 
-def _cmd_landscape(args) -> int:
-    if args.action != "classify":
-        raise ValidationError("supported landscape action: classify")
+def _cmd_landscape(args) -> None:
     if not args.scalar:
         raise ValidationError("only --scalar classification tables are supported")
     w_star = np.array(_float_list(args.w_star))
-    k = w_star.size
-    if k > 16:
+    if w_star.size > 16:
         raise ValidationError("sign table grows as 2^k; need k <= 16")
+    rows = [
+        ("".join("+" if s > 0 else "-" for s in signs),
+         scalar_region_classify(np.array(signs), w_star).label)
+        for signs in itertools.product((1, -1), repeat=w_star.size)
+    ]
     spec = {"action": args.action, "scalar": True, "w_star": list(w_star)}
-    with _Output(args.out) as fh:
-        _write_header(fh, "landscape", spec, args.seed)
-        fh.write("region,label\n")
-        for signs in itertools.product((1, -1), repeat=k):
-            label = scalar_region_classify(np.array(signs), w_star).label
-            pattern = "".join("+" if s > 0 else "-" for s in signs)
-            fh.write("%s,%s\n" % (pattern, label))
-    return 0
+    _write_csv(args, "landscape", spec, ["region", "label"], rows)
 
 
 def _schur_trial(d, r_star, r, trial, master_seed, nearest):
@@ -227,165 +204,122 @@ def _schur_trial(d, r_star, r, trial, master_seed, nearest):
     return seed_id, report.spectral_norm, report.min_eigenvalue, elapsed_ms
 
 
-def _cmd_schur_sweep(args) -> int:
+def _cmd_schur_sweep(args) -> None:
     grid = _int_list(args.r)
     if args.d < 1 or args.r_star < 1 or args.trials < 1:
         raise ValidationError("need positive --d, --r-star, --trials")
-    if min(grid) < 1:
-        raise ValidationError("--r grid entries must be positive")
     if args.nearest and min(grid) < args.r_star:
         raise ValidationError("--nearest needs every r >= r_star")
+    columns = ["d", "r_star", "r", "trial", "seed", "spectral_norm", "min_eig", "runtime_ms"]
+    if args.asymptotic:
+        columns.append("asymptotic_ref")
+        limits = {r: asymptotic_reference(args.d, r, args.r_star).limit for r in grid}
+    jobs = [(r, trial) for r in grid for trial in range(args.trials)]
+
+    def run(job):
+        r, trial = job
+        seed_id, norm, min_eig, elapsed = _schur_trial(
+            args.d, args.r_star, r, trial, args.seed, args.nearest)
+        row = [args.d, args.r_star, r, trial, seed_id, norm, min_eig,
+               elapsed if args.timing else 0.0]
+        return row + [limits[r]] if args.asymptotic else row
+
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            rows = list(pool.map(run, jobs))
+    else:
+        rows = [run(job) for job in jobs]
     spec = {
         "d": args.d, "r_star": args.r_star, "r": grid, "trials": args.trials,
         "nearest": bool(args.nearest), "asymptotic": bool(args.asymptotic),
         "timing": bool(args.timing), "seed": args.seed,
     }
-    jobs = [(r, trial) for r in grid for trial in range(args.trials)]
-
-    def run(job):
-        r, trial = job
-        return job, _schur_trial(args.d, args.r_star, r, trial, args.seed, args.nearest)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
-    with _Output(args.out) as fh:
-        _write_header(fh, "schur-sweep", spec, args.seed)
-        columns = "d,r_star,r,trial,seed,spectral_norm,min_eig,runtime_ms"
-        if args.asymptotic:
-            columns += ",asymptotic_ref"
-        fh.write(columns + "\n")
-        for (r, trial), (seed_id, norm, min_eig, elapsed) in results:
-            runtime = elapsed if args.timing else 0.0
-            row = [args.d, args.r_star, r, trial, seed_id,
-                   _FMT % norm, _FMT % min_eig, _FMT % runtime]
-            if args.asymptotic:
-                row.append(_FMT % asymptotic_reference(args.d, r, args.r_star).limit)
-            fh.write(",".join(str(x) for x in row) + "\n")
-    return 0
+    _write_csv(args, "schur-sweep", spec, columns, rows)
 
 
-def _cmd_asymptotic(args) -> int:
+def _cmd_asymptotic(args) -> None:
     if args.d < 1 or args.r < 1 or args.r_star < 1:
         raise ValidationError("need positive --d, --r, --r-star")
     reference = asymptotic_reference(args.d, args.r, args.r_star)
+    rows = [("limit", reference.limit)]
+    for value, multiplicity in reference.eigenvalues:
+        rows += [("reference_eigenvalue", value), ("reference_multiplicity", multiplicity)]
     spec = {"d": args.d, "r": args.r, "r_star": args.r_star}
-    with _Output(args.out) as fh:
-        _write_header(fh, "asymptotic", spec, args.seed)
-        fh.write("quantity,value\n")
-        fh.write("limit,%s\n" % (_FMT % reference.limit))
-        for value, multiplicity in reference.eigenvalues:
-            fh.write("reference_eigenvalue,%s\n" % (_FMT % value))
-            fh.write("reference_multiplicity,%d\n" % multiplicity)
-    return 0
+    _write_csv(args, "asymptotic", spec, ["quantity", "value"], rows)
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     k_grid = _int_list(args.k)
     if args.d < 1 or args.trials < 1:
         raise ValidationError("need positive --d and --trials")
-    if args.mode == "matched":
-        config = desk_matched_config(seed=args.seed)
-    else:
-        config = desk_mismatched_config(seed=args.seed)
+    if args.mode == "matched" and any(k % args.d for k in k_grid):
+        raise ValidationError("matched runs need k divisible by d")
+    if args.mode == "mismatched" and (args.k_star is None or args.k_star < 1):
+        raise ValidationError("mismatched runs need a positive --k-star")
+    preset = desk_matched_config if args.mode == "matched" else desk_mismatched_config
+    config = preset(seed=args.seed)
     if args.epochs is not None:
         config = replace(config, epochs=args.epochs)
+
+    rows = []
+    if args.mode == "matched":
+        for k in k_grid:
+            summary = experiment_matched_degree_one(
+                args.d, k, args.trials, config, n_train=args.samples
+            )
+            rows += [
+                ("matched", args.d, k, k, row.trial, row.seed, row.epochs_run,
+                 row.final_train_loss, row.normalized_test_mse, row.outcome,
+                 row.violated_lines)
+                for row in summary.trials
+            ]
+    else:
+        summary = experiment_mismatched_random(
+            args.d, args.k_star, k_grid, args.trials, config,
+            inits_per_trial=args.inits, n_train=args.samples, n_test=args.samples,
+        )
+        rows = [
+            ("mismatched", args.d, run.k, args.k_star, run.trial, run.seed,
+             run.epochs_run, run.final_train_loss, run.normalized_test_mse,
+             "GoodRegion" if run.region_condition_ok else "MayHaveBadLocal",
+             run.violated_lines)
+            for run in summary.runs
+        ]
+    columns = ["experiment", "d", "k", "k_star", "trial", "seed", "epochs_run",
+               "final_train_loss", "normalized_test_mse", "outcome",
+               "signature_violations"]
     spec = {
         "mode": args.mode, "d": args.d, "k": k_grid, "trials": args.trials,
         "k_star": args.k_star, "inits": args.inits, "epochs": config.epochs,
         "samples": args.samples, "seed": args.seed,
     }
-    with _Output(args.out) as fh:
-        _write_header(fh, "train", spec, args.seed)
-        fh.write(
-            "experiment,d,k,k_star,trial,seed,epochs_run,final_train_loss,"
-            "normalized_test_mse,outcome,signature_violations\n"
-        )
-        if args.mode == "matched":
-            for k in k_grid:
-                if k % args.d != 0:
-                    raise ValidationError("matched runs need k divisible by d")
-                summary = experiment_matched_degree_one(
-                    args.d, k, args.trials, config, n_train=args.samples
-                )
-                for row in summary.trials:
-                    fh.write(
-                        "matched,%d,%d,%d,%d,%d,%d,%s,%s,%s,%d\n"
-                        % (
-                            args.d, k, k, row.trial, row.seed, row.epochs_run,
-                            _FMT % row.final_train_loss,
-                            _FMT % row.normalized_test_mse,
-                            row.outcome, row.violated_lines,
-                        )
-                    )
-        else:
-            if args.k_star is None:
-                raise ValidationError("mismatched runs need --k-star")
-            summary = experiment_mismatched_random(
-                args.d, args.k_star, k_grid, args.trials, config,
-                inits_per_trial=args.inits, n_train=args.samples,
-                n_test=args.samples,
-            )
-            for run in summary.runs:
-                outcome = "GoodRegion" if run.region_condition_ok else "MayHaveBadLocal"
-                fh.write(
-                    "mismatched,%d,%d,%d,%d,%d,%d,%s,%s,%s,%d\n"
-                    % (
-                        args.d, run.k, args.k_star, run.trial, run.seed,
-                        run.epochs_run, _FMT % run.final_train_loss,
-                        _FMT % run.normalized_test_mse, outcome,
-                        run.violated_lines,
-                    )
-                )
-    return 0
+    _write_csv(args, "train", spec, columns, rows)
 
 
-def _cmd_minimax(args) -> int:
+def _cmd_minimax(args) -> None:
+    if args.delta is None:
+        raise ValidationError("--delta is required")
     if args.action == "bound":
-        if args.delta is None:
-            raise ValidationError("--delta is required")
         rows = [("net_size_bound", net_size_bound(args.d, args.delta))]
         if args.s is not None:
             rows.append(("sparse_net_size", sparse_net_size(args.d, args.s, args.delta)))
             if args.k is not None:
-                rows.append(
-                    ("sparse_net_size_known_patterns",
-                     sparse_net_size(args.d, args.s, args.delta, k=args.k))
-                )
+                rows.append(("sparse_net_size_known_patterns",
+                             sparse_net_size(args.d, args.s, args.delta, k=args.k)))
         if args.k is not None:
-            rows.append(
-                ("minimax_risk_bound",
-                 minimax_risk_bound(args.k, args.M, args.d, args.delta))
-            )
-        spec = {k: v for k, v in vars(args).items()
-                if k not in ("func", "out") and v is not None}
-        with _Output(args.out) as fh:
-            _write_header(fh, "minimax", spec, args.seed)
-            fh.write("quantity,value\n")
-            for name, value in rows:
-                fh.write("%s,%s\n" % (name, _FMT % value))
-        return 0
-    if args.action == "net":
-        if args.delta is None:
-            raise ValidationError("--delta is required")
+            rows.append(("minimax_risk_bound",
+                         minimax_risk_bound(args.k, args.M, args.d, args.delta)))
+        spec = _echoed_args(args)
+    else:
         net = greedy_angular_net(args.d, args.delta, seed=args.seed)
         gap = coverage_gap(net, n_probes=args.probes, seed=args.seed + 1)
+        rows = [("net_size", net.size), ("coverage_gap", gap), ("delta", args.delta),
+                ("size_bound", net_size_bound(args.d, args.delta))]
         spec = {"action": "net", "d": args.d, "delta": args.delta,
                 "probes": args.probes, "seed": args.seed}
         if args.save_net:
             save_vectors_csv(args.save_net, net.vectors)
-        with _Output(args.out) as fh:
-            _write_header(fh, "minimax", spec, args.seed)
-            fh.write("quantity,value\n")
-            fh.write("net_size,%d\n" % net.size)
-            fh.write("coverage_gap,%s\n" % (_FMT % gap))
-            fh.write("delta,%s\n" % (_FMT % args.delta))
-            fh.write("size_bound,%s\n" % (_FMT % net_size_bound(args.d, args.delta)))
-        return 0
-    raise ValidationError("supported minimax actions: bound, net")
+    _write_csv(args, "minimax", spec, ["quantity", "value"], rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,12 +408,15 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValidationError("--threads must be >= 1")
+        if args.mc_samples is not None and args.mc_samples < 1:
+            raise ValidationError("--mc-samples must be >= 1")
         if args.command == "train" and args.samples is None:
             args.samples = 2000 if args.mode == "matched" else 4000
-        return args.func(args)
+        args.func(args)
+        return 0
     # These library errors mean an argument was out of range, not that the
-    # numerics failed.
-    except (ValidationError, DomainError, ParameterOutOfRange, ConfigError) as exc:
+    # numerics failed; an OSError means --out or --save-net cannot be written.
+    except (ValidationError, DomainError, ParameterOutOfRange, ConfigError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (PorcupineError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -137,6 +137,20 @@ def _assemble_line_set(units: np.ndarray) -> LineSet:
     return LineSet(dim=units.shape[0], unit_vectors=_freeze(units), gram=gram)
 
 
+def _first_collision(cosines: np.ndarray, collinearity_tol: float):
+    """First colliding pair ``(i, j)``, ``i < j``, in row order, or None.
+
+    A pair collides when ``|cosines[i, j]| >= 1 - collinearity_tol``.
+    """
+    threshold = 1.0 - collinearity_tol
+    hits = cosines >= threshold
+    hits |= cosines <= -threshold
+    flat = np.flatnonzero(np.triu(hits, k=1))
+    if flat.size == 0:
+        return None
+    return divmod(int(flat[0]), cosines.shape[1])
+
+
 def build_line_set(raw_vectors, collinearity_tol: float = COLLINEARITY_TOL) -> LineSet:
     """Build a LineSet from non-zero spanning vectors, one per line.
 
@@ -151,15 +165,13 @@ def build_line_set(raw_vectors, collinearity_tol: float = COLLINEARITY_TOL) -> L
         if v.ndim != 1 or v.shape[0] != dim:
             raise DimensionMismatch("all vectors must share one dimension")
     units = np.column_stack([canonicalize_vector(v)[0] for v in vectors])
-    cosines = np.abs(units.T @ units)
-    r = units.shape[1]
-    for i in range(r):
-        for j in range(i + 1, r):
-            if cosines[i, j] >= 1.0 - collinearity_tol:
-                raise DuplicateLine(
-                    "vectors %d and %d span the same line (|cos| = %.12g)"
-                    % (i, j, cosines[i, j])
-                )
+    cosines = units.T @ units
+    pair = _first_collision(cosines, collinearity_tol)
+    if pair is not None:
+        raise DuplicateLine(
+            "vectors %d and %d span the same line (|cos| = %.12g)"
+            % (*pair, abs(cosines[pair]))
+        )
     return _assemble_line_set(units)
 
 
@@ -547,9 +559,7 @@ def load_line_set(path, collinearity_tol: float = COLLINEARITY_TOL) -> LineSet:
         if canonicalize_vector(units[:, j])[1] != 1:
             raise ParameterOutOfRange("stored line %d is not canonically oriented" % j)
     line_set = _assemble_line_set(units)
-    r = line_set.num_lines
-    for i in range(r):
-        for j in range(i + 1, r):
-            if abs(line_set.gram[i, j]) >= 1.0 - collinearity_tol:
-                raise DuplicateLine("stored lines %d and %d coincide" % (i, j))
+    pair = _first_collision(line_set.gram, collinearity_tol)
+    if pair is not None:
+        raise DuplicateLine("stored lines %d and %d coincide" % pair)
     return line_set

@@ -93,21 +93,6 @@ def desk_matched_config(seed: int = 0) -> TrainConfig:
     )
 
 
-def full_scale_matched_config(seed: int = 0) -> TrainConfig:
-    """Full-scale matched protocol (1000 epochs; hours, not minutes)."""
-    return TrainConfig(
-        batch_size=100,
-        epochs=1000,
-        learning_rate=0.01,
-        momentum=0.9,
-        decay_rate=0.95,
-        decay_every_steps=390,
-        early_stop_window=10,
-        early_stop_threshold=1e-5,
-        seed=seed,
-    )
-
-
 def desk_mismatched_config(seed: int = 0) -> TrainConfig:
     """Defaults for mismatched runs, desk and full scale alike (the full
     protocol pairs them with 10000-sample datasets)."""

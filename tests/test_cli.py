@@ -289,3 +289,72 @@ class TestHeaderEcho:
         assert text[1].startswith("# spec: ")
         assert '"seed": 5' in text[1]
         assert text[2] == "# master_seed: 5"
+
+
+class TestAllOrNothingOutput:
+    @pytest.mark.parametrize("argv", [
+        ["train", "matched", "--d", "5", "--k", "-5"],
+        ["train", "mismatched", "--d", "4", "--k", "-2", "--k-star", "3"],
+        ["schur-sweep", "--d", "4", "--r-star", "2", "--r", "3,0"],
+        ["train", "mismatched", "--d", "2", "--k", "4", "--k-star", "0"],
+        ["train", "mismatched", "--d", "2", "--k", "8", "--k-star", "-2"],
+    ])
+    def test_non_positive_size_exits_two(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("k_star", ["0", "4"])
+    def test_zero_target_sizes_exit_two(self, k_star, capsys):
+        code = run_cli(["risk", "--mismatched", "--d", "5", "--r", "3", "--k", "6",
+                        "--r-star", "0", "--k-star", k_star])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("w_star", ["1,nan", "inf,2", "3,-inf"])
+    def test_non_finite_target_exits_two(self, w_star, capsys):
+        assert run_cli(["landscape", "classify", "--scalar", "--w-star", w_star]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--out", "--save-net"])
+    def test_unwritable_path_exits_two(self, tmp_path, flag, capsys):
+        missing = tmp_path / "missing" / "x.csv"
+        code = run_cli(["minimax", "net", "--d", "2", "--delta", "0.4", "--probes", "1000",
+                        flag, str(missing)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not missing.parent.exists()
+
+    def test_bad_grid_trains_nothing_and_keeps_existing_file(self, tmp_path, monkeypatch):
+        calls = []
+        experiment = cli.experiment_matched_degree_one
+        monkeypatch.setattr(cli, "experiment_matched_degree_one",
+                            lambda *a, **kw: calls.append(a) or experiment(*a, **kw))
+        out = tmp_path / "p.csv"
+        out.write_text("previous run\n")
+        code = run_cli(["train", "matched", "--d", "2", "--k", "4,3", "--trials", "1",
+                        "--epochs", "2", "--samples", "400", "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        assert out.read_text() == "previous run\n"
+
+    def test_numeric_failure_on_second_trial_writes_no_file(self, tmp_path, monkeypatch):
+        from porcupine.errors import SingularKernel
+
+        trial = cli._schur_trial
+        calls = []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise SingularKernel("synthetic failure on the second trial")
+            return trial(*args)
+
+        monkeypatch.setattr(cli, "_schur_trial", fail_second)
+        out = tmp_path / "x.csv"
+        code = run_cli(["schur-sweep", "--d", "4", "--r-star", "2", "--r", "3",
+                        "--trials", "3", "--out", str(out)])
+        assert code == 3
+        assert len(calls) == 2
+        assert not out.exists()

@@ -481,3 +481,98 @@ class TestCsvRoundTrip:
         path = tmp_path / "vectors.csv"
         p.save_vectors_csv(path, vectors)
         np.testing.assert_array_equal(p.load_vectors_csv(path), vectors)
+
+
+def build_pair_reference(raw_vectors, collinearity_tol=1e-9):
+    """build_line_set's former pair loop: its DuplicateLine message, or None."""
+    units = np.column_stack([p.canonicalize_vector(np.asarray(v, dtype=float))[0]
+                             for v in raw_vectors])
+    cosines = np.abs(units.T @ units)
+    r = units.shape[1]
+    for i in range(r):
+        for j in range(i + 1, r):
+            if cosines[i, j] >= 1.0 - collinearity_tol:
+                return ("vectors %d and %d span the same line (|cos| = %.12g)"
+                        % (i, j, cosines[i, j]))
+    return None
+
+
+def load_pair_reference(gram, collinearity_tol=1e-9):
+    """load_line_set's former pair loop: its DuplicateLine message, or None."""
+    r = gram.shape[0]
+    for i in range(r):
+        for j in range(i + 1, r):
+            if abs(gram[i, j]) >= 1.0 - collinearity_tol:
+                return "stored lines %d and %d coincide" % (i, j)
+    return None
+
+
+class TestDuplicatePairs:
+    # Column copies (scaled, flipped, or nudged within the tolerance) put
+    # several colliding pairs in one set; the first in row order is named.
+    COPIES = [
+        {},
+        {9: (4, 1.0)},
+        {7: (3, -2.0), 5: (1, 3.0), 10: (7, 0.5), 11: (0, -1.0)},
+        {2: (6, 1.0), 8: (1, -4.0), 11: (2, 1.0)},
+    ]
+
+    @staticmethod
+    def vectors(copies, nudge=0.0, seed=0):
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((4, 12))
+        for target, (source, scale) in sorted(copies.items()):
+            matrix[:, target] = scale * matrix[:, source] + nudge
+        return list(matrix.T)
+
+    @pytest.mark.parametrize("copies", COPIES)
+    @pytest.mark.parametrize("nudge", [0.0, 1e-7, 1e-3])
+    def test_build_names_the_pair_the_loop_named(self, copies, nudge):
+        vectors = self.vectors(copies, nudge)
+        expected = build_pair_reference(vectors)
+        if expected is None:
+            assert p.build_line_set(vectors).num_lines == 12
+        else:
+            with pytest.raises(DuplicateLine) as info:
+                p.build_line_set(vectors)
+            assert str(info.value) == expected
+        if copies and nudge < 1e-6:
+            assert expected is not None
+
+    def test_build_names_a_pair_of_opposite_orientation(self):
+        # The last entries straddle the pivot threshold, so the two
+        # canonical vectors point opposite ways: cos = -1.
+        vectors = [[0.3, 1.0, 0.5], [1.0, 0.0, 2e-12], [0.0, 1.0, 1.0], [1.0, 0.0, -2e-12]]
+        expected = build_pair_reference(vectors)
+        assert expected is not None and expected.startswith("vectors 1 and 3 ")
+        with pytest.raises(DuplicateLine) as info:
+            p.build_line_set(vectors)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("order", [
+        [0, 1, 2, 3], [0, 1, 2, 1, 3, 0], [4, 2, 4, 1, 2, 0, 3], [3, 3, 3]])
+    def test_load_names_the_pair_the_loop_named(self, tmp_path, order):
+        units = p.random_line_set(3, 5, seed=11).unit_vectors[:, order]
+        path = tmp_path / "lines.csv"
+        p.save_vectors_csv(path, units)
+        gram = units.T @ units
+        gram = np.clip((gram + gram.T) / 2.0, -1.0, 1.0)
+        np.fill_diagonal(gram, 1.0)
+        expected = load_pair_reference(gram)
+        if expected is None:
+            np.testing.assert_array_equal(p.load_line_set(path).unit_vectors, units)
+        else:
+            with pytest.raises(DuplicateLine) as info:
+                p.load_line_set(path)
+            assert str(info.value) == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_helper_matches_the_loop_on_dense_collisions(self, seed):
+        from porcupine.lines import _first_collision
+
+        rng = np.random.default_rng(seed)
+        gram = rng.choice([0.0, 0.5, 1.0, -1.0, 1.0 - 1e-10], p=[0.5, 0.3, 0.05, 0.05, 0.1],
+                          size=(30, 30))
+        expected = load_pair_reference(gram)
+        pair = _first_collision(gram, 1e-9)
+        assert (None if pair is None else "stored lines %d and %d coincide" % pair) == expected
