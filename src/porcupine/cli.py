@@ -113,6 +113,12 @@ def _float_list(text: str):
     return values
 
 
+def _check_line_count(d: int, most_lines: int) -> None:
+    """A line set in d = 1 has a single line: more can never be drawn."""
+    if d == 1 and most_lines >= 2:
+        raise ValidationError("d = 1 has one line; cannot draw %d distinct lines" % most_lines)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -153,6 +159,7 @@ def _cmd_risk(args) -> None:
         k_star = args.k if args.k_star is None else args.k_star
         if args.mismatched and k_star < r_star:
             raise ValidationError("need k_star >= r_star")
+        _check_line_count(args.d, max(args.r, r_star) if args.mismatched else args.r)
         seq = np.random.SeedSequence(args.seed).spawn(2)
         weights = _random_instance(args.d, args.r, args.k, seq[0])
         if args.mismatched:
@@ -210,6 +217,7 @@ def _cmd_schur_sweep(args) -> None:
         raise ValidationError("need positive --d, --r-star, --trials")
     if args.nearest and min(grid) < args.r_star:
         raise ValidationError("--nearest needs every r >= r_star")
+    _check_line_count(args.d, max(max(grid), args.r_star))
     columns = ["d", "r_star", "r", "trial", "seed", "spectral_norm", "min_eig", "runtime_ms"]
     if args.asymptotic:
         columns.append("asymptotic_ref")
@@ -256,6 +264,10 @@ def _cmd_train(args) -> None:
         raise ValidationError("matched runs need k divisible by d")
     if args.mode == "mismatched" and (args.k_star is None or args.k_star < 1):
         raise ValidationError("mismatched runs need a positive --k-star")
+    if args.mode == "mismatched" and args.inits < 1:
+        raise ValidationError("mismatched runs need a positive --inits")
+    if args.samples < 1:
+        raise ValidationError("need a positive --samples")
     preset = desk_matched_config if args.mode == "matched" else desk_mismatched_config
     config = preset(seed=args.seed)
     if args.epochs is not None:
@@ -299,6 +311,8 @@ def _cmd_train(args) -> None:
 def _cmd_minimax(args) -> None:
     if args.delta is None:
         raise ValidationError("--delta is required")
+    if args.action == "net" and args.probes < 1:
+        raise ValidationError("--probes must be >= 1")
     if args.action == "bound":
         rows = [("net_size_bound", net_size_bound(args.d, args.delta))]
         if args.s is not None:

@@ -102,20 +102,48 @@ def spectral_norm(matrix, asym_tol: float = 1e-9) -> float:
     return _norm_and_min(_require_symmetric(matrix, asym_tol))[0]
 
 
-def _inverted_spectrum(matrix, cutoff: float = PINV_CUTOFF, asym_tol: float = 1e-9):
+def _inverted_spectrum(matrix, cutoff: float = PINV_CUTOFF, asym_tol: float = 1e-9,
+                       vectors: bool = True):
     """Eigenvectors of a symmetric matrix and its inverted eigenvalues.
 
     Returns ``(vecs, inv)`` with ``pinv(matrix) = vecs diag(inv) vecs'``.
     Eigenvalues with magnitude at most ``cutoff`` times the largest
     magnitude are treated as zero (their ``inv`` entry is 0); this is the
-    one place the pseudo-inverse cutoff is applied.
+    one place the pseudo-inverse cutoff is applied.  With ``vectors=False``
+    only the eigenvalues are computed and ``vecs`` is None.
     """
-    vals, vecs = np.linalg.eigh(_require_symmetric(matrix, asym_tol))
+    sym = _require_symmetric(matrix, asym_tol)
+    if vectors:
+        vals, vecs = np.linalg.eigh(sym)
+    else:
+        vals, vecs = np.linalg.eigvalsh(sym), None
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     keep = np.abs(vals) > cutoff * scale
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / vals[keep]
     return vecs, inv
+
+
+def _cutoff_keeps_all(sym: np.ndarray, cutoff: float = PINV_CUTOFF) -> bool:
+    """True when ``sym`` is positive definite and the cutoff of
+    ``_inverted_spectrum`` would keep every one of its eigenvalues.
+
+    One Cholesky factorization of ``sym - tau I`` with ``tau = cutoff``
+    times the largest absolute row sum decides it: the row sum bounds the
+    largest |eigenvalue| from above, so a factorization that succeeds
+    proves every eigenvalue exceeds ``cutoff`` times the largest.  A
+    failure proves nothing; the caller then takes the eigendecomposition.
+    ``sym`` must be symmetric (only its lower triangle is read).
+    """
+    if sym.size == 0:
+        return False
+    shifted = np.array(sym)
+    shifted.flat[:: sym.shape[0] + 1] -= cutoff * float(np.max(np.abs(sym).sum(axis=1)))
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def symmetric_pseudo_inverse(matrix, cutoff: float = PINV_CUTOFF,

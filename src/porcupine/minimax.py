@@ -160,6 +160,8 @@ def greedy_angular_net(
 
 def coverage_gap(net: AngularNet, n_probes: int = 100_000, seed=0) -> float:
     """Largest angle from a fresh uniform probe to the net (modulo sign)."""
+    if n_probes < 1:
+        raise ParameterOutOfRange("need n_probes >= 1")
     rng = np.random.default_rng(seed)
     probes = rng.standard_normal((net.dim, n_probes))
     probes /= np.linalg.norm(probes, axis=0, keepdims=True)
@@ -197,8 +199,8 @@ def nearest_net_approx(w_star, net: AngularNet):
 def minimax_risk_bound(k: int, M: float, d: int, delta: float) -> float:
     """``k M sqrt(2 d (1 - cos delta))`` on expected absolute output error."""
     _check_delta(delta)
-    if k < 1 or d < 1 or M <= 0:
-        raise ParameterOutOfRange("need k, d >= 1 and M > 0")
+    if k < 1 or d < 1 or not 0 < M < math.inf:  # NaN fails this test too
+        raise ParameterOutOfRange("need k, d >= 1 and finite M > 0")
     return k * M * math.sqrt(2.0 * d * (1.0 - math.cos(delta)))
 
 

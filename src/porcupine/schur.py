@@ -9,7 +9,9 @@ nearest-line baseline, and evaluates the high-dimensional limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -25,9 +27,11 @@ from .errors import (
 from .kernel import (
     KernelBundle,
     PINV_CUTOFF,
+    _cutoff_keeps_all,
     _inverted_spectrum,
     _is_singular,
     _norm_and_min,
+    _require_symmetric,
     kernel_bundle,
     min_eigenvalue,
     psi,
@@ -39,20 +43,47 @@ from .lines import COLLINEARITY_TOL, LineSet, canonicalize_vector
 class SchurReport:
     """Schur complement of the model-line kernel block, with its spectrum.
 
-    The health of the pseudo-inverse of the model-line block is read from
-    the eigenvalues ``schur_complement`` computes: ``kept_rank`` counts the
-    eigenvalues kept, ``dropped_eigenvalues`` those the cutoff zeroed, and
-    ``condition`` is the largest kept |eigenvalue| over the smallest kept
-    one (inf when none is kept).  ``add_line_update`` solves instead of
-    decomposing, so its reports leave the three fields None.
+    The health of the pseudo-inverse of the model-line block is computed
+    on first read, so a caller that never reads it (the CLI, a sweep)
+    never pays for it: ``kept_rank`` counts the eigenvalues kept,
+    ``dropped_eigenvalues`` those the cutoff zeroed, and ``condition`` is
+    the largest kept |eigenvalue| over the smallest kept one (inf when
+    none is kept).  When ``schur_complement`` took its eigendecomposition
+    route they are read off the eigenvalues it inverted; after the solve
+    route the report keeps a reference to the read-only block and the
+    first read makes one ``eigvalsh`` of it, under the same cutoff rule.
+    ``add_line_update`` solves instead of decomposing, so its reports
+    give None for all three.
     """
 
     schur: np.ndarray
     spectral_norm: float
     min_eigenvalue: float
-    kept_rank: int | None = None
-    dropped_eigenvalues: int | None = None
-    condition: float | None = None
+    # Zero-argument function giving the inverted eigenvalues of the model
+    # block (``_inverted_spectrum``'s ``inv``), or None when they are unknown.
+    _inverted: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+
+    @cached_property
+    def _health(self):
+        if self._inverted is None:
+            return None, None, None
+        inv = self._inverted()
+        kept = np.abs(inv[inv != 0.0])
+        # max |lam| / min |lam| over the kept eigenvalues, read off 1/lam
+        condition = float(kept.max() / kept.min()) if kept.size else float("inf")
+        return int(kept.size), int(inv.size - kept.size), condition
+
+    @property
+    def kept_rank(self) -> int | None:
+        return self._health[0]
+
+    @property
+    def dropped_eigenvalues(self) -> int | None:
+        return self._health[1]
+
+    @property
+    def condition(self) -> float | None:
+        return self._health[2]
 
     def loss_at_good_local(self, q_star) -> float:
         """Risk attained at good-region optima for target masses ``q_star``."""
@@ -60,33 +91,40 @@ class SchurReport:
         return 0.25 * float(q @ self.schur @ q)
 
 
-def _report_from_matrix(schur: np.ndarray, **health) -> SchurReport:
+def _report_from_matrix(schur: np.ndarray, inverted=None) -> SchurReport:
     schur = (schur + schur.T) / 2.0
     schur.flags.writeable = False
     norm, min_eig = _norm_and_min(schur)
-    return SchurReport(schur=schur, spectral_norm=norm, min_eigenvalue=min_eig, **health)
+    return SchurReport(schur=schur, spectral_norm=norm, min_eigenvalue=min_eig,
+                       _inverted=inverted)
 
 
 def schur_complement(bundle: KernelBundle, cutoff: float = PINV_CUTOFF) -> SchurReport:
     """``psi_star - psi_cross' pinv(psi_lines) psi_cross`` with spectrum.
 
-    One eigendecomposition ``psi_lines = V diag(lam) V'`` gives the
-    pseudo-inverse in factored form: with ``M = V' psi_cross`` the
-    complement is ``psi_star - M' diag(1/lam) M``, so no r x r inverse is
-    formed.  The report carries the kept rank, the eigenvalues dropped by
-    ``cutoff`` and the condition number of the kept part.
+    When the model-line block is positive definite with every eigenvalue
+    above ``cutoff`` times the largest, the pseudo-inverse is the inverse
+    and the complement is ``psi_star - C' solve(psi_lines, C)`` with
+    ``C = psi_cross``.  One Cholesky factorization of the block shifted
+    down by ``cutoff`` times its largest absolute row sum proves that
+    (``kernel._cutoff_keeps_all``); it holds for random line sets in
+    general position.  Otherwise, e.g. for many lines in few dimensions,
+    one eigendecomposition ``psi_lines = V diag(lam) V'`` gives the
+    pseudo-inverse in factored form: with ``M = V' C`` the complement is
+    ``psi_star - M' diag(1/lam) M``, so no r x r inverse is formed.
+    Either way one ``eigvalsh`` of the symmetrised result gives its
+    spectral norm and smallest eigenvalue; the block's health is computed
+    when first read (see ``SchurReport``).
     """
-    vecs, inv = _inverted_spectrum(bundle.psi_lines, cutoff)
+    block = _require_symmetric(bundle.psi_lines, 1e-9)
+    if _cutoff_keeps_all(block, cutoff):
+        schur = bundle.psi_star - bundle.psi_cross.T @ np.linalg.solve(block, bundle.psi_cross)
+        return _report_from_matrix(
+            schur, lambda: _inverted_spectrum(block, cutoff, vectors=False)[1])
+    vecs, inv = _inverted_spectrum(block, cutoff)
     m = vecs.T @ bundle.psi_cross
     schur = bundle.psi_star - (m.T * inv) @ m
-    kept = np.abs(inv[inv != 0.0])
-    return _report_from_matrix(
-        schur,
-        kept_rank=int(kept.size),
-        dropped_eigenvalues=int(inv.size - kept.size),
-        # max |lam| / min |lam| over the kept eigenvalues, read off 1/lam
-        condition=float(kept.max() / kept.min()) if kept.size else float("inf"),
-    )
+    return _report_from_matrix(schur, lambda: inv)
 
 
 def good_local_loss(report: SchurReport, q_star):

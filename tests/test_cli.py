@@ -358,3 +358,84 @@ class TestAllOrNothingOutput:
         assert code == 3
         assert len(calls) == 2
         assert not out.exists()
+
+
+class TestArgumentChecks:
+    """Bad values exit 2 before any work and write no CSV."""
+
+    @pytest.mark.parametrize("probes", ["0", "-3"])
+    def test_non_positive_probes_exit_two_before_building_a_net(
+            self, probes, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "greedy_angular_net", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "n.csv"
+        code = run_cli(["minimax", "net", "--d", "2", "--delta", "0.4", "--probes", probes,
+                        "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "matched", "--d", "2", "--k", "4", "--trials", "1", "--epochs", "1",
+         "--samples", "-5"],
+        ["train", "matched", "--d", "2", "--k", "4", "--trials", "1", "--epochs", "1",
+         "--samples", "0"],
+        ["train", "mismatched", "--d", "3", "--k", "4", "--k-star", "4", "--trials", "1",
+         "--epochs", "1", "--samples", "0"],
+        ["train", "mismatched", "--d", "3", "--k", "4", "--k-star", "4", "--trials", "1",
+         "--inits", "0", "--epochs", "1", "--samples", "400"],
+        ["train", "mismatched", "--d", "3", "--k", "4", "--k-star", "4", "--trials", "1",
+         "--inits", "-2", "--epochs", "1", "--samples", "400"],
+    ])
+    def test_bad_train_values_exit_two_and_train_nothing(
+            self, argv, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("experiment_matched_degree_one", "experiment_mismatched_random"):
+            monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(a))
+        out = tmp_path / "t.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_non_finite_risk_scale_exits_two(self, scale, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = run_cli(["minimax", "bound", "--d", "3", "--delta", "0.4", "--k", "2",
+                        "--M=" + scale, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--matched", "--d", "1", "--r", "2", "--k", "8"],
+        ["risk", "--mismatched", "--d", "1", "--r", "1", "--k", "2", "--r-star", "2",
+         "--k-star", "2"],
+        ["risk", "--mismatched", "--d", "1", "--r", "3", "--k", "3", "--r-star", "1",
+         "--k-star", "1"],
+        ["schur-sweep", "--d", "1", "--r-star", "3", "--r", "2", "--trials", "1"],
+        ["schur-sweep", "--d", "1", "--r-star", "1", "--r", "1,2", "--trials", "1"],
+        ["schur-sweep", "--d", "1", "--r-star", "2", "--r", "1", "--trials", "1"],
+    ])
+    def test_many_lines_in_one_dimension_exit_two_without_drawing(
+            self, argv, monkeypatch, capsys):
+        calls = []
+        for name in ("random_line_set", "_schur_trial"):
+            monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(a))
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--matched", "--d", "1", "--r", "1", "--k", "3"],
+        ["risk", "--mismatched", "--d", "1", "--r", "1", "--k", "2", "--r-star", "1",
+         "--k-star", "2"],
+        ["schur-sweep", "--d", "1", "--r-star", "1", "--r", "1", "--trials", "2"],
+    ])
+    def test_one_line_in_one_dimension_still_runs(self, argv, tmp_path):
+        out = tmp_path / "one.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert len(read_body(out)) >= 2

@@ -197,6 +197,11 @@ class TestMinimaxRiskBound:
         with pytest.raises(DomainError):
             p.minimax_risk_bound(2, 1.0, 3, delta)
 
+    @pytest.mark.parametrize("M", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_scale_rejected(self, M):
+        with pytest.raises(ParameterOutOfRange):
+            p.minimax_risk_bound(2, M, 3, 0.4)
+
     def test_unit_case(self):
         assert p.minimax_risk_bound(1, 1.0, 1, np.pi / 2) == pytest.approx(
             math.sqrt(2.0), abs=1e-12
@@ -238,3 +243,11 @@ class TestReluGap:
                 rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal(d)
             )
             assert out.within_bound
+
+
+class TestCoverageGapProbes:
+    @pytest.mark.parametrize("n_probes", [0, -3])
+    def test_non_positive_probe_count_rejected(self, n_probes):
+        net = p.greedy_angular_net(2, 0.4, seed=1)
+        with pytest.raises(ParameterOutOfRange):
+            p.coverage_gap(net, n_probes=n_probes)

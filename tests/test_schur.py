@@ -427,3 +427,156 @@ class TestStructuredInverse:
             p.structured_inverse(0.0, 1.0, 3)
         with pytest.raises(SingularStructure):
             p.structured_inverse(1.0, -0.5, 2)
+
+
+def _eigh_route(bundle):
+    """The complement and health from one eigendecomposition of the block."""
+    from porcupine.kernel import _inverted_spectrum
+
+    vecs, inv = _inverted_spectrum(bundle.psi_lines)
+    m = vecs.T @ bundle.psi_cross
+    schur = bundle.psi_star - (m.T * inv) @ m
+    kept = np.abs(inv[inv != 0.0])
+    condition = kept.max() / kept.min()
+    return (schur + schur.T) / 2.0, int(kept.size), int(inv.size - kept.size), condition
+
+
+def synthetic_bundle(lam, r_star, seed):
+    """A bundle whose model block is ``V diag(lam) V'`` for a random orthogonal V.
+
+    The cross block is ``A W`` and the target block ``W' A W + G G'``, so the
+    union matrix is PSD and the complement is ``G G'`` when nothing is dropped.
+    """
+    import dataclasses
+
+    r = lam.size
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    A = (V * lam) @ V.T
+    A = (A + A.T) / 2.0
+    W = rng.standard_normal((r, r_star)) / np.sqrt(r)
+    G = rng.standard_normal((r_star, r_star)) / np.sqrt(r_star)
+    C = A @ W
+    star = W.T @ C + G @ G.T
+    base = random_bundle(4, r, r_star, seed)
+    return dataclasses.replace(base, psi_lines=A, psi_cross=C, psi_star=(star + star.T) / 2.0)
+
+
+class TestSchurSolveRoute:
+    @pytest.mark.parametrize("d", [8, 64, 256])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_solve_route_matches_explicit_pseudo_inverse(self, d, factor):
+        from porcupine.kernel import _cutoff_keeps_all
+
+        bundle = random_bundle(d, factor * d, d, (33, d, factor))
+        assert _cutoff_keeps_all(bundle.psi_lines)  # the solve route is taken
+        report = p.schur_complement(bundle)
+        C = bundle.psi_cross
+        explicit = bundle.psi_star - C.T @ p.symmetric_pseudo_inverse(bundle.psi_lines) @ C
+        assert np.all(
+            np.abs(report.schur - explicit) <= 1e-10 * np.maximum(1.0, np.abs(explicit))
+        )
+        assert report.spectral_norm == p.spectral_norm(report.schur)
+        assert report.min_eigenvalue == p.min_eigenvalue(report.schur)
+
+    def test_well_conditioned_block_makes_no_eigh_call(self, monkeypatch):
+        bundle = random_bundle(64, 128, 64, 34)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called on a well-conditioned block")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        report = p.schur_complement(bundle)
+        assert report.kept_rank == 128 and report.dropped_eigenvalues == 0
+        monkeypatch.undo()
+        schur, kept, dropped, condition = _eigh_route(bundle)
+        np.testing.assert_allclose(report.schur, schur, rtol=0, atol=1e-12)
+        assert report.condition == pytest.approx(condition, rel=1e-10)
+
+    def test_health_is_computed_once_on_first_read(self, monkeypatch):
+        calls = []
+        original = p.schur._inverted_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("vectors", True))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(p.schur, "_inverted_spectrum", counted)
+        report = p.schur_complement(random_bundle(8, 16, 8, 35))
+        assert calls == []
+        assert report.kept_rank == 16
+        assert (report.dropped_eigenvalues, report.condition > 1.0) == (0, True)
+        assert calls == [False]  # one eigenvalue-only solve, cached across the fields
+
+    @pytest.mark.parametrize("multiple", [0.5, 1.0, 3.0])
+    def test_cutoff_boundary_falls_back_and_matches_eigh_route(self, multiple, monkeypatch):
+        from porcupine.kernel import PINV_CUTOFF, _cutoff_keeps_all
+
+        r = 40
+        lam = np.linspace(1.0, 2.0, r)
+        lam[0] = multiple * PINV_CUTOFF * lam[-1]
+        bundle = synthetic_bundle(lam, 6, (36, r))
+        # Here the largest absolute row sum is about 2.04 lam_max, so the
+        # guard passes at 3x the cutoff and must fail at or below it.
+        solved = multiple > 2.04
+        assert _cutoff_keeps_all(bundle.psi_lines) == solved
+        eigh_calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **kw: eigh_calls.append(1) or eigh(*a, **kw))
+        report = p.schur_complement(bundle)
+        assert len(eigh_calls) == (0 if solved else 1)
+        monkeypatch.undo()
+        schur, kept, dropped, condition = _eigh_route(bundle)
+        if solved:
+            np.testing.assert_allclose(report.schur, schur, rtol=0, atol=1e-9)
+            # The smallest eigenvalue is resolved to about eps * lam_max only.
+            assert report.condition == pytest.approx(condition, rel=1e-5)
+        else:
+            # The fallback is the eigendecomposition route itself.
+            np.testing.assert_array_equal(report.schur, schur)
+            assert report.condition == condition
+        assert (report.kept_rank, report.dropped_eigenvalues) == (kept, dropped)
+        if multiple != 1.0:  # exactly at the cutoff, rounding decides
+            assert dropped == (1 if multiple < 1.0 else 0)
+
+    def test_guard_pass_implies_every_eigenvalue_kept(self):
+        from porcupine.kernel import PINV_CUTOFF, _cutoff_keeps_all, _inverted_spectrum
+
+        rng = np.random.default_rng(37)
+        passed = failed = 0
+        for trial in range(120):
+            r = int(rng.integers(2, 30))
+            V, _ = np.linalg.qr(rng.standard_normal((r, r)))
+            lam = rng.uniform(0.5, 2.0, r)
+            # Smallest eigenvalue from 0.1x to 30x the cutoff, or negative.
+            lam[0] = rng.choice([-1.0, 1.0], p=[0.1, 0.9]) * 10.0 ** rng.uniform(-1, 1.5) \
+                * PINV_CUTOFF * lam.max()
+            matrix = (V * lam) @ V.T
+            matrix = (matrix + matrix.T) / 2.0
+            vecs, inv = _inverted_spectrum(matrix)
+            if _cutoff_keeps_all(matrix):
+                passed += 1
+                assert np.all(inv > 0.0)
+            else:
+                failed += 1
+        for seed in range(20):
+            bundle = random_bundle(int(2 + seed % 5), int(2 + 3 * seed), 2, (38, seed))
+            _, inv = _inverted_spectrum(bundle.psi_lines)
+            if _cutoff_keeps_all(bundle.psi_lines):
+                passed += 1
+                assert np.all(inv > 0.0)
+        assert passed > 0 and failed > 0
+
+    def test_many_planar_lines_take_the_fallback(self):
+        from porcupine.kernel import _cutoff_keeps_all
+
+        lines = p.random_line_set(2, 60, 11)
+        star = p.random_line_set(2, 5, 12)
+        bundle = p.kernel_bundle(lines, star)
+        assert not _cutoff_keeps_all(bundle.psi_lines)
+        report = p.schur_complement(bundle)
+        assert (report.dropped_eigenvalues, report.kept_rank) == (3, 57)
+        schur, kept, dropped, condition = _eigh_route(bundle)
+        np.testing.assert_array_equal(report.schur, schur)
+        assert (kept, dropped, report.condition) == (57, 3, condition)
