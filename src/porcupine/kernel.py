@@ -57,13 +57,6 @@ def _column_angles(A: np.ndarray, B: np.ndarray):
     return na, nb, cosines, np.arccos(cosines)
 
 
-def _is_singular(matrix: np.ndarray, cutoff: float) -> bool:
-    """True when the smallest eigenvalue of the symmetrised ``matrix`` is
-    at most ``cutoff`` times max(largest eigenvalue, 1)."""
-    vals = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
-    return bool(vals[0] <= cutoff * max(vals[-1], 1.0))
-
-
 def equiangular_2d(r: int) -> LineSet:
     """``r`` planar lines with equal angles pi/r between neighbours."""
     if r < 2:
@@ -146,6 +139,15 @@ def _cutoff_keeps_all(sym: np.ndarray, cutoff: float = PINV_CUTOFF) -> bool:
     return True
 
 
+def _cutoff_drops_any(sym: np.ndarray, cutoff: float = PINV_CUTOFF) -> bool:
+    """True when the cutoff of ``_inverted_spectrum`` zeroes an eigenvalue
+    of the symmetric ``sym`` (it is numerically singular).  Eigenvalues are
+    computed only when the guard ``_cutoff_keeps_all`` fails."""
+    if _cutoff_keeps_all(sym, cutoff):
+        return False
+    return not _inverted_spectrum(sym, cutoff, vectors=False)[1].all()
+
+
 def symmetric_pseudo_inverse(matrix, cutoff: float = PINV_CUTOFF,
                              asym_tol: float = 1e-9) -> np.ndarray:
     """Pseudo-inverse of a symmetric matrix.
@@ -178,10 +180,6 @@ class KernelBundle:
     @property
     def num_lines(self) -> int:
         return self.psi_lines.shape[0]
-
-    @property
-    def num_star_lines(self) -> int:
-        return self.psi_star.shape[0]
 
 
 def kernel_bundle(lines: LineSet, star: LineSet) -> KernelBundle:

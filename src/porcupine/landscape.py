@@ -25,7 +25,7 @@ from .kernel import (
     KernelBundle,
     PINV_CUTOFF,
     _column_angles,
-    _is_singular,
+    _cutoff_drops_any,
     min_eigenvalue,
     psi,
     symmetric_pseudo_inverse,
@@ -224,8 +224,8 @@ def bad_region_stationary(
     w0 = np.zeros(line_set.dim) if w0 is None else np.asarray(w0, dtype=float)
     D11 = bundle.psi_lines
     D12 = bundle.psi_cross
-    projector = U @ S @ S.T @ U.T
-    if _is_singular(projector, cutoff):
+    projector = U @ U.T  # U S S' U' with S S' = I
+    if _cutoff_drops_any(projector, cutoff):
         raise SingularProjector("line matrix does not span the ambient space")
     core = symmetric_pseudo_inverse(S @ U.T @ U @ S + D11, cutoff=cutoff)
     rhs = D11 @ core @ (S @ U.T @ w0) + (D11 @ core - np.eye(r)) @ (D12 @ q_star)
@@ -246,7 +246,7 @@ def bad_region_loss(
     q_star = np.asarray(q_star, dtype=float).ravel()
     U = line_set.unit_vectors
     D11 = bundle.psi_lines
-    if _is_singular(D11, cutoff):
+    if _cutoff_drops_any(D11, cutoff):
         raise SingularKernel("line kernel matrix is numerically singular")
     augmented = D11 + U.T @ U
     inner = np.linalg.solve(augmented, bundle.psi_cross @ q_star)

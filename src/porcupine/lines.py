@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,18 +138,40 @@ def _assemble_line_set(units: np.ndarray) -> LineSet:
     return LineSet(dim=units.shape[0], unit_vectors=_freeze(units), gram=gram)
 
 
-def _first_collision(cosines: np.ndarray, collinearity_tol: float):
-    """First colliding pair ``(i, j)``, ``i < j``, in row order, or None.
-
-    A pair collides when ``|cosines[i, j]| >= 1 - collinearity_tol``.
-    """
+def _collinear(cosines: np.ndarray, collinearity_tol: float) -> np.ndarray:
+    """True where ``|cosines| >= 1 - collinearity_tol``: the two lines
+    coincide.  The one statement of the collinearity rule."""
     threshold = 1.0 - collinearity_tol
     hits = cosines >= threshold
     hits |= cosines <= -threshold
-    flat = np.flatnonzero(np.triu(hits, k=1))
-    if flat.size == 0:
-        return None
-    return divmod(int(flat[0]), cosines.shape[1])
+    return hits
+
+
+def _first_kept(hits: np.ndarray, offset: int = 0):
+    """Walk lines in order, keeping each that hits no line kept before it.
+
+    Row ``i`` of the screen ``hits`` is line ``offset + i`` against lines
+    ``0, 1, ...``; the first ``offset`` lines are kept unscreened.  Returns
+    ``(first, kept)``: per line, the first kept line before it that it
+    hits, or itself, and the mask of kept lines.  Only rows that hit a
+    line besides their own are walked.
+    """
+    rows = np.arange(hits.shape[0])
+    first = np.arange(offset + len(rows))
+    kept = np.ones(len(first), dtype=bool)
+    for i in np.flatnonzero(np.count_nonzero(hits, axis=1) > hits[rows, offset + rows]):
+        j = offset + i
+        earlier = hits[i, :j] & kept[:j]
+        if earlier.any():
+            first[j] = np.argmax(earlier)
+            kept[j] = False
+    return first, kept
+
+
+def _first_collision(cosines: np.ndarray, collinearity_tol: float):
+    """First colliding pair ``(i, j)``, ``i < j``, in row order, or None."""
+    flat = np.flatnonzero(np.triu(_collinear(cosines, collinearity_tol), k=1))
+    return divmod(int(flat[0]), cosines.shape[1]) if flat.size else None
 
 
 def build_line_set(raw_vectors, collinearity_tol: float = COLLINEARITY_TOL) -> LineSet:
@@ -197,19 +220,15 @@ def random_line_set(
     is exhausted (only plausible for tiny ``d`` and huge ``r``).
 
     The lines are drawn as one ``(r, d)`` block, the stream of ``r`` calls
-    of ``standard_normal(d)``, and screened for collisions on the Gram
-    matrix of the assembled set.  Only when a pair collides is the block
-    walked in draw order: a line is kept unless it collides with a line
-    kept before it.  The shortfall is drawn as the next block and screened
-    by its cosines against every line.  Every drawn vector counts against
-    ``max_draws``, so the lines and the budget are those of drawing one
-    vector at a time.
+    of ``standard_normal(d)``, screened on the Gram matrix of the assembled
+    set and walked in draw order by ``_first_kept``; the shortfall is the
+    next block.  Every draw counts against ``max_draws``, so the lines and
+    the budget are those of drawing one vector at a time.
     """
     if d < 1 or r < 1:
         raise ParameterOutOfRange("need d >= 1 and r >= 1, got d=%d r=%d" % (d, r))
     rng = np.random.default_rng(seed)
     budget = max_draws if max_draws is not None else max(1000, 200 * r)
-    threshold = 1.0 - collinearity_tol
     units = np.empty((d, 0))
     draws = 0
     while draws < budget:
@@ -227,19 +246,9 @@ def random_line_set(
         units = grown[:, :size]
         # The first block is screened on the Gram of the assembled set, a
         # shortfall block on the cosines of its lines against every line.
-        if count == 0:
-            line_set = _assemble_line_set(units)
-            cos = line_set.gram
-        else:
-            line_set = None
-            cos = units[:, count:].T @ units
-        hits = cos >= threshold
-        hits |= cos <= -threshold
-        kept = np.ones(units.shape[1], dtype=bool)
-        # Walk, in draw order, the fresh lines that hit a line besides themselves.
-        for i in np.flatnonzero(np.count_nonzero(hits, axis=1) > 1):
-            j = count + i
-            kept[j] = not (hits[i, :j] & kept[:j]).any()
+        line_set = _assemble_line_set(units) if count == 0 else None
+        cos = line_set.gram if count == 0 else units[:, count:].T @ units
+        _, kept = _first_kept(_collinear(cos, collinearity_tol), count)
         if not kept.all():
             units = units[:, kept]
         elif units.shape[1] == r:
@@ -310,30 +319,26 @@ class RegionSignature:
     def num_lines(self) -> int:
         return len(self.signs)
 
-    def _active(self, line: int):
-        return [s for s, z in zip(self.signs[line], self.nonzero[line]) if z]
+    @cached_property
+    def _orientations(self) -> tuple:
+        """Per line, the set of signs among its non-zero neurons."""
+        return tuple(
+            frozenset(s for s, z in zip(signs, nonzero) if z)
+            for signs, nonzero in zip(self.signs, self.nonzero)
+        )
 
     @property
     def mixed(self) -> tuple:
         """Per line: True iff both orientations occur among non-zero neurons."""
-        return tuple(
-            (+1 in self._active(l)) and (-1 in self._active(l))
-            for l in range(self.num_lines)
-        )
+        return tuple(+1 in o and -1 in o for o in self._orientations)
 
     @property
     def all_plus(self) -> tuple:
-        return tuple(
-            bool(self._active(l)) and all(s == 1 for s in self._active(l))
-            for l in range(self.num_lines)
-        )
+        return tuple(o == {+1} for o in self._orientations)
 
     @property
     def all_minus(self) -> tuple:
-        return tuple(
-            bool(self._active(l)) and all(s == -1 for s in self._active(l))
-            for l in range(self.num_lines)
-        )
+        return tuple(o == {-1} for o in self._orientations)
 
     @property
     def mixed_line_count(self) -> int:
@@ -342,7 +347,7 @@ class RegionSignature:
     @property
     def single_orientation_count(self) -> int:
         """Lines whose non-zero neurons all share one orientation."""
-        return sum(plus or minus for plus, minus in zip(self.all_plus, self.all_minus))
+        return sum(o in ({+1}, {-1}) for o in self._orientations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,18 +498,10 @@ def weights_from_columns(
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise DimensionMismatch("expected a d x k matrix")
-    reps = []  # canonical unit vector per discovered line
-    assignment = []
-    for i in range(matrix.shape[1]):
-        unit, _ = canonicalize_vector(matrix[:, i])
-        for j, rep in enumerate(reps):
-            if abs(float(rep @ unit)) >= 1.0 - collinearity_tol:
-                assignment.append(j)
-                break
-        else:
-            assignment.append(len(reps))
-            reps.append(unit)
-    line_set = _assemble_line_set(np.column_stack(reps))
+    units = np.column_stack([canonicalize_vector(col)[0] for col in matrix.T])
+    first, kept = _first_kept(_collinear(units.T @ units, collinearity_tol))
+    assignment = (np.cumsum(kept) - 1)[first]  # rank of the first kept column
+    line_set = _assemble_line_set(units[:, kept])
     neuron_map = NeuronLineMap(num_neurons=matrix.shape[1], assignment=tuple(assignment))
     return PNNWeights(matrix=matrix, line_set=line_set, neuron_map=neuron_map)
 

@@ -174,26 +174,26 @@ def nearest_net_approx(w_star, net: AngularNet):
     Returns ``(w_tilde, max_angle)``.  Each column is replaced by the
     closest vector of the net or its negation, rescaled to the original
     norm, so ``|w - w_tilde|^2 = 2 |w|^2 (1 - cos angle)`` per column.
-    Zero columns stay zero.
+    Zero columns stay zero; non-finite entries raise DomainError.
     """
     W = np.asarray(w_star, dtype=float)
     if W.ndim != 2 or W.shape[0] != net.dim:
         raise DimensionMismatch("weights must be d x k with d matching the net")
+    if not np.isfinite(W).all():
+        raise DomainError("weights must be finite")
     if net.size < 1:
         raise ParameterOutOfRange("the net is empty")
+    cols = np.ascontiguousarray(W.T)
+    # One dot product per column, as np.linalg.norm(W[:, i]) takes it: same bits.
+    norms = np.sqrt(cols[:, None, :] @ cols[:, :, None]).ravel()
+    live = np.flatnonzero(norms != 0.0)
+    scores = net.vectors.T @ (W[:, live] / norms[live])
+    best = np.argmax(np.abs(scores), axis=0)
+    top = scores[best, np.arange(len(live))]
     W_tilde = np.zeros_like(W)
-    max_angle = 0.0
-    for i in range(W.shape[1]):
-        col = W[:, i]
-        norm = float(np.linalg.norm(col))
-        if norm == 0.0:
-            continue
-        scores = net.vectors.T @ (col / norm)
-        j = int(np.argmax(np.abs(scores)))
-        direction = net.vectors[:, j] * (1.0 if scores[j] >= 0 else -1.0)
-        W_tilde[:, i] = norm * direction
-        max_angle = max(max_angle, float(np.arccos(np.clip(abs(scores[j]), 0.0, 1.0))))
-    return W_tilde, max_angle
+    W_tilde[:, live] = norms[live] * (net.vectors[:, best] * np.where(top >= 0, 1.0, -1.0))
+    angles = np.arccos(np.clip(np.abs(top), 0.0, 1.0))
+    return W_tilde, float(np.max(angles, initial=0.0))
 
 
 def minimax_risk_bound(k: int, M: float, d: int, delta: float) -> float:

@@ -135,19 +135,19 @@ def scalar_risk(w, w_star) -> RiskBreakdown:
 
 
 def _axis_masses(matrix: np.ndarray, neuron_map: NeuronLineMap) -> np.ndarray:
-    d = matrix.shape[0]
-    q = np.zeros(d)
-    for i, axis in enumerate(neuron_map.assignment):
-        col = matrix[:, i]
-        off_axis = np.linalg.norm(np.delete(col, axis))
-        norm = float(np.linalg.norm(col))
-        if off_axis > FEASIBILITY_TOL * max(1.0, norm):
-            raise InfeasibleWeights(
-                "column %d is not on axis %d (off-axis norm %.3g)"
-                % (i, axis, off_axis)
-            )
-        q[axis] += abs(col[axis])
-    return q
+    """Per axis, the sum of ``|w_i[axis]|`` over its neurons in neuron order;
+    InfeasibleWeights names the first column with mass off its axis."""
+    axes = np.asarray(neuron_map.assignment)
+    neurons = np.arange(len(axes))
+    off_axis = matrix.copy()
+    off_axis[axes, neurons] = 0.0
+    off_norms = np.linalg.norm(off_axis, axis=0)
+    bad = off_norms > FEASIBILITY_TOL * np.maximum(1.0, np.linalg.norm(matrix, axis=0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InfeasibleWeights("column %d is not on axis %d (off-axis norm %.3g)"
+                                % (i, axes[i], off_norms[i]))
+    return np.bincount(axes, weights=np.abs(matrix[axes, neurons]), minlength=matrix.shape[0])
 
 
 def degree_one_risk(W, W_star, neuron_map: NeuronLineMap) -> RiskBreakdown:
@@ -166,6 +166,9 @@ def degree_one_risk(W, W_star, neuron_map: NeuronLineMap) -> RiskBreakdown:
         raise DimensionMismatch(
             "map covers %d axes but inputs have d=%d" % (neuron_map.num_lines, d)
         )
+    if neuron_map.num_neurons != A.shape[1]:
+        raise DimensionMismatch("map has k=%d but weights have k=%d"
+                                % (neuron_map.num_neurons, A.shape[1]))
     q = _axis_masses(A, neuron_map)
     q_star = _axis_masses(B, neuron_map)
     diff = A.sum(axis=1) - B.sum(axis=1)

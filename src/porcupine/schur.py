@@ -27,16 +27,16 @@ from .errors import (
 from .kernel import (
     KernelBundle,
     PINV_CUTOFF,
+    _cutoff_drops_any,
     _cutoff_keeps_all,
     _inverted_spectrum,
-    _is_singular,
     _norm_and_min,
     _require_symmetric,
     kernel_bundle,
     min_eigenvalue,
     psi,
 )
-from .lines import COLLINEARITY_TOL, LineSet, canonicalize_vector
+from .lines import COLLINEARITY_TOL, LineSet, _collinear, canonicalize_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +151,10 @@ def add_line_update(report: SchurReport, bundle: KernelBundle, new_line):
     unit, _ = canonicalize_vector(np.asarray(new_line, dtype=float))
     z1 = np.clip(bundle.lines.unit_vectors.T @ unit, -1.0, 1.0)
     z2 = np.clip(bundle.star.unit_vectors.T @ unit, -1.0, 1.0)
-    if np.max(np.abs(z1)) >= 1.0 - COLLINEARITY_TOL:
+    if _collinear(z1, COLLINEARITY_TOL).any():
         raise DuplicateLine("the added line coincides with an existing model line")
     D11 = bundle.psi_lines
-    if _is_singular(D11, PINV_CUTOFF):
+    if _cutoff_drops_any(D11):
         raise SingularKernel("model-line kernel block is numerically singular")
     zeta1 = psi(z1)
     zeta2 = psi(z2)

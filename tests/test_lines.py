@@ -1,5 +1,7 @@
 """Geometry layer: canonical orientation, line sets, decompositions, CSV."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -448,6 +450,157 @@ class TestWeightsFromColumns:
     def test_non_finite_column_rejected(self, bad):
         with pytest.raises(DomainError):
             p.weights_from_columns(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+def columns_reference(matrix, collinearity_tol=1e-9):
+    """weights_from_columns' former loop: each column joins the first line
+    found so far that it is collinear with, else starts a new line.
+    Returns the canonical unit vectors of the lines and the assignment."""
+    matrix = np.asarray(matrix, dtype=float)
+    reps = []
+    assignment = []
+    for i in range(matrix.shape[1]):
+        unit, _ = p.canonicalize_vector(matrix[:, i])
+        for j, rep in enumerate(reps):
+            if abs(float(rep @ unit)) >= 1.0 - collinearity_tol:
+                assignment.append(j)
+                break
+        else:
+            assignment.append(len(reps))
+            reps.append(unit)
+    return np.column_stack(reps), tuple(assignment)
+
+
+def assert_columns_match_reference(monkeypatch, matrix, collinearity_tol=1e-9):
+    """weights_from_columns groups ``matrix`` as the loop does: same lines,
+    same Gram matrix, same map, and the same InfeasibleWeights message when
+    a column joined a line it is only near (every such column is more than
+    FEASIBILITY_TOL off its line)."""
+    units, assignment = columns_reference(matrix, collinearity_tol)
+    gram = units.T @ units
+    gram = np.clip((gram + gram.T) / 2.0, -1.0, 1.0)
+    np.fill_diagonal(gram, 1.0)
+    line_set = p.LineSet(dim=units.shape[0], unit_vectors=units, gram=gram)
+    try:
+        p.PNNWeights(matrix, line_set, p.NeuronLineMap(len(assignment), assignment))
+    except InfeasibleWeights as exc:
+        with pytest.raises(InfeasibleWeights) as info:
+            p.weights_from_columns(matrix, collinearity_tol)
+        assert str(info.value) == str(exc)
+        # Compare the grouping itself with the feasibility check off.
+        monkeypatch.setattr(p.PNNWeights, "_check_feasible", lambda self: None)
+    w = p.weights_from_columns(matrix, collinearity_tol)
+    monkeypatch.undo()
+    assert w.neuron_map.assignment == assignment
+    np.testing.assert_array_equal(w.line_set.unit_vectors, units)
+    np.testing.assert_array_equal(w.line_set.gram, gram)
+    return w
+
+
+def planar_columns(angles):
+    return np.array([np.cos(angles), np.sin(angles)])
+
+
+class TestWeightsFromColumnsMatchesLoop:
+    @pytest.mark.parametrize("d, lines, k", [(2, 3, 10), (4, 5, 40), (50, 60, 300)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_collinear_groups_flipped_and_rescaled(self, monkeypatch, d, lines, k, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((d, lines))
+        source = rng.integers(0, lines, k)
+        scale = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3, 3, k)
+        w = assert_columns_match_reference(monkeypatch, base[:, source] * scale)
+        assert w.line_set.num_lines == len(set(source.tolist()))
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_non_transitive_near_collisions(self, monkeypatch, order):
+        # Neighbours collide (1 - cos t = 6.1e-10), the outer pair does not
+        # (1 - cos 2t = 2.45e-9): the middle column joins the line of the
+        # first column, so one line remains only when the middle one comes first.
+        t = 3.5e-5
+        angles = 0.3 + t * np.array(order, dtype=float)
+        w = assert_columns_match_reference(monkeypatch, planar_columns(angles))
+        assert w.line_set.num_lines == (1 if order[0] == 1 else 2)
+
+    @pytest.mark.parametrize("factor, joined", [(0.9, True), (1.1, False)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_nudge_just_inside_and_outside_tolerance(self, monkeypatch, factor, joined, sign):
+        # Second column at an angle with 1 - cos = factor * tol.
+        t = np.arccos(1.0 - factor * 1e-9)
+        matrix = planar_columns(np.array([0.7, 0.7 + t, 2.0]))
+        matrix[:, 1] *= sign * 3.0
+        w = assert_columns_match_reference(monkeypatch, matrix)
+        assert w.neuron_map.assignment == ((0, 0, 1) if joined else (0, 1, 2))
+
+    def test_tolerance_argument_is_used(self, monkeypatch):
+        matrix = planar_columns(np.array([0.1, 0.1 + 1e-3, 0.1 + 2e-3, 1.0]))
+        for tol in (1e-9, 1e-6, 2e-6, 1e-5):
+            assert_columns_match_reference(monkeypatch, matrix, tol)
+
+    @pytest.mark.parametrize("first, second, error", [
+        (0.0, np.nan, ZeroVector), (np.nan, 0.0, DomainError), (np.inf, np.nan, DomainError)])
+    def test_first_bad_column_raises(self, first, second, error):
+        rng = np.random.default_rng(3)
+        matrix = rng.standard_normal((3, 8))
+        matrix[:, 6] = matrix[:, 1]
+        matrix[:, 3] = first
+        matrix[:, 5] = second
+        with pytest.raises(error) as expected:
+            columns_reference(matrix)
+        with pytest.raises(error) as info:
+            p.weights_from_columns(matrix)
+        assert str(info.value) == str(expected.value)
+
+
+def first_kept_reference(hits, offset):
+    """The walk over every line, one pair at a time."""
+    n = offset + hits.shape[0]
+    first = list(range(n))
+    kept = [True] * n
+    for i in range(hits.shape[0]):
+        j = offset + i
+        for c in range(j):
+            if kept[c] and hits[i, c]:
+                first[j], kept[j] = c, False
+                break
+    return first, kept
+
+
+class TestFirstKeptWalk:
+    @pytest.mark.parametrize("offset", [0, 1, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_pair_walk(self, offset, seed):
+        # Random, unsymmetric screens; the own-line entry may be False,
+        # as for a tolerance below the rounding of a unit vector's cosine.
+        rng = np.random.default_rng(seed)
+        hits = rng.random((12, offset + 12)) < 0.15
+        first, kept = p.lines._first_kept(hits, offset)
+        assert (first.tolist(), kept.tolist()) == first_kept_reference(hits, offset)
+
+
+class TestRegionSignatureSummaries:
+    @staticmethod
+    def per_line_reference(signature):
+        """The former per-line properties, rebuilt from the fields."""
+        active = [[s for s, z in zip(signs, nonzero) if z]
+                  for signs, nonzero in zip(signature.signs, signature.nonzero)]
+        mixed = tuple((+1 in a) and (-1 in a) for a in active)
+        plus = tuple(bool(a) and all(s == 1 for s in a) for a in active)
+        minus = tuple(bool(a) and all(s == -1 for s in a) for a in active)
+        return mixed, plus, minus, sum(mixed), sum(x or y for x, y in zip(plus, minus))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_summaries_match_per_line_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(0, 4, 12)
+        signature = p.RegionSignature(
+            signs=tuple(tuple(rng.choice([-1, 1], n).tolist()) for n in lengths),
+            nonzero=tuple(tuple(rng.choice([True, False], n, p=[0.7, 0.3]).tolist())
+                          for n in lengths),
+        )
+        assert (signature.mixed, signature.all_plus, signature.all_minus,
+                signature.mixed_line_count, signature.single_orientation_count) \
+            == self.per_line_reference(signature)
 
 
 class TestNonFiniteWeights:

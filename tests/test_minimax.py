@@ -187,6 +187,55 @@ class TestNearestNetApprox:
         )
 
 
+def nearest_net_reference(W, net):
+    """nearest_net_approx's former per-column loop."""
+    W_tilde = np.zeros_like(W)
+    max_angle = 0.0
+    for i in range(W.shape[1]):
+        col = W[:, i]
+        norm = float(np.linalg.norm(col))
+        if norm == 0.0:
+            continue
+        scores = net.vectors.T @ (col / norm)
+        j = int(np.argmax(np.abs(scores)))
+        direction = net.vectors[:, j] * (1.0 if scores[j] >= 0 else -1.0)
+        W_tilde[:, i] = norm * direction
+        max_angle = max(max_angle, float(np.arccos(np.clip(abs(scores[j]), 0.0, 1.0))))
+    return W_tilde, max_angle
+
+
+class TestNearestNetMatchesLoop:
+    @pytest.mark.parametrize("d, delta, k", [(2, 0.5, 7), (3, 0.3, 60), (5, 0.6, 200)])
+    def test_matches_per_column_loop(self, d, delta, k):
+        rng = np.random.default_rng(d)
+        net = p.greedy_angular_net(d, delta, seed=d + 1)
+        W = rng.standard_normal((d, k)) * 10.0 ** rng.uniform(-3, 3, k)
+        W[:, 1] = 0.0
+        W[:, 4] = -3.0 * W[:, 2]
+        expected, expected_angle = nearest_net_reference(W, net)
+        approx, max_angle = p.nearest_net_approx(W, net)
+        np.testing.assert_array_equal(approx, expected)
+        assert abs(max_angle - expected_angle) <= 1e-15
+
+    def test_non_contiguous_and_all_zero_columns(self):
+        net = p.greedy_angular_net(3, 0.3, seed=8)
+        W = np.random.default_rng(4).standard_normal((9, 3)).T[:, ::2]
+        for matrix in (W, np.zeros((3, 4)), np.zeros((3, 0))):
+            expected, expected_angle = nearest_net_reference(matrix, net)
+            approx, max_angle = p.nearest_net_approx(matrix, net)
+            np.testing.assert_array_equal(approx, expected)
+            assert abs(max_angle - expected_angle) <= 1e-15
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_rejected(self, bad):
+        net = p.greedy_angular_net(3, 0.3, seed=8)
+        W = np.ones((3, 4))
+        W[1, 2] = bad
+        with pytest.raises(DomainError):
+            p.nearest_net_approx(W, net)
+
+
 class TestMinimaxRiskBound:
     def test_vanishes_with_delta(self):
         assert p.minimax_risk_bound(3, 1.0, 4, 1e-9) <= 1e-3

@@ -206,6 +206,58 @@ class TestDegreeOneRisk:
         with pytest.raises(InfeasibleWeights):
             p.degree_one_risk(W, W, neuron_map)
 
+    @staticmethod
+    def axis_masses_reference(matrix, neuron_map):
+        """risk._axis_masses' former per-column loop."""
+        q = np.zeros(matrix.shape[0])
+        for i, axis in enumerate(neuron_map.assignment):
+            col = matrix[:, i]
+            off_axis = np.linalg.norm(np.delete(col, axis))
+            norm = float(np.linalg.norm(col))
+            if off_axis > 1e-9 * max(1.0, norm):
+                raise InfeasibleWeights(
+                    "column %d is not on axis %d (off-axis norm %.3g)" % (i, axis, off_axis)
+                )
+            q[axis] += abs(col[axis])
+        return q
+
+    @pytest.mark.parametrize("d, k", [(1, 3), (3, 9), (6, 40)])
+    def test_axis_masses_match_per_column_loop(self, d, k):
+        from porcupine.risk import _axis_masses
+
+        rng = np.random.default_rng(d)
+        assignment = tuple(np.r_[np.arange(d), rng.integers(0, d, k - d)].tolist())
+        neuron_map = p.NeuronLineMap(num_neurons=k, assignment=assignment)
+        W = np.zeros((d, k))
+        W[list(assignment), np.arange(k)] = rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3, k)
+        W[:, k // 2] = 0.0
+        # Off-axis entries inside the relative feasibility tolerance.
+        W += 1e-11 * rng.uniform(-1, 1, (d, k)) * np.maximum(1.0, np.abs(W).sum(axis=0))
+        np.testing.assert_array_equal(_axis_masses(W, neuron_map),
+                                      self.axis_masses_reference(W, neuron_map))
+
+    @pytest.mark.parametrize("bad", [(2, 5), (0, 1), (4, 0)])
+    def test_first_off_axis_column_is_named(self, bad):
+        from porcupine.risk import _axis_masses
+
+        neuron_map = p.NeuronLineMap(num_neurons=6, assignment=(0, 1, 2, 0, 1, 2))
+        W = np.zeros((3, 6))
+        W[list(neuron_map.assignment), np.arange(6)] = np.arange(1.0, 7.0)
+        for column in bad:
+            W[(neuron_map.assignment[column] + 1) % 3, column] = 0.25 * (column + 1)
+        with pytest.raises(InfeasibleWeights) as expected:
+            self.axis_masses_reference(W, neuron_map)
+        with pytest.raises(InfeasibleWeights) as info:
+            _axis_masses(W, neuron_map)
+        assert str(info.value) == str(expected.value)
+        assert str(info.value).startswith("column %d " % min(bad))
+
+    def test_neuron_count_mismatch_rejected(self):
+        neuron_map = p.NeuronLineMap(num_neurons=2, assignment=(0, 1))
+        W = np.eye(2, 3)
+        with pytest.raises(DimensionMismatch):
+            p.degree_one_risk(W, W, neuron_map)
+
 
 class TestMatchedRisk:
     def test_identity(self):

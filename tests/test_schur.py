@@ -10,6 +10,8 @@ from porcupine.errors import (
     NegativeMass,
     ParameterOutOfRange,
     PreconditionViolated,
+    SingularKernel,
+    SingularProjector,
     SingularStructure,
 )
 
@@ -169,6 +171,36 @@ class TestAddLineUpdate:
         report = p.schur_complement(bundle)
         with pytest.raises(DuplicateLine):
             p.add_line_update(report, bundle, bundle.lines.line(1))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_duplicate_decision_at_the_threshold(self, sign):
+        # The added line makes cosine sign * c with the first model line, c
+        # stepped by single ulps around 1 - COLLINEARITY_TOL; at step 0 the
+        # cosine computed is the threshold itself, which counts as a duplicate.
+        lines = p.build_line_set([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        bundle = p.kernel_bundle(lines, p.build_line_set([[0.0, 0.0, 1.0]]))
+        report = p.schur_complement(bundle)
+        threshold = 1.0 - 1e-9
+        for step in range(-2, 3):
+            c = threshold
+            for _ in range(abs(step)):
+                c = np.nextafter(c, 2.0 if step > 0 else 0.0)
+            new_line = np.array([sign * c, np.sqrt(1.0 - c * c), 0.0])
+            unit, _ = p.canonicalize_vector(new_line)
+            z1 = np.clip(lines.unit_vectors.T @ unit, -1.0, 1.0)
+            # The former check, verbatim.
+            duplicate = np.max(np.abs(z1)) >= 1.0 - 1e-9
+            if step == 0:
+                assert np.max(np.abs(z1)) == threshold
+            assert duplicate == (step >= 0)
+            raised = False
+            try:
+                p.add_line_update(report, bundle, new_line)
+            except DuplicateLine:
+                raised = True
+            except SingularKernel:  # a line this close makes the extended block singular
+                pass
+            assert raised == duplicate
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_line_rejected(self, bad):
@@ -580,3 +612,60 @@ class TestSchurSolveRoute:
         schur, kept, dropped, condition = _eigh_route(bundle)
         np.testing.assert_array_equal(report.schur, schur)
         assert (kept, dropped, report.condition) == (57, 3, condition)
+
+
+def singular_reference(matrix, cutoff):
+    """The former kernel._is_singular rule, verbatim."""
+    vals = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
+    return bool(vals[0] <= cutoff * max(vals[-1], 1.0))
+
+
+class TestSingularityDecision:
+    @pytest.mark.parametrize("multiple", [0.5, 1.0, 3.0])
+    def test_kernel_block_decision_matches_former_rule(self, multiple):
+        from porcupine.kernel import PINV_CUTOFF, _cutoff_drops_any
+
+        r = 40
+        lam = np.linspace(1.0, 2.0, r)
+        lam[0] = multiple * PINV_CUTOFF * lam[-1]
+        bundle = synthetic_bundle(lam, 6, (36, r))
+        singular = singular_reference(bundle.psi_lines, PINV_CUTOFF)
+        assert _cutoff_drops_any(bundle.psi_lines) == singular
+        if multiple != 1.0:  # exactly at the cutoff, rounding decides
+            assert singular == (multiple < 1.0)
+        report = p.schur_complement(bundle)
+        new_line = np.random.default_rng(39).standard_normal(4)
+        messages = []
+        for call in (lambda: p.add_line_update(report, bundle, new_line),
+                     lambda: p.bad_region_loss(bundle, bundle.lines, np.ones(6))):
+            try:
+                call()
+            except SingularKernel as exc:
+                messages.append(str(exc))
+            else:
+                messages.append(None)
+        expected = ("model-line kernel block is numerically singular",
+                    "line kernel matrix is numerically singular")
+        assert [m == e for m, e in zip(messages, expected)] == [singular, singular]
+
+    def test_projector_decision_matches_former_rule(self):
+        from porcupine.kernel import PINV_CUTOFF, _cutoff_drops_any
+
+        outcomes = set()
+        for seed in range(40):
+            d = 2 + seed % 5
+            r = 1 + (seed * 7) % 9
+            lines = p.random_line_set(d, r, (40, seed))
+            U = lines.unit_vectors
+            singular = singular_reference(U @ U.T, PINV_CUTOFF)
+            assert _cutoff_drops_any(U @ U.T) == singular
+            outcomes.add(singular)
+            bundle = p.kernel_bundle(lines, lines)
+            try:
+                p.bad_region_stationary(lines, bundle, np.ones(r), np.ones(r))
+            except SingularProjector:
+                raised = True
+            else:
+                raised = False
+            assert raised == singular
+        assert outcomes == {True, False}
