@@ -5,11 +5,16 @@ to a fixed line through the origin.  This module owns the geometry: every
 line is represented by a canonically oriented unit vector, a line set
 carries the Gram matrix of pairwise cosines, and a weight matrix
 decomposes into per-line mass and per-neuron orientation signs.
+
+A neuron's place on its line is read once, as the signed scalar
+``c = u' w`` of its column ``w`` on the line's canonical vector ``u``.
+Its orientation is the sign of ``c``; its feasibility is the residual
+``||w - c u||`` against FEASIBILITY_TOL.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -198,6 +203,11 @@ def build_line_set(raw_vectors, collinearity_tol: float = COLLINEARITY_TOL) -> L
     return _assemble_line_set(units)
 
 
+def axes_line_set(d: int) -> LineSet:
+    """The standard coordinate axes as a line set."""
+    return build_line_set(np.eye(d))
+
+
 def cross_gram(a: LineSet, b: LineSet) -> np.ndarray:
     """Pairwise cosines between the lines of ``a`` (rows) and ``b`` (columns)."""
     if a.dim != b.dim:
@@ -350,6 +360,41 @@ class RegionSignature:
         return sum(o in ({+1}, {-1}) for o in self._orientations)
 
 
+def _line_coordinates(matrix: np.ndarray, units: np.ndarray):
+    """Each column ``w`` of ``matrix`` read on the unit vector ``u`` in the
+    same column of ``units``: ``(c, norms, residuals)`` with ``c = u' w``,
+    ``||w||`` and ``||w - c u||``."""
+    scales = np.einsum("dk,dk->k", units, matrix)
+    norms = np.linalg.norm(matrix, axis=0)
+    residuals = np.linalg.norm(matrix - units * scales, axis=0)
+    return scales, norms, residuals
+
+
+def _off_line(norms: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """True for each column that is not zero (norm above ZERO_TOL) and
+    lies more than FEASIBILITY_TOL * max(1, norm) off its line; a
+    non-finite column is off its line."""
+    bound = FEASIBILITY_TOL * np.maximum(1.0, norms)
+    return ~(norms <= ZERO_TOL) & ~(residuals <= bound)
+
+
+def _signature(scales, norms, neuron_map: NeuronLineMap) -> RegionSignature:
+    """Orientation signature: neuron ``i`` takes the sign of its scalar
+    ``scales[i]``; a column of norm at most ZERO_TOL is zero, with a +1
+    placeholder."""
+    nonzero = ~(norms <= ZERO_TOL)  # a NaN norm is not zero
+    flags = np.where(nonzero & (scales < 0.0), -1, 1)
+    assignment = np.asarray(neuron_map.assignment)
+    order = np.argsort(assignment, kind="stable")
+    edges = [0, *np.cumsum(np.bincount(assignment)).tolist()]
+    signs = flags[order].tolist()
+    active = nonzero[order].tolist()
+    return RegionSignature(
+        signs=tuple(tuple(signs[a:b]) for a, b in zip(edges, edges[1:])),
+        nonzero=tuple(tuple(active[a:b]) for a, b in zip(edges, edges[1:])),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class PNNWeights:
     """A ``d x k`` weight matrix tied to a line configuration.
@@ -357,12 +402,14 @@ class PNNWeights:
     Entries must be finite (DomainError otherwise).  Every non-zero
     column must lie on its assigned line within FEASIBILITY_TOL (relative
     to max(1, column norm)); zero columns are legal, they arise
-    transiently during optimization.
+    transiently during optimization.  ``scales[i]`` is neuron ``i``'s
+    signed scalar on the canonical vector of its line.
     """
 
     matrix: np.ndarray
     line_set: LineSet
     neuron_map: NeuronLineMap
+    scales: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
@@ -390,19 +437,20 @@ class PNNWeights:
         self._check_feasible()
 
     def _check_feasible(self):
+        """Read every column on its line, keep the scalars as ``scales``,
+        and raise InfeasibleWeights on the first column off its line."""
         assignment = self.neuron_map.assignment
-        U = self.line_set.unit_vectors[:, list(assignment)]
-        norms = np.linalg.norm(self.matrix, axis=0)
-        residuals = np.linalg.norm(
-            self.matrix - U * np.einsum("dk,dk->k", U, self.matrix), axis=0
-        )
-        bad = (norms > ZERO_TOL) & (residuals > FEASIBILITY_TOL * np.maximum(1.0, norms))
+        units = self.line_set.unit_vectors[:, list(assignment)]
+        scales, norms, residuals = _line_coordinates(self.matrix, units)
+        bad = _off_line(norms, residuals)
         if bad.any():
             i = int(np.argmax(bad))
             raise InfeasibleWeights(
                 "column %d deviates from line %d by %.3g"
                 % (i, assignment[i], float(residuals[i]))
             )
+        scales.flags.writeable = False
+        object.__setattr__(self, "scales", scales)
 
     @property
     def dim(self) -> int:
@@ -422,43 +470,16 @@ class PNNWeights:
         )
 
 
-def signature_from_matrix(matrix, neuron_map: NeuronLineMap) -> RegionSignature:
-    """Orientation signature of arbitrary columns grouped by their lines.
-
-    A column of norm at most ZERO_TOL is recorded as zero with a +1 flag;
-    any other column gets the flag of ``canonicalize_vector``: the sign of
-    its last entry whose normalized magnitude exceeds ZERO_TOL.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    norms = np.linalg.norm(matrix, axis=0)
-    nonzero = ~(norms <= ZERO_TOL)  # a NaN norm is not zero
-    flags = np.ones(matrix.shape[1], dtype=int)
-    regular = np.flatnonzero(nonzero & np.isfinite(norms))
-    unit = matrix[:, regular] / norms[regular]
-    last = unit.shape[0] - 1 - np.argmax(np.abs(unit[::-1]) > ZERO_TOL, axis=0)
-    flags[regular] = np.where(unit[last, np.arange(len(regular))] > 0, 1, -1)
-    # Non-finite norms: canonicalize_vector rescales or raises DomainError.
-    for i in np.flatnonzero(~np.isfinite(norms)):
-        flags[i] = canonicalize_vector(matrix[:, i])[1]
-    assignment = np.asarray(neuron_map.assignment)
-    order = np.argsort(assignment, kind="stable")
-    edges = [0, *np.cumsum(np.bincount(assignment)).tolist()]
-    signs = flags[order].tolist()
-    active = nonzero[order].tolist()
-    return RegionSignature(
-        signs=tuple(tuple(signs[a:b]) for a, b in zip(edges, edges[1:])),
-        nonzero=tuple(tuple(active[a:b]) for a, b in zip(edges, edges[1:])),
-    )
-
-
 def decompose_weights(weights: PNNWeights):
     """Split a feasible weight matrix into per-line mass and signs.
 
     Returns ``(q, signature)`` where ``q[l]`` is the sum of column norms
-    over the neurons assigned to line ``l``.  Zero columns contribute no
-    mass and a +1 placeholder sign.
+    over the neurons assigned to line ``l`` and each neuron's sign is that
+    of its scalar on its line.  Zero columns contribute no mass and a +1
+    placeholder sign.
     """
-    return _line_masses(weights), signature_from_matrix(weights.matrix, weights.neuron_map)
+    norms = np.linalg.norm(weights.matrix, axis=0)
+    return _line_masses(weights), _signature(weights.scales, norms, weights.neuron_map)
 
 
 def _line_masses(weights: PNNWeights) -> np.ndarray:
@@ -494,6 +515,10 @@ def weights_from_columns(
 
     Collinear columns (within ``collinearity_tol``) share a line; every
     other column gets its own line.  Raises ZeroVector on zero columns.
+    The line of a group is that of its first column, and every column is
+    then held to it by the PNNWeights rule: a column within
+    ``collinearity_tol`` of an earlier column's line but more than
+    FEASIBILITY_TOL off it raises InfeasibleWeights.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:

@@ -18,18 +18,11 @@ from .errors import (
     ConfigMismatch,
     DimensionMismatch,
     DomainError,
-    InfeasibleWeights,
     ParameterOutOfRange,
     ZeroVector,
 )
 from .kernel import _column_angles, kernel_bundle, psi
-from .lines import (
-    FEASIBILITY_TOL,
-    NeuronLineMap,
-    PNNWeights,
-    ZERO_TOL,
-    _line_masses,
-)
+from .lines import NeuronLineMap, PNNWeights, ZERO_TOL, _line_masses, axes_line_set
 
 _MC_CHUNK_PAIRS = 1 << 16
 
@@ -134,51 +127,20 @@ def scalar_risk(w, w_star) -> RiskBreakdown:
     return RiskBreakdown(linear_term=linear, kernel_term=kernel)
 
 
-def _axis_masses(matrix: np.ndarray, neuron_map: NeuronLineMap) -> np.ndarray:
-    """Per axis, the sum of ``|w_i[axis]|`` over its neurons in neuron order;
-    InfeasibleWeights names the first column with mass off its axis."""
-    axes = np.asarray(neuron_map.assignment)
-    neurons = np.arange(len(axes))
-    off_axis = matrix.copy()
-    off_axis[axes, neurons] = 0.0
-    off_norms = np.linalg.norm(off_axis, axis=0)
-    bad = off_norms > FEASIBILITY_TOL * np.maximum(1.0, np.linalg.norm(matrix, axis=0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InfeasibleWeights("column %d is not on axis %d (off-axis norm %.3g)"
-                                % (i, axes[i], off_norms[i]))
-    return np.bincount(axes, weights=np.abs(matrix[axes, neurons]), minlength=matrix.shape[0])
-
-
 def degree_one_risk(W, W_star, neuron_map: NeuronLineMap) -> RiskBreakdown:
     """Closed form when every neuron is wired to a single input.
 
-    The mass quadratic form uses the matrix with unit diagonal and 2/pi
-    everywhere else, which is exactly the kernel matrix of the standard
-    axes.
+    This is the matched risk on the standard axes, whose kernel matrix
+    ``psi(I)`` is exactly 1 on the diagonal and 2/pi everywhere else.
+    Columns off their axes raise InfeasibleWeights, non-finite entries
+    DomainError.
     """
     A = _as_matrix(W)
     B = _as_matrix(W_star)
     if A.shape != B.shape:
         raise DimensionMismatch("weight matrices must share a shape")
-    d = A.shape[0]
-    if neuron_map.num_lines != d:
-        raise DimensionMismatch(
-            "map covers %d axes but inputs have d=%d" % (neuron_map.num_lines, d)
-        )
-    if neuron_map.num_neurons != A.shape[1]:
-        raise DimensionMismatch("map has k=%d but weights have k=%d"
-                                % (neuron_map.num_neurons, A.shape[1]))
-    q = _axis_masses(A, neuron_map)
-    q_star = _axis_masses(B, neuron_map)
-    diff = A.sum(axis=1) - B.sum(axis=1)
-    C = np.full((d, d), 2.0 / np.pi)
-    np.fill_diagonal(C, 1.0)
-    dq = q - q_star
-    return RiskBreakdown(
-        linear_term=0.25 * float(diff @ diff),
-        kernel_term=0.25 * float(dq @ C @ dq),
-    )
+    axes = axes_line_set(A.shape[0])
+    return matched_risk(PNNWeights(A, axes, neuron_map), PNNWeights(B, axes, neuron_map))
 
 
 def matched_risk(weights: PNNWeights, weights_star: PNNWeights) -> RiskBreakdown:

@@ -22,18 +22,18 @@ from .lines import (
     NeuronLineMap,
     PNNWeights,
     RegionSignature,
-    ZERO_TOL,
-    build_line_set,
+    _line_coordinates,
+    _off_line,
+    _signature,
+    axes_line_set,
     random_line_set,
-    signature_from_matrix,
+    weights_from_masses,
 )
 from .risk import network_output
 
 GLOBAL = "Global"
 BAD_LOCAL = "BadLocal"
 NOT_CONVERGED = "NotConverged"
-
-LINE_DEVIATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,8 @@ class TrainResult:
 
     ``max_line_deviation`` is the largest distance of a final column from
     its assigned line, measured once on ``final_matrix``;
-    ``line_feasibility_ok`` says it is at most ``LINE_DEVIATION_TOL``.
+    ``line_feasibility_ok`` says every column passes the PNNWeights rule,
+    so ``final_weights()`` constructs exactly when it is True.
     """
 
     final_train_loss: float
@@ -163,14 +164,7 @@ def init_random_pnn(d: int, r: int, seed):
     scales = np.empty(2 * r)
     scales[0::2] = rng.uniform(0.0, 1.0, size=r)
     scales[1::2] = rng.uniform(-1.0, 0.0, size=r)
-    matrix = line_set.unit_vectors[:, list(assignment)] * scales[None, :]
-    weights = PNNWeights(matrix=matrix, line_set=line_set, neuron_map=neuron_map)
-    return line_set, neuron_map, weights
-
-
-def _line_deviation(matrix: np.ndarray, units: np.ndarray) -> float:
-    residual = matrix - units * np.einsum("dk,dk->k", units, matrix)[None, :]
-    return float(np.max(np.linalg.norm(residual, axis=0)))
+    return line_set, neuron_map, weights_from_masses(line_set, neuron_map, scales)
 
 
 def _run_epochs(n: int, config: TrainConfig, step) -> list:
@@ -231,7 +225,7 @@ def _train_line_coordinates(X, y, init_weights: PNNWeights, units, config):
     np.maximum(Q[:, :r], 0.0, out=Q[:, :r])
     line = np.asarray(init_weights.neuron_map.assignment)
     shifted = line + r
-    c = np.einsum("dk,dk->k", units, init_weights.matrix)
+    c = init_weights.scales
     velocity = np.zeros_like(c)
     momentum = config.momentum
 
@@ -283,11 +277,13 @@ def sgd_train(
     ``projection`` on, each neuron's gradient is replaced by its component
     along the neuron's line before the update; the run then trains the
     neurons' signed scalars on their lines directly (the start point is
-    the init projected on its lines).  With it off, the full matrix is
+    the init's scalars on its lines).  With it off, the full matrix is
     trained.  Returns the last state (no best-iterate selection), with
     per-epoch mean losses recorded.  Raises Diverged after the first
-    batch whose loss makes the epoch's running loss non-finite.
-    ``max_line_deviation`` is measured on the final matrix.
+    batch whose loss makes the epoch's running loss non-finite.  The
+    final matrix is read on its lines once: each neuron's orientation is
+    the sign of its scalar there, and ``max_line_deviation`` and
+    ``line_feasibility_ok`` come from the residuals.
     """
     X, y = data
     X = np.asarray(X, dtype=float)
@@ -302,7 +298,7 @@ def sgd_train(
         W, trajectory = _train_line_coordinates(X, y, init_weights, units, config)
     else:
         W, trajectory = _train_columns(X, y, init_weights, config)
-    deviation = _line_deviation(W, units)
+    scales, norms, residuals = _line_coordinates(W, units)
 
     if test_data is not None:
         X_test, y_test = test_data
@@ -317,9 +313,9 @@ def sgd_train(
         final_train_loss=trajectory[-1],
         final_test_loss_normalized=normalized,
         epochs_run=len(trajectory),
-        final_signature=signature_from_matrix(W, init_weights.neuron_map),
-        line_feasibility_ok=deviation <= LINE_DEVIATION_TOL,
-        max_line_deviation=deviation,
+        final_signature=_signature(scales, norms, init_weights.neuron_map),
+        line_feasibility_ok=not _off_line(norms, residuals).any(),
+        max_line_deviation=float(np.max(residuals)),
         trajectory=tuple(trajectory),
         final_matrix=W,
         line_set=init_weights.line_set,
@@ -360,9 +356,7 @@ def classify_outcome(
             violated_lines=violated,
         )
     stationary = None
-    if result.line_feasibility_ok and np.all(
-        np.linalg.norm(result.final_matrix, axis=0) > ZERO_TOL
-    ):
+    if result.line_feasibility_ok and all(map(all, signature.nonzero)):
         stationary = stationarity_check(
             result.final_weights(), w_star, tol=stationarity_tol
         )
@@ -379,11 +373,6 @@ def classify_outcome(
         stationary=stationary,
         violated_lines=violated,
     )
-
-
-def axes_line_set(d: int) -> LineSet:
-    """The standard coordinate axes as a line set."""
-    return build_line_set(np.eye(d))
 
 
 def degree_one_map(d: int, k: int) -> NeuronLineMap:
@@ -433,21 +422,11 @@ def experiment_matched_degree_one(
     for trial in range(trials):
         seq = np.random.SeedSequence((config.seed, trial))
         s_data, s_truth, s_init, s_train = seq.spawn(4)
-        rng = np.random.default_rng(s_truth)
-        truth = PNNWeights(
-            matrix=line_set.unit_vectors[:, list(neuron_map.assignment)]
-            * rng.standard_normal(k)[None, :],
-            line_set=line_set,
-            neuron_map=neuron_map,
-        )
+        truth_scales = np.random.default_rng(s_truth).standard_normal(k)
+        truth = weights_from_masses(line_set, neuron_map, truth_scales)
         X, y = generate_dataset(truth, n_train + n_test, s_data)
-        rng_init = np.random.default_rng(s_init)
-        init = PNNWeights(
-            matrix=line_set.unit_vectors[:, list(neuron_map.assignment)]
-            * rng_init.standard_normal(k)[None, :],
-            line_set=line_set,
-            neuron_map=neuron_map,
-        )
+        init_scales = np.random.default_rng(s_init).standard_normal(k)
+        init = weights_from_masses(line_set, neuron_map, init_scales)
         trial_config = replace(
             config, seed=int(np.random.default_rng(s_train).integers(2**31))
         )

@@ -309,52 +309,69 @@ def signature_reference(matrix, neuron_map):
 
 
 class TestSignatureFromMatrix:
+    """The signature decompose_weights reads off a weight matrix (the sign
+    of each neuron's scalar on its line) against signature_reference's
+    pivot rule, on line sets where the two rules must agree."""
+
     @pytest.mark.parametrize("per_line", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_column_loop(self, per_line, seed):
         rng = np.random.default_rng(seed)
         d, r = 4, 5
         k = per_line * r
+        # The last pivot entry of line 2 is just below ZERO_TOL (the pivot
+        # moves up), that of line 3 just above it, and line 4 is an axis.
+        raw = rng.standard_normal((d, r))
+        raw[:, 2] = [0.6, -0.8, 0.0, -0.5e-12]
+        raw[:, 3] = [0.6, 0.8, 0.0, -2e-12]
+        raw[:, 4] = [0.0, 0.0, -3.0, 0.0]
+        ls = p.build_line_set(raw.T)
         assignment = tuple(rng.permutation(np.repeat(np.arange(r), per_line)))
         m = p.NeuronLineMap(num_neurons=k, assignment=assignment)
-        matrix = rng.standard_normal((d, k))
+        masses = rng.standard_normal(k)
         special = rng.permutation(k)
-        matrix[:, special[0]] = 0.0
+        masses[special[0]] = 0.0
         if k > 1:
-            matrix[:, special[1]] *= 1e-14  # below ZERO_TOL
-        if k > 2:
-            # Last entry of |unit| just below ZERO_TOL: the pivot moves up.
-            matrix[:, special[2]] = [0.6, -0.8, 0.0, -0.5e-12]
-        if k > 3:
-            # Last entry just above ZERO_TOL: it is the pivot.
-            matrix[:, special[3]] = [0.6, 0.8, 0.0, -2e-12]
-        if k > 4:
-            matrix[:, special[4]] = [0.0, 0.0, -3.0, 0.0]
-        got = p.signature_from_matrix(matrix, m)
-        signs, nonzero = signature_reference(matrix, m)
+            masses[special[1]] *= 1e-14  # below ZERO_TOL
+        w = p.weights_from_masses(ls, m, masses)
+        got = p.decompose_weights(w)[1]
+        signs, nonzero = signature_reference(w.matrix, m)
         assert got.signs == signs
         assert got.nonzero == nonzero
         assert all(type(s) is int for line in got.signs for s in line)
         assert all(type(z) is bool for line in got.nonzero for z in line)
 
     def test_near_pivot_flags(self):
-        m = p.NeuronLineMap(num_neurons=2, assignment=(0, 0))
+        ls = p.build_line_set([[0.6, -0.8, -0.5e-12], [0.6, 0.8, -2e-12]])
+        m = p.NeuronLineMap(num_neurons=2, assignment=(0, 1))
         matrix = np.array([[0.6, 0.6], [-0.8, 0.8], [-0.5e-12, -2e-12]])
-        assert p.signature_from_matrix(matrix, m).signs == ((-1, -1),)
+        w = p.PNNWeights(matrix, ls, m)
+        assert p.decompose_weights(w)[1].signs == ((-1,), (-1,))
 
     def test_overflowing_column_is_rescaled(self):
-        m = p.NeuronLineMap(num_neurons=2, assignment=(0, 0))
+        ls = p.build_line_set([[1.0, -1.0], [1.0, 2.0]])
+        m = p.NeuronLineMap(num_neurons=2, assignment=(0, 1))
         matrix = np.array([[1e200, 1.0], [-1e200, 2.0]])
         with np.errstate(over="ignore"):
-            got = p.signature_from_matrix(matrix, m)
+            got = p.decompose_weights(p.PNNWeights(matrix, ls, m))[1]
             assert (got.signs, got.nonzero) == signature_reference(matrix, m)
-        assert got.signs == ((-1, 1),)
+        assert got.signs == ((-1,), (1,))
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_column_rejected(self, bad):
-        m = p.NeuronLineMap(num_neurons=2, assignment=(0, 0))
+        ls = p.build_line_set([[1.0, 0.0], [0.0, 1.0]])
+        m = p.NeuronLineMap(num_neurons=2, assignment=(0, 1))
         with pytest.raises(DomainError):
-            p.signature_from_matrix(np.array([[1.0, bad], [0.0, 1.0]]), m)
+            p.decompose_weights(p.PNNWeights(np.array([[1.0, 0.0], [0.0, bad]]), ls, m))
+
+    def test_orientation_is_the_sign_on_the_line(self):
+        # (-1, 5e-10) lies on the first axis within FEASIBILITY_TOL; its
+        # last significant entry is positive, its scalar on the axis is -1.
+        ls = p.axes_line_set(2)
+        m = p.NeuronLineMap(num_neurons=2, assignment=(0, 1))
+        w = p.PNNWeights(np.array([[-1.0, 0.0], [5e-10, 1.0]]), ls, m)
+        assert p.decompose_weights(w)[1].signs == ((-1,), (1,))
+        assert w.scales.tolist() == [-1.0, 1.0]
 
 
 def feasibility_reference(matrix, line_set, neuron_map):

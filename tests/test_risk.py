@@ -208,7 +208,9 @@ class TestDegreeOneRisk:
 
     @staticmethod
     def axis_masses_reference(matrix, neuron_map):
-        """risk._axis_masses' former per-column loop."""
+        """Per axis, the sum of the column norms ||w_i|| of its neurons (the
+        paper's masses), one column at a time; InfeasibleWeights names the
+        first column off its axis."""
         q = np.zeros(matrix.shape[0])
         for i, axis in enumerate(neuron_map.assignment):
             col = matrix[:, i]
@@ -216,30 +218,42 @@ class TestDegreeOneRisk:
             norm = float(np.linalg.norm(col))
             if off_axis > 1e-9 * max(1.0, norm):
                 raise InfeasibleWeights(
-                    "column %d is not on axis %d (off-axis norm %.3g)" % (i, axis, off_axis)
+                    "column %d deviates from line %d by %.3g" % (i, axis, off_axis)
                 )
-            q[axis] += abs(col[axis])
+            q[axis] += norm
         return q
+
+    @classmethod
+    def risk_reference(cls, W, W_star, neuron_map):
+        """Degree-one risk from the reference masses and the hand-built
+        kernel matrix: 1 on the diagonal, 2/pi elsewhere."""
+        d = W.shape[0]
+        dq = cls.axis_masses_reference(W, neuron_map) - cls.axis_masses_reference(
+            W_star, neuron_map)
+        diff = W.sum(axis=1) - W_star.sum(axis=1)
+        C = np.full((d, d), 2.0 / np.pi)
+        np.fill_diagonal(C, 1.0)
+        return 0.25 * float(diff @ diff), 0.25 * float(dq @ C @ dq)
 
     @pytest.mark.parametrize("d, k", [(1, 3), (3, 9), (6, 40)])
     def test_axis_masses_match_per_column_loop(self, d, k):
-        from porcupine.risk import _axis_masses
-
         rng = np.random.default_rng(d)
         assignment = tuple(np.r_[np.arange(d), rng.integers(0, d, k - d)].tolist())
         neuron_map = p.NeuronLineMap(num_neurons=k, assignment=assignment)
-        W = np.zeros((d, k))
-        W[list(assignment), np.arange(k)] = rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3, k)
-        W[:, k // 2] = 0.0
-        # Off-axis entries inside the relative feasibility tolerance.
-        W += 1e-11 * rng.uniform(-1, 1, (d, k)) * np.maximum(1.0, np.abs(W).sum(axis=0))
-        np.testing.assert_array_equal(_axis_masses(W, neuron_map),
-                                      self.axis_masses_reference(W, neuron_map))
+        pair = []
+        for _ in range(2):
+            W = np.zeros((d, k))
+            W[list(assignment), np.arange(k)] = (rng.standard_normal(k)
+                                                 * 10.0 ** rng.uniform(-3, 3, k))
+            W[:, k // 2] = 0.0
+            # Off-axis entries inside the relative feasibility tolerance.
+            W += 1e-11 * rng.uniform(-1, 1, (d, k)) * np.maximum(1.0, np.abs(W).sum(axis=0))
+            pair.append(W)
+        got = p.degree_one_risk(*pair, neuron_map)
+        assert (got.linear_term, got.kernel_term) == self.risk_reference(*pair, neuron_map)
 
     @pytest.mark.parametrize("bad", [(2, 5), (0, 1), (4, 0)])
     def test_first_off_axis_column_is_named(self, bad):
-        from porcupine.risk import _axis_masses
-
         neuron_map = p.NeuronLineMap(num_neurons=6, assignment=(0, 1, 2, 0, 1, 2))
         W = np.zeros((3, 6))
         W[list(neuron_map.assignment), np.arange(6)] = np.arange(1.0, 7.0)
@@ -247,10 +261,19 @@ class TestDegreeOneRisk:
             W[(neuron_map.assignment[column] + 1) % 3, column] = 0.25 * (column + 1)
         with pytest.raises(InfeasibleWeights) as expected:
             self.axis_masses_reference(W, neuron_map)
-        with pytest.raises(InfeasibleWeights) as info:
-            _axis_masses(W, neuron_map)
-        assert str(info.value) == str(expected.value)
+        for pair in ((W, np.eye(3, 6)), (np.eye(3, 6), W)):
+            with pytest.raises(InfeasibleWeights) as info:
+                p.degree_one_risk(*pair, neuron_map)
+            assert str(info.value) == str(expected.value)
         assert str(info.value).startswith("column %d " % min(bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        neuron_map = p.NeuronLineMap(num_neurons=2, assignment=(0, 1))
+        W = np.array([[1.0, 0.0], [0.0, bad]])
+        for pair in ((W, np.eye(2)), (np.eye(2), W)):
+            with pytest.raises(DomainError):
+                p.degree_one_risk(*pair, neuron_map)
 
     def test_neuron_count_mismatch_rejected(self):
         neuron_map = p.NeuronLineMap(num_neurons=2, assignment=(0, 1))

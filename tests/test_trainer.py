@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import porcupine as p
-from porcupine.errors import ConfigError, Diverged
+from porcupine.errors import ConfigError, Diverged, InfeasibleWeights
 
 
 def scalar_setup(w_star_values):
@@ -121,6 +121,21 @@ class TestSgdTrain:
         _, _, init = p.init_random_pnn(4, 5, seq[2])
         config = p.TrainConfig(batch_size=100, epochs=20, learning_rate=0.01, seed=10)
         result = p.sgd_train((X, y), init, config, projection=False)
+        assert not result.line_feasibility_ok
+
+    def test_slightly_unprojected_run_is_classified(self):
+        # One epoch of tiny steps leaves the columns about 2e-7 off their
+        # lines: far outside FEASIBILITY_TOL, so the run is not feasible
+        # and classify_outcome labels it without building its weights.
+        seq = np.random.SeedSequence(99).spawn(3)
+        _, _, truth = p.init_random_pnn(4, 3, seq[0])
+        X, y = p.generate_dataset(truth, 2000, seq[1])
+        _, _, init = p.init_random_pnn(4, 5, seq[2])
+        config = p.TrainConfig(batch_size=100, epochs=1, learning_rate=1e-8, seed=10)
+        result = p.sgd_train((X, y), init, config, projection=False)
+        assert 1e-7 < result.max_line_deviation < 1e-6
+        report = p.classify_outcome(result, truth)
+        assert report.outcome in (p.GLOBAL, p.BAD_LOCAL, p.NOT_CONVERGED)
         assert not result.line_feasibility_ok
 
     def test_deterministic(self):
@@ -277,11 +292,23 @@ class TestLineCoordinateTrainer:
         np.testing.assert_allclose(got.final_matrix, want_matrix, rtol=1e-12, atol=0)
         np.testing.assert_allclose(got.trajectory, want_trajectory, rtol=1e-12, atol=0)
         assert got.epochs_run == len(want_trajectory)
-        assert got.final_signature == p.signature_from_matrix(
-            want_matrix, init.neuron_map
-        )
+        assert got.final_signature == p.decompose_weights(got.final_weights())[1]
         assert got.line_feasibility_ok
         assert got.max_line_deviation <= 1e-12
+
+    @pytest.mark.parametrize("projection", [True, False])
+    @pytest.mark.parametrize("name", TRAINER_CASES)
+    def test_feasible_exactly_when_final_weights_construct(self, name, projection):
+        data, init, config = _trainer_case(name)
+        result = p.sgd_train(data, init, config, projection=projection)
+        try:
+            result.final_weights()
+            constructs = True
+        except InfeasibleWeights:
+            constructs = False
+        assert result.line_feasibility_ok == constructs
+        if projection:
+            assert constructs
 
     def test_cases_cover_their_features(self):
         data, init, config = _trainer_case("zero_mass")
