@@ -123,8 +123,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-    parser.add_argument("--mc-samples", type=int, default=None,
-                        help="Monte Carlo sample count (enables MC cross-checks)")
 
 
 def _random_instance(d, r, k, seed, scale=1.0):
@@ -138,6 +136,8 @@ def _random_instance(d, r, k, seed, scale=1.0):
 
 
 def _cmd_risk(args) -> None:
+    if args.mc_samples is not None and args.mc_samples < 1:
+        raise ValidationError("--mc-samples must be >= 1")
     # (name, model, target, closed-form breakdown) per row; the model and
     # target are what monte_carlo_risk takes.
     instances = []
@@ -355,6 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_risk.add_argument("--k", type=int)
     p_risk.add_argument("--r-star", type=int, dest="r_star")
     p_risk.add_argument("--k-star", type=int, dest="k_star")
+    p_risk.add_argument("--mc-samples", type=int, default=None,
+                        help="Monte Carlo sample count (enables MC cross-checks)")
     _add_common(p_risk)
     p_risk.set_defaults(func=_cmd_risk)
 
@@ -422,8 +424,6 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValidationError("--threads must be >= 1")
-        if args.mc_samples is not None and args.mc_samples < 1:
-            raise ValidationError("--mc-samples must be >= 1")
         if args.command == "train" and args.samples is None:
             args.samples = 2000 if args.mode == "matched" else 4000
         args.func(args)

@@ -20,6 +20,7 @@ from .lines import LineSet, build_line_set, cross_gram
 
 CLAMP_EPS = 1e-9
 PINV_CUTOFF = 1e-10
+ASYM_TOL = 1e-9
 
 
 def psi(x):
@@ -65,17 +66,28 @@ def equiangular_2d(r: int) -> LineSet:
     return build_line_set(np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
-def _require_symmetric(matrix, tol: float) -> np.ndarray:
+def _require_symmetric(matrix) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch("expected a square matrix")
     # Kernel blocks are exactly symmetric, and then (m + m') / 2 is m itself.
     if np.array_equal(matrix, matrix.T):
         return matrix
-    if matrix.size and np.max(np.abs(matrix - matrix.T)) > tol:
+    if matrix.size and np.max(np.abs(matrix - matrix.T)) > ASYM_TOL:
         raise NotSymmetric("asymmetry %.3g exceeds %.3g"
-                           % (float(np.max(np.abs(matrix - matrix.T))), tol))
+                           % (float(np.max(np.abs(matrix - matrix.T))), ASYM_TOL))
     return (matrix + matrix.T) / 2.0
+
+
+def _spectral_input(matrix) -> np.ndarray:
+    """The public spectral helpers' input: non-empty (ParameterOutOfRange),
+    finite (DomainError) and symmetric within ASYM_TOL."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.size == 0:
+        raise ParameterOutOfRange("expected a non-empty matrix")
+    if not np.isfinite(matrix).all():
+        raise DomainError("matrix entries must be finite")
+    return _require_symmetric(matrix)
 
 
 def _norm_and_min(sym: np.ndarray):
@@ -85,53 +97,52 @@ def _norm_and_min(sym: np.ndarray):
     return float(max(abs(vals[0]), abs(vals[-1]))), float(vals[0])
 
 
-def min_eigenvalue(matrix, asym_tol: float = 1e-9) -> float:
+def min_eigenvalue(matrix) -> float:
     """Smallest eigenvalue via a full symmetric eigendecomposition."""
-    return _norm_and_min(_require_symmetric(matrix, asym_tol))[1]
+    return _norm_and_min(_spectral_input(matrix))[1]
 
 
-def spectral_norm(matrix, asym_tol: float = 1e-9) -> float:
+def spectral_norm(matrix) -> float:
     """Operator norm of a symmetric matrix (largest |eigenvalue|)."""
-    return _norm_and_min(_require_symmetric(matrix, asym_tol))[0]
+    return _norm_and_min(_spectral_input(matrix))[0]
 
 
-def _inverted_spectrum(matrix, cutoff: float = PINV_CUTOFF, asym_tol: float = 1e-9,
-                       vectors: bool = True):
+def _inverted_spectrum(matrix, vectors: bool = True):
     """Eigenvectors of a symmetric matrix and its inverted eigenvalues.
 
     Returns ``(vecs, inv)`` with ``pinv(matrix) = vecs diag(inv) vecs'``.
-    Eigenvalues with magnitude at most ``cutoff`` times the largest
+    Eigenvalues with magnitude at most PINV_CUTOFF times the largest
     magnitude are treated as zero (their ``inv`` entry is 0); this is the
     one place the pseudo-inverse cutoff is applied.  With ``vectors=False``
     only the eigenvalues are computed and ``vecs`` is None.
     """
-    sym = _require_symmetric(matrix, asym_tol)
+    sym = _require_symmetric(matrix)
     if vectors:
         vals, vecs = np.linalg.eigh(sym)
     else:
         vals, vecs = np.linalg.eigvalsh(sym), None
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    keep = np.abs(vals) > cutoff * scale
+    keep = np.abs(vals) > PINV_CUTOFF * scale
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / vals[keep]
     return vecs, inv
 
 
-def _cutoff_keeps_all(sym: np.ndarray, cutoff: float = PINV_CUTOFF) -> bool:
+def _cutoff_keeps_all(sym: np.ndarray) -> bool:
     """True when ``sym`` is positive definite and the cutoff of
     ``_inverted_spectrum`` would keep every one of its eigenvalues.
 
-    One Cholesky factorization of ``sym - tau I`` with ``tau = cutoff``
+    One Cholesky factorization of ``sym - tau I`` with ``tau`` PINV_CUTOFF
     times the largest absolute row sum decides it: the row sum bounds the
     largest |eigenvalue| from above, so a factorization that succeeds
-    proves every eigenvalue exceeds ``cutoff`` times the largest.  A
+    proves every eigenvalue exceeds the cutoff times the largest.  A
     failure proves nothing; the caller then takes the eigendecomposition.
     ``sym`` must be symmetric (only its lower triangle is read).
     """
     if sym.size == 0:
         return False
     shifted = np.array(sym)
-    shifted.flat[:: sym.shape[0] + 1] -= cutoff * float(np.max(np.abs(sym).sum(axis=1)))
+    shifted.flat[:: sym.shape[0] + 1] -= PINV_CUTOFF * float(np.max(np.abs(sym).sum(axis=1)))
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -139,24 +150,23 @@ def _cutoff_keeps_all(sym: np.ndarray, cutoff: float = PINV_CUTOFF) -> bool:
     return True
 
 
-def _cutoff_drops_any(sym: np.ndarray, cutoff: float = PINV_CUTOFF) -> bool:
+def _cutoff_drops_any(sym: np.ndarray) -> bool:
     """True when the cutoff of ``_inverted_spectrum`` zeroes an eigenvalue
     of the symmetric ``sym`` (it is numerically singular).  Eigenvalues are
     computed only when the guard ``_cutoff_keeps_all`` fails."""
-    if _cutoff_keeps_all(sym, cutoff):
+    if _cutoff_keeps_all(sym):
         return False
-    return not _inverted_spectrum(sym, cutoff, vectors=False)[1].all()
+    return not _inverted_spectrum(sym, vectors=False)[1].all()
 
 
-def symmetric_pseudo_inverse(matrix, cutoff: float = PINV_CUTOFF,
-                             asym_tol: float = 1e-9) -> np.ndarray:
+def symmetric_pseudo_inverse(matrix) -> np.ndarray:
     """Pseudo-inverse of a symmetric matrix.
 
-    Eigenvalues with magnitude below ``cutoff`` times the largest
+    Eigenvalues with magnitude below PINV_CUTOFF times the largest
     magnitude are treated as zero; the same convention is used everywhere
     a pseudo-inverse appears in this package.
     """
-    vecs, inv = _inverted_spectrum(matrix, cutoff, asym_tol)
+    vecs, inv = _inverted_spectrum(_spectral_input(matrix))
     return (vecs * inv[None, :]) @ vecs.T
 
 

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .kernel import (
     KernelBundle,
-    PINV_CUTOFF,
     _column_angles,
     _cutoff_drops_any,
     min_eigenvalue,
@@ -104,12 +103,8 @@ class GlobalOptimumCheck:
     kernel_min_eigenvalue: float
 
 
-def global_optimum_check(
-    weights: PNNWeights,
-    weights_star: PNNWeights,
-    tol: float = 1e-9,
-    pd_tol: float = PD_TOL,
-) -> GlobalOptimumCheck:
+def global_optimum_check(weights: PNNWeights, weights_star: PNNWeights,
+                         tol: float = 1e-9) -> GlobalOptimumCheck:
     """Test ``sum_i w_i = sum_i w*_i`` and equal per-line masses."""
     if not weights.same_config(weights_star):
         raise ConfigMismatch("both networks must share the line configuration")
@@ -122,7 +117,7 @@ def global_optimum_check(
         is_global=(sum_residual <= tol and mass_residual <= tol),
         sum_residual=sum_residual,
         mass_residual=mass_residual,
-        kernel_pd=lam > pd_tol,
+        kernel_pd=lam > PD_TOL,
         kernel_min_eigenvalue=lam,
     )
 
@@ -203,14 +198,8 @@ def _line_sign_matrix(line_signs, r: int) -> np.ndarray:
     return np.diag(s.astype(float))
 
 
-def bad_region_stationary(
-    line_set: LineSet,
-    bundle: KernelBundle,
-    q_star,
-    line_signs,
-    w0=None,
-    cutoff: float = PINV_CUTOFF,
-):
+def bad_region_stationary(line_set: LineSet, bundle: KernelBundle, q_star, line_signs,
+                          w0=None):
     """Stationary point data in an all-single-orientation region.
 
     Each line ``l`` carries only neurons of orientation ``line_signs[l]``.
@@ -225,18 +214,16 @@ def bad_region_stationary(
     D11 = bundle.psi_lines
     D12 = bundle.psi_cross
     projector = U @ U.T  # U S S' U' with S S' = I
-    if _cutoff_drops_any(projector, cutoff):
+    if _cutoff_drops_any(projector):
         raise SingularProjector("line matrix does not span the ambient space")
-    core = symmetric_pseudo_inverse(S @ U.T @ U @ S + D11, cutoff=cutoff)
+    core = symmetric_pseudo_inverse(S @ U.T @ U @ S + D11)
     rhs = D11 @ core @ (S @ U.T @ w0) + (D11 @ core - np.eye(r)) @ (D12 @ q_star)
     z = -np.linalg.solve(projector, U @ S @ rhs)
     q = core @ (S @ U.T @ w0 + D12 @ q_star)
     return z, q
 
 
-def bad_region_loss(
-    bundle: KernelBundle, line_set: LineSet, q_star, cutoff: float = PINV_CUTOFF
-) -> float:
+def bad_region_loss(bundle: KernelBundle, line_set: LineSet, q_star) -> float:
     """Population risk at the bad-region stationary point (zero target sum).
 
     Equals a quarter of the quadratic form of ``q*`` under the Schur-style
@@ -246,7 +233,7 @@ def bad_region_loss(
     q_star = np.asarray(q_star, dtype=float).ravel()
     U = line_set.unit_vectors
     D11 = bundle.psi_lines
-    if _cutoff_drops_any(D11, cutoff):
+    if _cutoff_drops_any(D11):
         raise SingularKernel("line kernel matrix is numerically singular")
     augmented = D11 + U.T @ U
     inner = np.linalg.solve(augmented, bundle.psi_cross @ q_star)

@@ -36,9 +36,6 @@ FEASIBILITY_TOL = 1e-9
 # 17 significant digits round-trip any IEEE double exactly.
 _FLOAT_FMT = "%.17g"
 
-# Side of the square tiles in which a Gram matrix is symmetrised.
-_TILE = 64
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
@@ -46,7 +43,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def canonicalize_vector(v, zero_tol: float = ZERO_TOL):
+def canonicalize_vector(v):
     """Normalize ``v`` and orient it canonically.
 
     The canonical representative of the line through ``v`` is the unit
@@ -56,7 +53,7 @@ def canonicalize_vector(v, zero_tol: float = ZERO_TOL):
     so that ``unit = flag * v / ||v||``.
 
     Raises DomainError when an entry is NaN or infinite and ZeroVector
-    when ``||v|| <= zero_tol``.
+    when ``||v|| <= ZERO_TOL``.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -69,10 +66,10 @@ def canonicalize_vector(v, zero_tol: float = ZERO_TOL):
             raise DomainError("cannot orient a vector with non-finite entries")
         v = v / np.max(np.abs(v))
         norm = float(np.linalg.norm(v))
-    if norm <= zero_tol:
+    if norm <= ZERO_TOL:
         raise ZeroVector("cannot orient a vector of norm %.3g" % norm)
     unit = v / norm
-    significant = np.nonzero(np.abs(unit) > zero_tol)[0]
+    significant = np.nonzero(np.abs(unit) > ZERO_TOL)[0]
     pivot = significant[-1]
     flag = 1 if unit[pivot] > 0 else -1
     return flag * unit, flag
@@ -122,31 +119,21 @@ class LineSet:
 def _assemble_line_set(units: np.ndarray) -> LineSet:
     """LineSet of the canonical unit vectors in the columns of ``units``.
 
-    The Gram matrix is ``clip((G + G') / 2, -1, 1)`` with a unit diagonal,
-    ``G = units' units``.  It is symmetrised and clipped in place, one pair
-    of mirrored tiles at a time: the same bits, without a transposed pass
-    over the whole matrix.
+    The Gram matrix is ``clip(units' units, -1, 1)`` with a unit diagonal.
+    numpy computes a product of a matrix with its own transpose as one
+    symmetric rank-k update, so it is exactly symmetric as it comes.
     """
     gram = units.T @ units
-    n = gram.shape[0]
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            upper = gram[i:i + _TILE, j:j + _TILE]
-            lower = gram[j:j + _TILE, i:i + _TILE]
-            tile = upper + lower.T
-            tile /= 2.0
-            np.clip(tile, -1.0, 1.0, out=tile)
-            upper[...] = tile
-            lower[...] = tile.T
+    np.clip(gram, -1.0, 1.0, out=gram)
     np.fill_diagonal(gram, 1.0)
     gram.flags.writeable = False
     return LineSet(dim=units.shape[0], unit_vectors=_freeze(units), gram=gram)
 
 
-def _collinear(cosines: np.ndarray, collinearity_tol: float) -> np.ndarray:
-    """True where ``|cosines| >= 1 - collinearity_tol``: the two lines
+def _collinear(cosines: np.ndarray) -> np.ndarray:
+    """True where ``|cosines| >= 1 - COLLINEARITY_TOL``: the two lines
     coincide.  The one statement of the collinearity rule."""
-    threshold = 1.0 - collinearity_tol
+    threshold = 1.0 - COLLINEARITY_TOL
     hits = cosines >= threshold
     hits |= cosines <= -threshold
     return hits
@@ -173,17 +160,17 @@ def _first_kept(hits: np.ndarray, offset: int = 0):
     return first, kept
 
 
-def _first_collision(cosines: np.ndarray, collinearity_tol: float):
+def _first_collision(cosines: np.ndarray):
     """First colliding pair ``(i, j)``, ``i < j``, in row order, or None."""
-    flat = np.flatnonzero(np.triu(_collinear(cosines, collinearity_tol), k=1))
+    flat = np.flatnonzero(np.triu(_collinear(cosines), k=1))
     return divmod(int(flat[0]), cosines.shape[1]) if flat.size else None
 
 
-def build_line_set(raw_vectors, collinearity_tol: float = COLLINEARITY_TOL) -> LineSet:
+def build_line_set(raw_vectors) -> LineSet:
     """Build a LineSet from non-zero spanning vectors, one per line.
 
     Vectors are normalized and canonically oriented; pairs that are
-    collinear within ``collinearity_tol`` raise DuplicateLine.
+    collinear within COLLINEARITY_TOL raise DuplicateLine.
     """
     vectors = [np.asarray(v, dtype=float) for v in raw_vectors]
     if not vectors:
@@ -194,7 +181,7 @@ def build_line_set(raw_vectors, collinearity_tol: float = COLLINEARITY_TOL) -> L
             raise DimensionMismatch("all vectors must share one dimension")
     units = np.column_stack([canonicalize_vector(v)[0] for v in vectors])
     cosines = units.T @ units
-    pair = _first_collision(cosines, collinearity_tol)
+    pair = _first_collision(cosines)
     if pair is not None:
         raise DuplicateLine(
             "vectors %d and %d span the same line (|cos| = %.12g)"
@@ -215,13 +202,7 @@ def cross_gram(a: LineSet, b: LineSet) -> np.ndarray:
     return np.clip(a.unit_vectors.T @ b.unit_vectors, -1.0, 1.0)
 
 
-def random_line_set(
-    d: int,
-    r: int,
-    seed,
-    collinearity_tol: float = COLLINEARITY_TOL,
-    max_draws: int | None = None,
-) -> LineSet:
+def random_line_set(d: int, r: int, seed, max_draws: int | None = None) -> LineSet:
     """Draw ``r`` i.i.d. uniformly random lines in ``d`` dimensions.
 
     Directions are normalized standard Gaussian vectors, canonically
@@ -258,7 +239,7 @@ def random_line_set(
         # shortfall block on the cosines of its lines against every line.
         line_set = _assemble_line_set(units) if count == 0 else None
         cos = line_set.gram if count == 0 else units[:, count:].T @ units
-        _, kept = _first_kept(_collinear(cos, collinearity_tol), count)
+        _, kept = _first_kept(_collinear(cos), count)
         if not kept.all():
             units = units[:, kept]
         elif units.shape[1] == r:
@@ -508,23 +489,21 @@ def weights_from_masses(
     )
 
 
-def weights_from_columns(
-    matrix, collinearity_tol: float = COLLINEARITY_TOL
-) -> PNNWeights:
+def weights_from_columns(matrix) -> PNNWeights:
     """View an arbitrary matrix of non-zero columns as a porcupine network.
 
-    Collinear columns (within ``collinearity_tol``) share a line; every
+    Collinear columns (within COLLINEARITY_TOL) share a line; every
     other column gets its own line.  Raises ZeroVector on zero columns.
     The line of a group is that of its first column, and every column is
     then held to it by the PNNWeights rule: a column within
-    ``collinearity_tol`` of an earlier column's line but more than
+    COLLINEARITY_TOL of an earlier column's line but more than
     FEASIBILITY_TOL off it raises InfeasibleWeights.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise DimensionMismatch("expected a d x k matrix")
     units = np.column_stack([canonicalize_vector(col)[0] for col in matrix.T])
-    first, kept = _first_kept(_collinear(units.T @ units, collinearity_tol))
+    first, kept = _first_kept(_collinear(units.T @ units))
     assignment = (np.cumsum(kept) - 1)[first]  # rank of the first kept column
     line_set = _assemble_line_set(units[:, kept])
     neuron_map = NeuronLineMap(num_neurons=matrix.shape[1], assignment=tuple(assignment))
@@ -546,19 +525,36 @@ def save_vectors_csv(path, vectors: np.ndarray) -> None:
             fh.write(",".join(_FLOAT_FMT % x for x in vectors[:, j]) + "\r\n")
 
 
+def _parse_record(row: str, kind, what: str) -> list:
+    try:
+        return [kind(x) for x in row.split(",")]
+    except ValueError as exc:
+        raise ParameterOutOfRange("malformed %s: %r" % (what, row)) from exc
+
+
 def load_vectors_csv(path) -> np.ndarray:
-    """Inverse of save_vectors_csv; returns the ``d x m`` matrix."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Inverse of save_vectors_csv; returns the ``d x m`` matrix.
+
+    A missing or malformed header, a malformed record and a zero ``d`` or
+    ``m`` raise ParameterOutOfRange; a wrong count of records or entries
+    DimensionMismatch; a non-finite entry DomainError.
+    """
+    # A non-ASCII byte decodes to U+FFFD, which makes its record malformed.
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         rows = [line.strip() for line in fh if line.strip()]
-    d, m = (int(x) for x in rows[0].split(","))
+    header = _parse_record(rows[0], int, "header") if rows else []
+    if len(header) != 2 or min(header) < 1:
+        raise ParameterOutOfRange("expected a header of two positive integers dim,count")
+    d, m = header
     if len(rows) != m + 1:
         raise DimensionMismatch("expected %d vector rows, found %d" % (m, len(rows) - 1))
-    vectors = np.empty((d, m))
-    for j, row in enumerate(rows[1:]):
-        values = [float(x) for x in row.split(",")]
+    records = [_parse_record(row, float, "row %d" % j) for j, row in enumerate(rows[1:])]
+    for j, values in enumerate(records):
         if len(values) != d:
             raise DimensionMismatch("row %d has %d entries, expected %d" % (j, len(values), d))
-        vectors[:, j] = values
+    vectors = np.array(records).T.copy()  # C order, like the arrays the package builds
+    if not np.isfinite(vectors).all():
+        raise DomainError("stored vectors must be finite")
     return vectors
 
 
@@ -566,7 +562,7 @@ def save_line_set(line_set: LineSet, path) -> None:
     save_vectors_csv(path, line_set.unit_vectors)
 
 
-def load_line_set(path, collinearity_tol: float = COLLINEARITY_TOL) -> LineSet:
+def load_line_set(path) -> LineSet:
     """Load a LineSet written by save_line_set, re-validating invariants.
 
     The stored unit vectors are taken verbatim (no renormalization), so a
@@ -581,7 +577,7 @@ def load_line_set(path, collinearity_tol: float = COLLINEARITY_TOL) -> LineSet:
         if canonicalize_vector(units[:, j])[1] != 1:
             raise ParameterOutOfRange("stored line %d is not canonically oriented" % j)
     line_set = _assemble_line_set(units)
-    pair = _first_collision(line_set.gram, collinearity_tol)
+    pair = _first_collision(line_set.gram)
     if pair is not None:
         raise DuplicateLine("stored lines %d and %d coincide" % pair)
     return line_set

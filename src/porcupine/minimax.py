@@ -21,6 +21,15 @@ from .lines import canonicalize_vector, load_vectors_csv, save_vectors_csv
 # Probes drawn and screened against the net per matmul.
 _PROBE_BLOCK = 1024
 
+_MAX_DIM = 6  # the greedy construction is desk-scale: coverage checks blow up with d
+
+# Probes join the net farther than _MARGIN * delta from it.  The headroom
+# lets the probabilistic stopping rule certify coverage at the nominal
+# delta: a streak of S covered probes only bounds the uncovered mass by
+# about 3/S, and an uncovered pocket of that mass can reach ~sqrt(6/S)
+# radians past the construction radius.
+_MARGIN = 0.9
+
 
 @dataclass(frozen=True, eq=False)
 class AngularNet:
@@ -44,6 +53,8 @@ class AngularNet:
 
 
 def load_angular_net(path, delta: float) -> AngularNet:
+    """Read a net written by ``AngularNet.save``, checking ``delta`` too."""
+    _check_delta(delta)
     vectors = load_vectors_csv(path)
     return AngularNet(dim=vectors.shape[0], delta=float(delta), vectors=vectors)
 
@@ -85,26 +96,14 @@ def _angles_to_net(vectors: np.ndarray, probes: np.ndarray) -> np.ndarray:
     return np.arccos(cosines.max(axis=0))
 
 
-def greedy_angular_net(
-    d: int,
-    delta: float,
-    seed=0,
-    max_probes: int = 10_000,
-    probe_budget: int = 2_000_000,
-    max_dim: int = 6,
-    margin: float = 0.9,
-) -> AngularNet:
+def greedy_angular_net(d: int, delta: float, seed=0, max_probes: int = 10_000,
+                       probe_budget: int = 2_000_000) -> AngularNet:
     """Construct an angular delta-net greedily from random probes.
 
     Uniform hemisphere probes are added whenever they sit farther than
-    ``margin * delta`` (modulo sign) from the current net; construction
+    ``_MARGIN * delta`` (modulo sign) from the current net; construction
     stops once ``max_probes`` consecutive probes were already covered.
-    The margin leaves headroom so the probabilistic stopping rule
-    certifies coverage at the nominal ``delta``: a streak of S covered
-    probes only bounds the uncovered mass by about 3/S, and an uncovered
-    pocket of that mass can reach ~sqrt(6/S) radians past the
-    construction radius.  Intended for small dimensions (coverage checks
-    blow up beyond ``max_dim``).
+    Dimensions above ``_MAX_DIM`` raise ParameterOutOfRange.
 
     Probes are drawn and screened against the net in blocks, then walked
     in draw order.  Adding a net vector only raises a probe's best
@@ -118,14 +117,12 @@ def greedy_angular_net(
     _check_delta(delta)
     if d < 1:
         raise ParameterOutOfRange("need d >= 1")
-    if d > max_dim:
+    if d > _MAX_DIM:
         raise ParameterOutOfRange(
-            "greedy construction is desk-scale only (d <= %d)" % max_dim
+            "greedy construction is desk-scale only (d <= %d)" % _MAX_DIM
         )
-    if not 0.0 < margin <= 1.0:
-        raise ParameterOutOfRange("margin must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    threshold = math.cos(margin * delta)
+    threshold = math.cos(_MARGIN * delta)
     net = np.empty((d, 0))
     covered_streak = 0
     drawn = 0
@@ -162,6 +159,8 @@ def coverage_gap(net: AngularNet, n_probes: int = 100_000, seed=0) -> float:
     """Largest angle from a fresh uniform probe to the net (modulo sign)."""
     if n_probes < 1:
         raise ParameterOutOfRange("need n_probes >= 1")
+    if net.size < 1:
+        raise ParameterOutOfRange("the net is empty")
     rng = np.random.default_rng(seed)
     probes = rng.standard_normal((net.dim, n_probes))
     probes /= np.linalg.norm(probes, axis=0, keepdims=True)

@@ -174,7 +174,7 @@ def mismatched_risk(weights: PNNWeights, weights_star: PNNWeights) -> RiskBreakd
     return RiskBreakdown(linear_term=0.25 * float(diff @ diff), kernel_term=kernel)
 
 
-def truncated_covariance(w1, w2, zero_tol: float = ZERO_TOL) -> np.ndarray:
+def truncated_covariance(w1, w2) -> np.ndarray:
     """``E[1{w1'x > 0, w2'x > 0} x x']`` for standard Gaussian ``x``.
 
     An independent oracle that the package's own code does not call: it
@@ -191,7 +191,7 @@ def truncated_covariance(w1, w2, zero_tol: float = ZERO_TOL) -> np.ndarray:
         raise DimensionMismatch("need two vectors of one shared dimension")
     n1 = float(np.linalg.norm(w1))
     n2 = float(np.linalg.norm(w2))
-    if n1 <= zero_tol or n2 <= zero_tol:
+    if n1 <= ZERO_TOL or n2 <= ZERO_TOL:
         raise ZeroVector("truncated covariance needs non-zero vectors")
     u1 = w1 / n1
     u2 = w2 / n2

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .kernel import (
     KernelBundle,
-    PINV_CUTOFF,
     _cutoff_drops_any,
     _cutoff_keeps_all,
     _inverted_spectrum,
@@ -36,7 +35,7 @@ from .kernel import (
     min_eigenvalue,
     psi,
 )
-from .lines import COLLINEARITY_TOL, LineSet, _collinear, canonicalize_vector
+from .lines import LineSet, _collinear, canonicalize_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,14 +98,14 @@ def _report_from_matrix(schur: np.ndarray, inverted=None) -> SchurReport:
                        _inverted=inverted)
 
 
-def schur_complement(bundle: KernelBundle, cutoff: float = PINV_CUTOFF) -> SchurReport:
+def schur_complement(bundle: KernelBundle) -> SchurReport:
     """``psi_star - psi_cross' pinv(psi_lines) psi_cross`` with spectrum.
 
     When the model-line block is positive definite with every eigenvalue
-    above ``cutoff`` times the largest, the pseudo-inverse is the inverse
+    above PINV_CUTOFF times the largest, the pseudo-inverse is the inverse
     and the complement is ``psi_star - C' solve(psi_lines, C)`` with
     ``C = psi_cross``.  One Cholesky factorization of the block shifted
-    down by ``cutoff`` times its largest absolute row sum proves that
+    down by the cutoff times its largest absolute row sum proves that
     (``kernel._cutoff_keeps_all``); it holds for random line sets in
     general position.  Otherwise, e.g. for many lines in few dimensions,
     one eigendecomposition ``psi_lines = V diag(lam) V'`` gives the
@@ -116,12 +115,12 @@ def schur_complement(bundle: KernelBundle, cutoff: float = PINV_CUTOFF) -> Schur
     spectral norm and smallest eigenvalue; the block's health is computed
     when first read (see ``SchurReport``).
     """
-    block = _require_symmetric(bundle.psi_lines, 1e-9)
-    if _cutoff_keeps_all(block, cutoff):
+    block = _require_symmetric(bundle.psi_lines)
+    if _cutoff_keeps_all(block):
         schur = bundle.psi_star - bundle.psi_cross.T @ np.linalg.solve(block, bundle.psi_cross)
         return _report_from_matrix(
-            schur, lambda: _inverted_spectrum(block, cutoff, vectors=False)[1])
-    vecs, inv = _inverted_spectrum(block, cutoff)
+            schur, lambda: _inverted_spectrum(block, vectors=False)[1])
+    vecs, inv = _inverted_spectrum(block)
     m = vecs.T @ bundle.psi_cross
     schur = bundle.psi_star - (m.T * inv) @ m
     return _report_from_matrix(schur, lambda: inv)
@@ -151,7 +150,7 @@ def add_line_update(report: SchurReport, bundle: KernelBundle, new_line):
     unit, _ = canonicalize_vector(np.asarray(new_line, dtype=float))
     z1 = np.clip(bundle.lines.unit_vectors.T @ unit, -1.0, 1.0)
     z2 = np.clip(bundle.star.unit_vectors.T @ unit, -1.0, 1.0)
-    if _collinear(z1, COLLINEARITY_TOL).any():
+    if _collinear(z1).any():
         raise DuplicateLine("the added line coincides with an existing model line")
     D11 = bundle.psi_lines
     if _cutoff_drops_any(D11):
@@ -215,15 +214,24 @@ def nearest_line_subset(lines: LineSet, targets: LineSet) -> NearestSubset:
 class AsymptoticReference:
     """High-dimensional reference for the model-line kernel matrix.
 
-    ``matrix`` is the rank-one-plus-identity limit the kernel matrix of
-    uniformly random lines concentrates around; ``eigenvalues`` lists
+    ``matrix`` is the ``r x r`` rank-one-plus-identity limit the kernel
+    matrix of ``r`` uniformly random lines in ``d`` dimensions
+    concentrates around, built on first read; ``eigenvalues`` lists
     (value, multiplicity) pairs; ``limit`` is the limiting spectral norm
     of the Schur complement when both line counts grow with dimension.
     """
 
-    matrix: np.ndarray
+    d: int
+    r: int
     limit: float
     eigenvalues: tuple
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        beta = 2.0 / np.pi + 1.0 / (np.pi * self.d)
+        matrix = beta * np.ones((self.r, self.r)) + (1.0 - 2.0 / np.pi) * np.eye(self.r)
+        matrix.flags.writeable = False
+        return matrix
 
 
 def asymptotic_reference(d: int, r: int, r_star: int) -> AsymptoticReference:
@@ -231,14 +239,11 @@ def asymptotic_reference(d: int, r: int, r_star: int) -> AsymptoticReference:
     if d < 1 or r < 1 or r_star < 1:
         raise ParameterOutOfRange("need d, r, r_star >= 1")
     alpha = 1.0 - 2.0 / np.pi
-    beta = 2.0 / np.pi + 1.0 / (np.pi * d)
-    matrix = beta * np.ones((r, r)) + alpha * np.eye(r)
-    matrix.flags.writeable = False
     gamma = r / d
     top = 2.0 / np.pi * r + 1.0 - 2.0 / np.pi + gamma / np.pi
     eigenvalues = ((alpha, r - 1), (top, 1)) if r > 1 else ((top, 1),)
     limit = (1.0 + r_star / r) * alpha
-    return AsymptoticReference(matrix=matrix, limit=limit, eigenvalues=eigenvalues)
+    return AsymptoticReference(d=d, r=r, limit=limit, eigenvalues=eigenvalues)
 
 
 def perturbation_bound(lines: LineSet, targets: LineSet, delta: float) -> float:

@@ -377,6 +377,8 @@ def classify_outcome(
 
 def degree_one_map(d: int, k: int) -> NeuronLineMap:
     """Assign ``k`` neurons evenly to ``d`` axes (k divisible by d)."""
+    if d < 1 or k < 1:
+        raise ParameterOutOfRange("need d, k >= 1, got d=%d k=%d" % (d, k))
     if k % d != 0:
         raise ConfigError("k=%d is not divisible by d=%d" % (k, d))
     per = k // d

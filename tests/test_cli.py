@@ -251,6 +251,19 @@ class TestExitCodes:
                         "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "matched", "--d", "2", "--k", "4", "--trials", "1", "--epochs", "1"],
+        ["landscape", "classify", "--scalar", "--w-star", "1,-1"],
+        ["schur-sweep", "--d", "4", "--r-star", "2", "--r", "3", "--trials", "1"],
+        ["asymptotic", "--d", "4", "--r", "4", "--r-star", "4"],
+        ["minimax", "bound", "--d", "4", "--delta", "0.3"],
+    ])
+    def test_mc_samples_is_a_risk_flag_only(self, argv, capsys):
+        assert run_cli(argv + ["--mc-samples", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "--mc-samples" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("epochs", ["0", "-3"])
     def test_non_positive_epochs_exit_two(self, epochs, tmp_path):
         code = run_cli(["train", "matched", "--d", "2", "--k", "4", "--trials", "1",

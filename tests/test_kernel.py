@@ -172,6 +172,26 @@ class TestSymmetricPseudoInverse:
         np.testing.assert_allclose(pinv, m, atol=1e-12)
 
 
+SPECTRAL_HELPERS = [p.min_eigenvalue, p.spectral_norm, p.symmetric_pseudo_inverse]
+
+
+class TestSpectralHelperInput:
+    @pytest.mark.parametrize("helper", SPECTRAL_HELPERS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entry_rejected(self, helper, bad, where):
+        matrix = np.eye(2)
+        matrix[where] = matrix[where[::-1]] = bad
+        with pytest.raises(DomainError):
+            helper(matrix)
+
+    @pytest.mark.parametrize("helper", SPECTRAL_HELPERS)
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    def test_empty_matrix_rejected(self, helper, shape):
+        with pytest.raises(ParameterOutOfRange):
+            helper(np.zeros(shape))
+
+
 class TestKernelBundle:
     @staticmethod
     def _union_kernel(lines, star):

@@ -1,5 +1,6 @@
 """Geometry layer: canonical orientation, line sets, decompositions, CSV."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -492,7 +493,9 @@ def assert_columns_match_reference(monkeypatch, matrix, collinearity_tol=1e-9):
     """weights_from_columns groups ``matrix`` as the loop does: same lines,
     same Gram matrix, same map, and the same InfeasibleWeights message when
     a column joined a line it is only near (every such column is more than
-    FEASIBILITY_TOL off its line)."""
+    FEASIBILITY_TOL off its line).  The package runs with COLLINEARITY_TOL
+    set to ``collinearity_tol``."""
+    monkeypatch.setattr(p.lines, "COLLINEARITY_TOL", collinearity_tol)
     units, assignment = columns_reference(matrix, collinearity_tol)
     gram = units.T @ units
     gram = np.clip((gram + gram.T) / 2.0, -1.0, 1.0)
@@ -502,11 +505,11 @@ def assert_columns_match_reference(monkeypatch, matrix, collinearity_tol=1e-9):
         p.PNNWeights(matrix, line_set, p.NeuronLineMap(len(assignment), assignment))
     except InfeasibleWeights as exc:
         with pytest.raises(InfeasibleWeights) as info:
-            p.weights_from_columns(matrix, collinearity_tol)
+            p.weights_from_columns(matrix)
         assert str(info.value) == str(exc)
         # Compare the grouping itself with the feasibility check off.
         monkeypatch.setattr(p.PNNWeights, "_check_feasible", lambda self: None)
-    w = p.weights_from_columns(matrix, collinearity_tol)
+    w = p.weights_from_columns(matrix)
     monkeypatch.undo()
     assert w.neuron_map.assignment == assignment
     np.testing.assert_array_equal(w.line_set.unit_vectors, units)
@@ -653,6 +656,96 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(p.load_vectors_csv(path), vectors)
 
 
+LOADERS = [p.load_vectors_csv, p.load_line_set, functools.partial(p.load_angular_net, delta=0.3)]
+
+
+class TestVectorFileErrors:
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("text, error", [
+        ("", ParameterOutOfRange),
+        ("\r\n\r\n", ParameterOutOfRange),
+        ("2,x\r\n1,0\r\n", ParameterOutOfRange),
+        ("2\r\n1,0\r\n", ParameterOutOfRange),
+        ("2,1,1\r\n1,0\r\n", ParameterOutOfRange),
+        ("1.5,1\r\n1,0\r\n", ParameterOutOfRange),
+        ("-2,0\r\n", ParameterOutOfRange),
+        ("0,0\r\n", ParameterOutOfRange),
+        ("2,0\r\n", ParameterOutOfRange),
+        ("2,1\r\nabc,0\r\n", ParameterOutOfRange),
+        ("2,1\r\n1,\r\n", ParameterOutOfRange),
+        ("2,2\r\n1,0\r\n", DimensionMismatch),
+        ("2,1\r\n1,0,0\r\n", DimensionMismatch),
+        ("2,1\r\nnan,0\r\n", DomainError),
+        ("2,1\r\n1,inf\r\n", DomainError),
+        ("2,1\r\n1e400,0\r\n", DomainError),
+        ("\xff2,1\r\n1,0\r\n", ParameterOutOfRange),
+        ("2,1\r\n1,0\xff\r\n", ParameterOutOfRange),
+    ])
+    def test_bad_file_raises(self, tmp_path, loader, text, error):
+        path = tmp_path / "vectors.csv"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(error):
+            loader(path)
+
+
+def tiled_gram(units, tile=64):
+    """_assemble_line_set's former Gram matrix: ``(G + G') / 2`` clipped to
+    [-1, 1] one pair of mirrored tiles at a time, then a unit diagonal."""
+    gram = units.T @ units
+    n = gram.shape[0]
+    for i in range(0, n, tile):
+        for j in range(i, n, tile):
+            upper = gram[i:i + tile, j:j + tile]
+            lower = gram[j:j + tile, i:i + tile]
+            block = upper + lower.T
+            block /= 2.0
+            np.clip(block, -1.0, 1.0, out=block)
+            upper[...] = block
+            lower[...] = block.T
+    np.fill_diagonal(gram, 1.0)
+    return gram
+
+
+def assert_gram_matches_tiled(line_set):
+    np.testing.assert_array_equal(line_set.gram, tiled_gram(line_set.unit_vectors))
+    assert np.array_equal(line_set.gram, line_set.gram.T)
+
+
+class TestGramMatchesTiledSymmetrisation:
+    @pytest.mark.parametrize("d, r", [
+        (3, 63), (5, 64), (8, 65), (4, 127), (16, 128), (32, 129), (200, 300)])
+    def test_random_line_set(self, d, r):
+        assert_gram_matches_tiled(p.random_line_set(d, r, (d, r)))
+
+    @pytest.mark.parametrize("d, r, seed", [(2, 30, 0), (3, 150, 1), (3, 64, 2)])
+    def test_random_line_set_with_shortfall_blocks(self, monkeypatch, d, r, seed):
+        # A coarse tolerance makes the first block collide, so the set is
+        # assembled from a column slice of the grown shortfall buffer.
+        monkeypatch.setattr(p.lines, "COLLINEARITY_TOL", 1e-3)
+        walks = []
+        first_kept = p.lines._first_kept
+        monkeypatch.setattr(p.lines, "_first_kept",
+                            lambda *args: walks.append(args) or first_kept(*args))
+        line_set = p.random_line_set(d, r, seed)
+        assert len(walks) >= 2
+        assert_gram_matches_tiled(line_set)
+
+    def test_build_line_set(self):
+        rng = np.random.default_rng(5)
+        assert_gram_matches_tiled(p.build_line_set(list(rng.standard_normal((150, 9)))))
+
+    def test_weights_from_columns(self):
+        rng = np.random.default_rng(6)
+        base = rng.standard_normal((7, 140))
+        matrix = base[:, rng.integers(0, 140, 400)] * rng.choice([-2.0, 0.5], 400)
+        assert_gram_matches_tiled(p.weights_from_columns(matrix).line_set)
+
+    def test_load_line_set(self, tmp_path):
+        path = tmp_path / "lines.csv"
+        p.save_line_set(p.random_line_set(6, 130, 7), path)
+        assert_gram_matches_tiled(p.load_line_set(path))
+
+
 def build_pair_reference(raw_vectors, collinearity_tol=1e-9):
     """build_line_set's former pair loop: its DuplicateLine message, or None."""
     units = np.column_stack([p.canonicalize_vector(np.asarray(v, dtype=float))[0]
@@ -744,5 +837,5 @@ class TestDuplicatePairs:
         gram = rng.choice([0.0, 0.5, 1.0, -1.0, 1.0 - 1e-10], p=[0.5, 0.3, 0.05, 0.05, 0.1],
                           size=(30, 30))
         expected = load_pair_reference(gram)
-        pair = _first_collision(gram, 1e-9)
+        pair = _first_collision(gram)
         assert (None if pair is None else "stored lines %d and %d coincide" % pair) == expected

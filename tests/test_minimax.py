@@ -86,6 +86,18 @@ class TestGreedyAngularNet:
         with pytest.raises(ParameterOutOfRange):
             p.greedy_angular_net(7, 0.3, seed=0)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 2.0, np.nan])
+    def test_loaded_net_checks_delta(self, tmp_path, delta):
+        path = tmp_path / "net.csv"
+        p.greedy_angular_net(2, 0.4, seed=7).save(path)
+        with pytest.raises(DomainError):
+            p.load_angular_net(path, delta=delta)
+
+    def test_empty_net_has_no_coverage_gap(self):
+        net = p.AngularNet(dim=3, delta=0.3, vectors=np.empty((3, 0)))
+        with pytest.raises(ParameterOutOfRange):
+            p.coverage_gap(net, n_probes=10)
+
     def test_net_csv_round_trip(self, tmp_path):
         net = p.greedy_angular_net(3, 0.4, seed=7)
         path = tmp_path / "net.csv"

@@ -321,6 +321,14 @@ class TestAsymptoticReference:
             2.0 / np.pi * 48 + 1.0 - 2.0 / np.pi + gamma / np.pi, abs=1e-12
         )
 
+    def test_matrix_is_built_on_first_read(self):
+        ref = p.asymptotic_reference(d=8, r=5, r_star=3)
+        assert "matrix" not in vars(ref)
+        alpha, beta = 1.0 - 2.0 / np.pi, 2.0 / np.pi + 1.0 / (np.pi * 8)
+        np.testing.assert_array_equal(ref.matrix, beta * np.ones((5, 5)) + alpha * np.eye(5))
+        assert vars(ref)["matrix"] is ref.matrix
+        assert not ref.matrix.flags.writeable
+
     def test_equal_counts_limit(self):
         ref = p.asymptotic_reference(d=64, r=64, r_star=64)
         assert ref.limit == pytest.approx(2.0 * (1.0 - 2.0 / np.pi), abs=1e-15)

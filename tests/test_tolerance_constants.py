@@ -1,0 +1,45 @@
+"""Numerical tolerances are module constants, not per-call arguments."""
+
+import inspect
+
+import pytest
+
+import porcupine as p
+from porcupine.kernel import (
+    _cutoff_drops_any,
+    _cutoff_keeps_all,
+    _inverted_spectrum,
+    _require_symmetric,
+)
+from porcupine.lines import _collinear, _first_collision
+
+# Every parameter the functions below take; ``tol`` of global_optimum_check
+# is an experiment's decision threshold, not a numerical tolerance.
+SIGNATURES = [
+    (p.canonicalize_vector, ["v"]),
+    (p.build_line_set, ["raw_vectors"]),
+    (p.random_line_set, ["d", "r", "seed", "max_draws"]),
+    (p.weights_from_columns, ["matrix"]),
+    (p.load_line_set, ["path"]),
+    (p.min_eigenvalue, ["matrix"]),
+    (p.spectral_norm, ["matrix"]),
+    (p.symmetric_pseudo_inverse, ["matrix"]),
+    (p.schur_complement, ["bundle"]),
+    (p.bad_region_stationary, ["line_set", "bundle", "q_star", "line_signs", "w0"]),
+    (p.bad_region_loss, ["bundle", "line_set", "q_star"]),
+    (p.global_optimum_check, ["weights", "weights_star", "tol"]),
+    (p.truncated_covariance, ["w1", "w2"]),
+    (p.greedy_angular_net, ["d", "delta", "seed", "max_probes", "probe_budget"]),
+    (_require_symmetric, ["matrix"]),
+    (_inverted_spectrum, ["matrix", "vectors"]),
+    (_cutoff_keeps_all, ["sym"]),
+    (_cutoff_drops_any, ["sym"]),
+    (_collinear, ["cosines"]),
+    (_first_collision, ["cosines"]),
+]
+
+
+@pytest.mark.parametrize("fn, params", SIGNATURES, ids=[fn.__name__ for fn, _ in SIGNATURES])
+def test_no_tolerance_parameters(fn, params):
+    assert list(inspect.signature(fn).parameters) == params
+

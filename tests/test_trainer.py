@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import porcupine as p
-from porcupine.errors import ConfigError, Diverged, InfeasibleWeights
+from porcupine.errors import ConfigError, Diverged, InfeasibleWeights, ParameterOutOfRange
 
 
 def scalar_setup(w_star_values):
@@ -389,6 +389,11 @@ class TestMatchedExperiment:
     def test_requires_divisible_width(self):
         with pytest.raises(ConfigError):
             p.degree_one_map(4, 6)
+
+    @pytest.mark.parametrize("d, k", [(0, 3), (0, 0), (-2, 4), (3, -3)])
+    def test_degree_one_map_needs_positive_sizes(self, d, k):
+        with pytest.raises(ParameterOutOfRange):
+            p.degree_one_map(d, k)
 
 
 class TestMismatchedExperiment:
