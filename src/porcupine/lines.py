@@ -32,6 +32,7 @@ from .errors import (
 ZERO_TOL = 1e-12
 COLLINEARITY_TOL = 1e-9
 FEASIBILITY_TOL = 1e-9
+UNIT_NORM_TOL = 1e-12
 
 # 17 significant digits round-trip any IEEE double exactly.
 _FLOAT_FMT = "%.17g"
@@ -41,6 +42,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def _unit_columns(units) -> bool:
+    """Whether every column has norm 1 within ``UNIT_NORM_TOL`` (NaN fails)."""
+    return bool(np.all(np.abs(np.linalg.norm(units, axis=0) - 1.0) <= UNIT_NORM_TOL))
 
 
 def canonicalize_vector(v):
@@ -570,8 +576,7 @@ def load_line_set(path) -> LineSet:
     pairwise distinctness are checked.
     """
     units = load_vectors_csv(path)
-    norms = np.linalg.norm(units, axis=0)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
+    if not _unit_columns(units):
         raise ParameterOutOfRange("stored line vectors are not unit norm")
     for j in range(units.shape[1]):
         if canonicalize_vector(units[:, j])[1] != 1:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CoverageNotReached, DimensionMismatch, DomainError, \
     ParameterOutOfRange
-from .lines import canonicalize_vector, load_vectors_csv, save_vectors_csv
+from .lines import _unit_columns, canonicalize_vector, load_vectors_csv, save_vectors_csv
 
 # Probes drawn and screened against the net per matmul.
 _PROBE_BLOCK = 1024
@@ -30,6 +30,9 @@ _MAX_DIM = 6  # the greedy construction is desk-scale: coverage checks blow up w
 # radians past the construction radius.
 _MARGIN = 0.9
 
+# Rounding allowed on top of relu_gap's Lipschitz bound.
+RELU_GAP_SLACK = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class AngularNet:
@@ -37,12 +40,17 @@ class AngularNet:
 
     Coverage means: every unit vector is within angle ``delta`` of some
     net vector or its negation.  The property is certified empirically by
-    ``coverage_gap`` rather than proved.
+    ``coverage_gap`` rather than proved.  Vectors whose norm is not 1
+    within ``lines.UNIT_NORM_TOL`` raise DomainError.
     """
 
     dim: int
     delta: float
     vectors: np.ndarray
+
+    def __post_init__(self):
+        if not _unit_columns(self.vectors):
+            raise DomainError("net vectors must be unit norm")
 
     @property
     def size(self) -> int:
@@ -53,7 +61,8 @@ class AngularNet:
 
 
 def load_angular_net(path, delta: float) -> AngularNet:
-    """Read a net written by ``AngularNet.save``, checking ``delta`` too."""
+    """Read a net written by ``AngularNet.save``, checking ``delta`` and
+    unit norm too."""
     _check_delta(delta)
     vectors = load_vectors_csv(path)
     return AngularNet(dim=vectors.shape[0], delta=float(delta), vectors=vectors)
@@ -216,4 +225,4 @@ def relu_gap(w1, w2, x) -> ReluGap:
     x = np.asarray(x, dtype=float)
     gap = abs(max(float(w1 @ x), 0.0) - max(float(w2 @ x), 0.0))
     bound = float(np.linalg.norm(w1 - w2) * np.linalg.norm(x))
-    return ReluGap(gap=gap, bound=bound, within_bound=gap <= bound + 1e-12)
+    return ReluGap(gap=gap, bound=bound, within_bound=gap <= bound + RELU_GAP_SLACK)

@@ -25,6 +25,9 @@ from .kernel import _column_angles, kernel_bundle, psi
 from .lines import NeuronLineMap, PNNWeights, ZERO_TOL, _line_masses, axes_line_set
 
 _MC_CHUNK_PAIRS = 1 << 16
+# Pairs per block within a chunk: the block's (block x k) products stay in
+# cache.  The chunk's normal stream and its reductions do not depend on it.
+_MC_BLOCK_PAIRS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,10 @@ def monte_carlo_risk(weights, weights_star, n_samples: int = 2_000_000,
     standard_error)`` where the standard error is that of the mean of
     the per-pair averages.  Deterministic given the seed: work is split
     into fixed-size chunks with seeds derived per chunk, and the
-    reduction runs in chunk order regardless of ``threads``.  Non-finite
-    weights raise DomainError.
+    reduction runs in chunk order regardless of ``threads``.  A chunk is
+    drawn and multiplied in cache-sized blocks of rows; its pair means
+    are summed over the whole chunk, so the blocks change no bit of the
+    result.  Non-finite weights raise DomainError.
     """
     A = _as_matrix(weights)
     B = _as_matrix(weights_star)
@@ -92,12 +97,23 @@ def monte_carlo_risk(weights, weights_star, n_samples: int = 2_000_000,
     def run_chunk(index: int):
         count = min(_MC_CHUNK_PAIRS, pairs - index * _MC_CHUNK_PAIRS)
         rng = np.random.default_rng(seeds[index])
-        X = rng.standard_normal((count, d))
-        ZA = X @ A
-        ZB = X @ B
-        forward = (np.maximum(ZA, 0.0, out=ZA).sum(axis=1)
-                   - np.maximum(ZB, 0.0, out=ZB).sum(axis=1))
-        backward = forward - X @ sum_gap
+        # Buffers belong to one chunk call: with threads > 1 chunks run at once.
+        block = min(_MC_BLOCK_PAIRS, count)
+        X = np.empty((block, d))
+        ZA = np.empty((block, A.shape[1]))
+        ZB = np.empty((block, B.shape[1]))
+        forward = np.empty(count)
+        backward = np.empty(count)
+        for start in range(0, count, block):
+            rows = slice(start, min(start + block, count))
+            n = rows.stop - start
+            x, za, zb = X[:n], ZA[:n], ZB[:n]
+            rng.standard_normal(out=x)
+            np.matmul(x, A, out=za)
+            np.matmul(x, B, out=zb)
+            np.subtract(np.maximum(za, 0.0, out=za).sum(axis=1),
+                        np.maximum(zb, 0.0, out=zb).sum(axis=1), out=forward[rows])
+            np.subtract(forward[rows], x @ sum_gap, out=backward[rows])
         pair_mean = 0.5 * (forward * forward + backward * backward)
         return float(pair_mean.sum()), float((pair_mean * pair_mean).sum())
 

@@ -37,6 +37,11 @@ from .kernel import (
 )
 from .lines import LineSet, _collinear, canonicalize_vector
 
+# The pivot 1 - zeta' D11^{-1} zeta of an added line must exceed this.
+PIVOT_TOL = 1e-12
+# Rounding allowed on top of perturbation_bound before it counts as violated.
+PERTURBATION_SLACK = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class SchurReport:
@@ -159,7 +164,7 @@ def add_line_update(report: SchurReport, bundle: KernelBundle, new_line):
     zeta2 = psi(z2)
     solved = np.linalg.solve(D11, zeta1)
     denom = 1.0 - float(zeta1 @ solved)
-    if denom <= 1e-12:
+    if denom <= PIVOT_TOL:
         raise SingularKernel("extended kernel block would be singular")
     alpha = 1.0 / denom
     v = zeta2 - bundle.psi_cross.T @ solved
@@ -272,7 +277,7 @@ def perturbation_bound(lines: LineSet, targets: LineSet, delta: float) -> float:
         )
     bound = (1.0 + 2.0 * r / delta) * z_frob**2 + 4.0 * math.sqrt(r) * z_frob
     actual = schur_complement(bundle).spectral_norm
-    if actual > bound + 1e-9:
+    if actual > bound + PERTURBATION_SLACK:
         raise PorcupineError(
             "perturbation bound %.6g violated by Schur norm %.6g" % (bound, actual)
         )

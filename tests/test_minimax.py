@@ -106,6 +106,27 @@ class TestGreedyAngularNet:
         np.testing.assert_array_equal(loaded.vectors, net.vectors)
         assert loaded.delta == net.delta
 
+    def test_loaded_net_checks_unit_norm(self, tmp_path):
+        # (3, 4) would snap the unit column (0.6, 0.8) to norm 5.
+        path = tmp_path / "net.csv"
+        p.save_vectors_csv(path, [[3.0, 0.0], [4.0, 1.0]])
+        with pytest.raises(DomainError):
+            p.load_angular_net(path, delta=0.3)
+
+    @pytest.mark.parametrize("vectors", [
+        [[3.0, 0.0], [4.0, 1.0]],
+        [[np.nan], [0.0]],
+    ])
+    def test_net_vectors_must_be_unit_norm(self, vectors):
+        with pytest.raises(DomainError):
+            p.AngularNet(dim=2, delta=0.3, vectors=np.array(vectors))
+
+    def test_unit_norm_rule_is_the_line_loaders(self):
+        tol = p.lines.UNIT_NORM_TOL
+        p.AngularNet(dim=2, delta=0.3, vectors=np.array([[1.0 + 0.5 * tol], [0.0]]))
+        with pytest.raises(DomainError):
+            p.AngularNet(dim=2, delta=0.3, vectors=np.array([[1.0 + 2.0 * tol], [0.0]]))
+
 
 def one_probe_at_a_time_net(d, delta, seed, max_probes, margin=0.9):
     """Greedy construction drawing and screening one probe per step.

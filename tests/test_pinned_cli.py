@@ -1,0 +1,62 @@
+"""Pinned CLI specs: each reruns in-process and must reproduce its stored body.
+
+The bodies under ``pinned_cli/`` (the column line and the rows, without the
+``#`` header) were written by the CLI before the Monte Carlo oracle was
+walked in blocks; the blocked oracle must reproduce them.  A change that
+alters these numbers on purpose regenerates the files.
+
+Integers and labels must match exactly.  Floats must match within
+``FLOAT_RTOL`` of the stored value: the bodies are bit-identical on one
+machine, and the bound leaves room only for BLAS builds that round a
+product differently in the last bits.
+"""
+
+import pathlib
+
+import pytest
+
+from porcupine import cli
+
+PINNED = pathlib.Path(__file__).parent / "pinned_cli"
+FLOAT_RTOL = 1e-12
+
+SPECS = {
+    "risk_matched_demo_scalar.csv": [
+        "risk", "--matched", "--demo", "scalar", "--mc-samples", "200000"],
+    "risk_mismatched_d6.csv": [
+        "risk", "--mismatched", "--d", "6", "--r", "5", "--k", "8", "--r-star", "3",
+        "--k-star", "5", "--seed", "7", "--mc-samples", "300000"],
+}
+
+
+def parse_field(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def assert_field_matches(got, want, where):
+    got, want = parse_field(got), parse_field(want)
+    if isinstance(want, float) and isinstance(got, (int, float)):
+        assert abs(got - want) <= FLOAT_RTOL * abs(want), where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_spec_reproduces_pinned_body(tmp_path, name, threads):
+    out = tmp_path / name
+    assert cli.main(SPECS[name] + ["--threads", str(threads), "--out", str(out)]) == 0
+    got = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    want = (PINNED / name).read_text().splitlines()
+    assert len(got) == len(want)
+    assert got[0] == want[0]  # column names
+    for row, (got_line, want_line) in enumerate(zip(got[1:], want[1:]), start=1):
+        got_fields, want_fields = got_line.split(","), want_line.split(",")
+        assert len(got_fields) == len(want_fields), "row %d" % row
+        for column, pair in enumerate(zip(got_fields, want_fields)):
+            assert_field_matches(*pair, "%s row %d column %s" % (name, row, got[0].split(",")[column]))

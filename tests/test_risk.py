@@ -1,5 +1,7 @@
 """Closed-form risks against each other and against Monte Carlo."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,87 @@ class TestMonteCarloOneReluPass:
                                  threads=threads)
         want = two_sided_monte_carlo(w.matrix, w_star.matrix, n_samples, [7, 1])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def whole_chunk_monte_carlo(A, B, n_samples, seed):
+    """``monte_carlo_risk`` as it was before chunks were walked in blocks:
+    one ``(count, d)`` draw and two ``(count, k)`` products per chunk."""
+    d = A.shape[0]
+    sum_gap = A.sum(axis=1) - B.sum(axis=1)
+    chunk = p.risk._MC_CHUNK_PAIRS
+    pairs = (n_samples + 1) // 2
+    n_chunks = (pairs + chunk - 1) // chunk
+    results = []
+    for index, child in enumerate(as_seed_sequence(seed).spawn(n_chunks)):
+        count = min(chunk, pairs - index * chunk)
+        X = np.random.default_rng(child).standard_normal((count, d))
+        ZA = X @ A
+        ZB = X @ B
+        forward = (np.maximum(ZA, 0.0, out=ZA).sum(axis=1)
+                   - np.maximum(ZB, 0.0, out=ZB).sum(axis=1))
+        backward = forward - X @ sum_gap
+        pair_mean = 0.5 * (forward * forward + backward * backward)
+        results.append((float(pair_mean.sum()), float((pair_mean * pair_mean).sum())))
+    total = sum(r[0] for r in results)
+    total_sq = sum(r[1] for r in results)
+    mean = total / pairs
+    if pairs > 1:
+        var = max((total_sq - pairs * mean * mean) / (pairs - 1), 0.0)
+    else:
+        var = 0.0
+    return mean, float(np.sqrt(var / pairs))
+
+
+BLOCK = p.risk._MC_BLOCK_PAIRS
+CHUNK = p.risk._MC_CHUNK_PAIRS
+# Pair counts: one chunk that is a whole number of blocks; one block and one
+# pair; three chunks, the last partial and ending in a partial block; one pair.
+PAIR_COUNTS = [CHUNK, BLOCK + 1, 150_001, 1]
+
+
+class TestMonteCarloBlocks:
+    """Walking a chunk in blocks keeps the whole-chunk estimate bit for bit."""
+
+    def test_pair_counts_cover_the_block_edges(self):
+        assert CHUNK % BLOCK == 0
+        last_chunk = 150_001 % CHUNK
+        assert 150_001 > 2 * CHUNK and last_chunk % BLOCK != 0 and last_chunk > BLOCK
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("pairs", PAIR_COUNTS)
+    @pytest.mark.parametrize("matched", [True, False])
+    def test_equals_whole_chunk_pass(self, matched, pairs, threads):
+        if matched:
+            w, w_star = random_matched_pair(8, 5, 12, seed=31)
+        else:
+            w = random_instance(8, 5, 12, seed=32)
+            w_star = random_instance(8, 3, 7, seed=33)
+        # An odd sample count rounds up to the same pairs as the even one.
+        for n_samples in {2 * pairs - 1, 2 * pairs}:
+            got = p.monte_carlo_risk(w, w_star, n_samples=n_samples, seed=[5, pairs],
+                                     threads=threads)
+            assert got == whole_chunk_monte_carlo(w.matrix, w_star.matrix, n_samples,
+                                                  [5, pairs])
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_network_against_itself_is_exactly_zero(self, threads):
+        w = random_instance(8, 5, 12, seed=34)
+        assert p.monte_carlo_risk(w, w, n_samples=300_001, seed=3,
+                                  threads=threads) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_traced_peak_memory_is_small(self, threads):
+        rng = np.random.default_rng(35)
+        A = rng.standard_normal((8, 64))
+        B = rng.standard_normal((8, 64))
+        tracemalloc.start()
+        try:
+            p.monte_carlo_risk(A, B, n_samples=200_000, seed=1, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A whole-chunk pass peaks at 70 MiB (threads=1) and 105 MiB (threads=2).
+        assert peak < 10 * 2**20
 
 
 class TestScalarRisk:

@@ -1,6 +1,8 @@
-"""Numerical tolerances are module constants, not per-call arguments."""
+"""Numerical tolerances are module constants, not per-call arguments or literals."""
 
+import ast
 import inspect
+import pathlib
 
 import pytest
 
@@ -43,3 +45,37 @@ SIGNATURES = [
 def test_no_tolerance_parameters(fn, params):
     assert list(inspect.signature(fn).parameters) == params
 
+
+
+SOURCE = pathlib.Path(p.__file__).parent
+
+
+def tolerance_literals(tree):
+    """Line numbers of float literals of tolerance size (at most 1e-8) other
+    than the value of a module-level constant or a parameter default."""
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            allowed.update(id(n) for n in ast.walk(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arguments):
+            for default in node.defaults + node.kw_defaults:
+                if default is not None:
+                    allowed.update(id(n) for n in ast.walk(default))
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        and 0.0 < abs(node.value) <= 1e-8 and id(node) not in allowed
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
+def test_no_unnamed_tolerance_literals(path):
+    assert tolerance_literals(ast.parse(path.read_text())) == []
+
+
+def test_named_tolerances_keep_their_values():
+    assert p.lines.UNIT_NORM_TOL == 1e-12
+    assert p.schur.PIVOT_TOL == 1e-12
+    assert p.schur.PERTURBATION_SLACK == 1e-9
+    assert p.minimax.RELU_GAP_SLACK == 1e-12
