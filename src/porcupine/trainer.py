@@ -1,10 +1,9 @@
-"""Synthetic data generation and (projected) SGD training experiments.
+"""Synthetic data generation, SGD training of porcupine networks, experiments.
 
 Training minimizes the empirical squared error of a two-layer relu
-network on data generated by a ground-truth network.  With projection
-enabled, each neuron's gradient is projected onto its assigned line
-before the update, so columns never leave their lines and the run stays a
-porcupine network throughout; such a run trains the neurons' signed
+porcupine network on data generated by a ground-truth network.  Every
+neuron stays on its assigned line throughout: its gradient is projected
+onto the line before the update, so a run trains the neurons' signed
 scalars along their lines, one number per neuron.
 """
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ._seeds import as_seed_sequence
-from .errors import ConfigError, Diverged, ParameterOutOfRange
+from .errors import ConfigError, DimensionMismatch, Diverged, ParameterOutOfRange
 from .landscape import region_condition, stationarity_check
 from .lines import (
     LineSet,
@@ -113,10 +112,12 @@ def desk_mismatched_config(seed: int = 0) -> TrainConfig:
 class TrainResult:
     """Final state and per-epoch mean losses (``trajectory``) of one run.
 
-    ``max_line_deviation`` is the largest distance of a final column from
-    its assigned line, measured once on ``final_matrix``;
+    ``final_matrix`` is the trained scalars times their lines' unit
+    vectors.  ``max_line_deviation`` is the largest distance of a final
+    column from its assigned line, measured once on ``final_matrix``;
     ``line_feasibility_ok`` says every column passes the PNNWeights rule,
-    so ``final_weights()`` constructs exactly when it is True.
+    so ``final_weights()`` constructs exactly when it is True.  Trained
+    runs keep their columns on their lines; a hand-built result need not.
     """
 
     final_train_loss: float
@@ -167,14 +168,49 @@ def init_random_pnn(d: int, r: int, seed):
     return line_set, neuron_map, weights_from_masses(line_set, neuron_map, scales)
 
 
-def _run_epochs(n: int, config: TrainConfig, step) -> list:
-    """The epoch loop shared by both parametrizations.
+def _checked_data(data, dim: int, name: str):
+    """``(X, y)`` as float arrays of shapes ``(n, dim)`` and ``(n,)``."""
+    X, y = data
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise DimensionMismatch(
+            "%s inputs must have shape (n, %d), got %s" % (name, dim, X.shape)
+        )
+    if y.shape != (X.shape[0],):
+        raise DimensionMismatch(
+            "%s targets must have shape (%d,), got %s" % (name, X.shape[0], y.shape)
+        )
+    return X, y
 
-    ``step(idx, lr)`` applies one update on the rows ``idx`` and returns
-    the batch's mean squared residual before the update.  Returns the
-    per-epoch mean losses; raises Diverged as soon as the running loss of
-    an epoch stops being finite.
+
+def _train_line_coordinates(X, y, init_weights: PNNWeights, config: TrainConfig):
+    """SGD on the signed scalars ``c`` of ``W = units diag(c)``.
+
+    With ``z = X u`` for a line ``u``, ``relu(c z) = max(c, 0) relu(z) +
+    min(c, 0) min(z, 0)``.  One table ``Q = [relu(X U), min(X U, 0)]``
+    (n x 2r, U the line set's unit vectors) therefore serves every step:
+    a batch's output is ``Q[idx] @ mass``, where ``mass`` sums the signed
+    scalars of the neurons on each line and half (column ``line`` for
+    c >= 0, ``line + r`` for c < 0), and neuron ``j``'s gradient is the
+    residual's product with its column, zero when ``c_j = 0``.  This is
+    the d-space gradient projected on the neuron's line.
+
+    Returns the final scalars and the per-epoch mean losses.  Raises
+    Diverged as soon as the running loss of an epoch stops being finite,
+    and when the last step leaves a scalar non-finite.
     """
+    U = init_weights.line_set.unit_vectors
+    n, r = X.shape[0], U.shape[1]
+    Q = np.empty((n, 2 * r))
+    np.matmul(X, U, out=Q[:, :r])
+    np.minimum(Q[:, :r], 0.0, out=Q[:, r:])
+    np.maximum(Q[:, :r], 0.0, out=Q[:, :r])
+    line = np.asarray(init_weights.neuron_map.assignment)
+    shifted = line + r
+    c = init_weights.scales
+    velocity = np.zeros_like(c)
+    momentum = config.momentum
     lr = config.learning_rate
     rng = np.random.default_rng(config.seed)
     steps = 0
@@ -184,7 +220,15 @@ def _run_epochs(n: int, config: TrainConfig, step) -> list:
         loss_sum = 0.0
         batches = 0
         for start in range(0, n, config.batch_size):
-            loss_sum += step(order[start : start + config.batch_size], lr)
+            idx = order[start : start + config.batch_size]
+            Qb = Q.take(idx, axis=0)
+            col = np.where(c < 0.0, shifted, line)
+            mass = np.bincount(col, weights=c, minlength=2 * r)
+            residual = Qb @ mass - y[idx]
+            grad = (2.0 / len(idx)) * (residual @ Qb)[col] * (c != 0.0)
+            velocity = momentum * velocity + grad
+            c = c - lr * velocity
+            loss_sum += float(residual @ residual) / len(idx)
             batches += 1
             if not math.isfinite(loss_sum):
                 raise Diverged(
@@ -202,109 +246,53 @@ def _run_epochs(n: int, config: TrainConfig, step) -> list:
             < config.early_stop_threshold
         ):
             break
-    return trajectory
-
-
-def _train_line_coordinates(X, y, init_weights: PNNWeights, units, config):
-    """Projected SGD on the signed scalars ``c`` of ``W = units diag(c)``.
-
-    With ``z = X u`` for a line ``u``, ``relu(c z) = max(c, 0) relu(z) +
-    min(c, 0) min(z, 0)``.  One table ``Q = [relu(X U), min(X U, 0)]``
-    (n x 2r, U the line set's unit vectors) therefore serves every step:
-    a batch's output is ``Q[idx] @ mass``, where ``mass`` sums the signed
-    scalars of the neurons on each line and half (column ``line`` for
-    c >= 0, ``line + r`` for c < 0), and neuron ``j``'s gradient is the
-    residual's product with its column, zero when ``c_j = 0``.  This is
-    the d-space gradient projected on the neuron's line.
-    """
-    U = init_weights.line_set.unit_vectors
-    r = U.shape[1]
-    Q = np.empty((X.shape[0], 2 * r))
-    np.matmul(X, U, out=Q[:, :r])
-    np.minimum(Q[:, :r], 0.0, out=Q[:, r:])
-    np.maximum(Q[:, :r], 0.0, out=Q[:, :r])
-    line = np.asarray(init_weights.neuron_map.assignment)
-    shifted = line + r
-    c = init_weights.scales
-    velocity = np.zeros_like(c)
-    momentum = config.momentum
-
-    def step(idx, lr):
-        nonlocal c, velocity
-        Qb = Q.take(idx, axis=0)
-        col = np.where(c < 0.0, shifted, line)
-        mass = np.bincount(col, weights=c, minlength=2 * r)
-        residual = Qb @ mass - y[idx]
-        grad = (2.0 / len(idx)) * (residual @ Qb)[col] * (c != 0.0)
-        velocity = momentum * velocity + grad
-        c = c - lr * velocity
-        return float(residual @ residual) / len(idx)
-
-    trajectory = _run_epochs(X.shape[0], config, step)
-    return units * c[None, :], trajectory
-
-
-def _train_columns(X, y, init_weights: PNNWeights, config):
-    """Unconstrained SGD on the full d x k matrix."""
-    W = init_weights.matrix.copy()
-    velocity = np.zeros_like(W)
-    momentum = config.momentum
-
-    def step(idx, lr):
-        nonlocal W, velocity
-        Xb = X[idx]
-        preact = Xb @ W
-        residual = np.maximum(preact, 0.0).sum(axis=1) - y[idx]
-        grad = (2.0 / len(idx)) * (Xb.T @ ((preact > 0.0) * residual[:, None]))
-        velocity = momentum * velocity + grad
-        W = W - lr * velocity
-        return float(residual @ residual) / len(idx)
-
-    trajectory = _run_epochs(X.shape[0], config, step)
-    return W, trajectory
+    if not np.isfinite(c).all():
+        raise Diverged(
+            "training scalars became non-finite at epoch %d, step %d"
+            % (epoch, steps - 1)
+        )
+    return c, trajectory
 
 
 def sgd_train(
     data,
     init_weights: PNNWeights,
     config: TrainConfig,
-    projection: bool = True,
     test_data=None,
 ) -> TrainResult:
-    """Mini-batch SGD with momentum on the empirical squared error.
+    """Mini-batch SGD with momentum on the empirical squared error of a
+    porcupine network.
 
-    The relu subgradient at exactly zero is taken to be zero.  With
-    ``projection`` on, each neuron's gradient is replaced by its component
-    along the neuron's line before the update; the run then trains the
-    neurons' signed scalars on their lines directly (the start point is
-    the init's scalars on its lines).  With it off, the full matrix is
-    trained.  Returns the last state (no best-iterate selection), with
-    per-epoch mean losses recorded.  Raises Diverged after the first
-    batch whose loss makes the epoch's running loss non-finite.  The
-    final matrix is read on its lines once: each neuron's orientation is
-    the sign of its scalar there, and ``max_line_deviation`` and
+    Each neuron's gradient is its d-space gradient projected on the
+    neuron's line, so the run trains the neurons' signed scalars on their
+    lines (the start point is the init's scalars).  The relu subgradient at
+    exactly zero is taken to be zero.  ``data`` and ``test_data`` are
+    ``(X, y)`` pairs with X of shape ``(n, d)`` and y of shape ``(n,)``;
+    other shapes raise DimensionMismatch.  Returns the last state (no
+    best-iterate selection), with per-epoch mean losses recorded.  Raises
+    Diverged after the first batch whose loss makes the epoch's running
+    loss non-finite, or when the final scalars are non-finite.  The final
+    matrix is read on its lines once: each neuron's orientation is the
+    sign of its scalar there, and ``max_line_deviation`` and
     ``line_feasibility_ok`` come from the residuals.
     """
-    X, y = data
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    dim = init_weights.line_set.dim
+    X, y = _checked_data(data, dim, "training")
+    if test_data is not None:
+        X_test, y_test = _checked_data(test_data, dim, "test")
     n = X.shape[0]
     if n == 0:
         raise ConfigError("training data is empty")
     if config.batch_size > n:
         raise ConfigError("batch_size %d exceeds n=%d" % (config.batch_size, n))
+    c, trajectory = _train_line_coordinates(X, y, init_weights, config)
     units = init_weights.line_set.unit_vectors[:, list(init_weights.neuron_map.assignment)]
-    if projection:
-        W, trajectory = _train_line_coordinates(X, y, init_weights, units, config)
-    else:
-        W, trajectory = _train_columns(X, y, init_weights, config)
+    W = units * c[None, :]
     scales, norms, residuals = _line_coordinates(W, units)
 
     if test_data is not None:
-        X_test, y_test = test_data
-        predictions = network_output(np.asarray(X_test, float), W)
-        denom = float(np.asarray(y_test, float) @ np.asarray(y_test, float))
-        errors = predictions - np.asarray(y_test, float)
+        errors = network_output(X_test, W) - y_test
+        denom = float(y_test @ y_test)
         normalized = float(errors @ errors) / denom if denom > 0 else float("nan")
     else:
         normalized = float("nan")
@@ -436,7 +424,6 @@ def experiment_matched_degree_one(
             (X[:n_train], y[:n_train]),
             init,
             trial_config,
-            projection=True,
             test_data=(X[n_train:], y[n_train:]),
         )
         report = classify_outcome(result, truth)
@@ -504,7 +491,7 @@ def experiment_mismatched_random(
     ``k_star`` neurons (columns i.i.d. Gaussian with variance 1/d); for
     every ``k`` in ``k_list`` and every initialization, a fresh random
     porcupine network with ``k/2`` lines and two neurons per line is
-    trained with projected SGD, and the held-out normalized squared error
+    trained with SGD on its line scalars, and the held-out normalized squared error
     is recorded.
     """
     for k in k_list:
@@ -527,9 +514,7 @@ def experiment_mismatched_random(
                 _, _, init = init_random_pnn(d, k // 2, init_seed)
                 run_seed = int(np.random.default_rng(train_seed).integers(2**31))
                 run_config = replace(config, seed=run_seed)
-                result = sgd_train(
-                    train, init, run_config, projection=True, test_data=test
-                )
+                result = sgd_train(train, init, run_config, test_data=test)
                 signature = result.final_signature
                 runs.append(
                     MismatchedRun(

@@ -439,7 +439,7 @@ def test_criterion_11_trained_good_region_matches_schur_value():
             decay_rate=0.8, decay_every_steps=1000,
             seed=int(np.random.default_rng(seq[4]).integers(2**31)),
         )
-        result = p.sgd_train((X, y), init, config, projection=True)
+        result = p.sgd_train((X, y), init, config)
         if not p.region_condition(result.final_signature, d):
             continue
         collected += 1

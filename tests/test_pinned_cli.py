@@ -1,9 +1,11 @@
 """Pinned CLI specs: each reruns in-process and must reproduce its stored body.
 
 The bodies under ``pinned_cli/`` (the column line and the rows, without the
-``#`` header) were written by the CLI before the Monte Carlo oracle was
-walked in blocks; the blocked oracle must reproduce them.  A change that
-alters these numbers on purpose regenerates the files.
+``#`` header) were written by the CLI: the two ``risk`` bodies before the
+Monte Carlo oracle was walked in blocks, the two ``train`` bodies before the
+unconstrained d-space trainer and its ``projection`` switch were removed.
+The current code must reproduce them.  A change that alters these numbers
+on purpose regenerates the files.
 
 Integers and labels must match exactly.  Floats must match within
 ``FLOAT_RTOL`` of the stored value: the bodies are bit-identical on one
@@ -26,6 +28,11 @@ SPECS = {
     "risk_mismatched_d6.csv": [
         "risk", "--mismatched", "--d", "6", "--r", "5", "--k", "8", "--r-star", "3",
         "--k-star", "5", "--seed", "7", "--mc-samples", "300000"],
+    "train_matched_d5.csv": [
+        "train", "matched", "--d", "5", "--k", "10,15", "--trials", "3", "--epochs", "20"],
+    "train_mismatched_d15.csv": [
+        "train", "mismatched", "--d", "15", "--k-star", "20", "--k", "10,20", "--trials", "2",
+        "--inits", "2", "--epochs", "5"],
 }
 
 

@@ -1,12 +1,19 @@
-"""Data generation, projected SGD, outcome classification, experiments."""
+"""Data generation, SGD on line scalars, outcome classification, experiments."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 import porcupine as p
-from porcupine.errors import ConfigError, Diverged, InfeasibleWeights, ParameterOutOfRange
+from porcupine.errors import (
+    ConfigError,
+    DimensionMismatch,
+    Diverged,
+    InfeasibleWeights,
+    ParameterOutOfRange,
+)
 
 
 def scalar_setup(w_star_values):
@@ -74,6 +81,18 @@ class TestInitRandomPnn:
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
+# (training data, test data) of every malformed shape, from a good (X, y).
+BAD_DATA = {
+    "short_y": lambda X, y: ((X, y[:50]), None),
+    "long_y": lambda X, y: ((X, np.concatenate([y, y])), None),
+    "wrong_columns": lambda X, y: ((np.hstack([X, X]), y), None),
+    "one_d_x": lambda X, y: ((X.ravel(), y), None),
+    "two_d_y": lambda X, y: ((X, y[:, None]), None),
+    "short_test_y": lambda X, y: ((X, y), (X, y[:5])),
+    "test_wrong_columns": lambda X, y: ((X, y), (np.hstack([X, X]), y)),
+}
+
+
 class TestSgdTrain:
     def test_early_stop_at_optimum(self):
         line_set, neuron_map, truth = scalar_setup([2.0, 3.0])
@@ -105,7 +124,7 @@ class TestSgdTrain:
         X, y = p.generate_dataset(truth, 2000, seq[1])
         _, _, init = p.init_random_pnn(4, 5, seq[2])
         config = p.TrainConfig(batch_size=100, epochs=20, learning_rate=0.01, seed=10)
-        result = p.sgd_train((X, y), init, config, projection=True)
+        result = p.sgd_train((X, y), init, config)
         assert result.line_feasibility_ok
         assert result.max_line_deviation <= 1e-6
         units = init.line_set.unit_vectors[:, list(init.neuron_map.assignment)]
@@ -114,29 +133,31 @@ class TestSgdTrain:
         )
         assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-6
 
-    def test_unprojected_run_leaves_lines(self):
-        seq = np.random.SeedSequence(99).spawn(3)
-        _, _, truth = p.init_random_pnn(4, 3, seq[0])
-        X, y = p.generate_dataset(truth, 2000, seq[1])
-        _, _, init = p.init_random_pnn(4, 5, seq[2])
-        config = p.TrainConfig(batch_size=100, epochs=20, learning_rate=0.01, seed=10)
-        result = p.sgd_train((X, y), init, config, projection=False)
-        assert not result.line_feasibility_ok
-
     def test_slightly_unprojected_run_is_classified(self):
-        # One epoch of tiny steps leaves the columns about 2e-7 off their
-        # lines: far outside FEASIBILITY_TOL, so the run is not feasible
-        # and classify_outcome labels it without building its weights.
-        seq = np.random.SeedSequence(99).spawn(3)
+        # A hand-built result whose columns sit about 2e-7 off their lines:
+        # far outside FEASIBILITY_TOL, so the result is not feasible and
+        # classify_outcome labels it without building its weights.
+        seq = np.random.SeedSequence(99).spawn(4)
         _, _, truth = p.init_random_pnn(4, 3, seq[0])
         X, y = p.generate_dataset(truth, 2000, seq[1])
         _, _, init = p.init_random_pnn(4, 5, seq[2])
         config = p.TrainConfig(batch_size=100, epochs=1, learning_rate=1e-8, seed=10)
-        result = p.sgd_train((X, y), init, config, projection=False)
-        assert 1e-7 < result.max_line_deviation < 1e-6
+        trained = p.sgd_train((X, y), init, config)
+        units = init.line_set.unit_vectors[:, list(init.neuron_map.assignment)]
+        off = np.random.default_rng(seq[3]).standard_normal(units.shape)
+        off -= units * np.einsum("dk,dk->k", units, off)
+        off *= 2e-7 / np.linalg.norm(off, axis=0)
+        result = dataclasses.replace(
+            trained,
+            final_matrix=trained.final_matrix + off,
+            line_feasibility_ok=False,
+            max_line_deviation=2e-7,
+        )
+        with pytest.raises(InfeasibleWeights):
+            result.final_weights()
         report = p.classify_outcome(result, truth)
-        assert report.outcome in (p.GLOBAL, p.BAD_LOCAL, p.NOT_CONVERGED)
-        assert not result.line_feasibility_ok
+        assert report.outcome == p.NOT_CONVERGED
+        assert report.stationary is None
 
     def test_deterministic(self):
         line_set, neuron_map, truth = scalar_setup([1.0, 2.0])
@@ -156,8 +177,7 @@ class TestSgdTrain:
         with np.errstate(over="ignore"), pytest.raises(Diverged):
             p.sgd_train((X, y), init, config)
 
-    @pytest.mark.parametrize("projection", [True, False])
-    def test_divergence_caught_at_the_step(self, projection):
+    def test_divergence_caught_at_the_step(self):
         # One epoch of 2000 batches that overflows within its first 200.
         line_set, neuron_map, truth = scalar_setup([5.0, 5.0])
         X, y = p.generate_dataset(truth, 20_000, seed=13)
@@ -166,9 +186,29 @@ class TestSgdTrain:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             Diverged, match=r"epoch 0, step \d+"
         ) as info:
-            p.sgd_train((X, y), init, config, projection=projection)
+            p.sgd_train((X, y), init, config)
         step = int(re.search(r"step (\d+)", str(info.value)).group(1))
         assert step < 2000 - 1
+
+    def test_overflow_on_the_last_step_is_caught(self):
+        # The one step's loss is finite; the update overflows the scalars.
+        line_set, neuron_map, truth = scalar_setup([5.0, 5.0])
+        X, y = p.generate_dataset(truth, 100, 1)
+        init = p.weights_from_masses(line_set, neuron_map, [30.0, 30.0])
+        config = p.TrainConfig(batch_size=100, epochs=1, learning_rate=1e308)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            Diverged, match=r"scalars became non-finite at epoch 0, step 0"
+        ):
+            p.sgd_train((X, y), init, config)
+
+    @pytest.mark.parametrize("case", sorted(BAD_DATA))
+    def test_bad_data_shapes_rejected(self, case):
+        line_set, neuron_map, truth = scalar_setup([1.0, 2.0])
+        X, y = p.generate_dataset(truth, 100, seed=15)
+        train, test = BAD_DATA[case](X, y)
+        config = p.TrainConfig(batch_size=10, epochs=1, learning_rate=0.01)
+        with pytest.raises(DimensionMismatch):
+            p.sgd_train(train, truth, config, test_data=test)
 
     def test_batch_size_validated(self):
         line_set, neuron_map, truth = scalar_setup([1.0])
@@ -287,7 +327,7 @@ class TestLineCoordinateTrainer:
     @pytest.mark.parametrize("name", TRAINER_CASES)
     def test_matches_projected_matrix_loop(self, name):
         data, init, config = _trainer_case(name)
-        got = p.sgd_train(data, init, config, projection=True)
+        got = p.sgd_train(data, init, config)
         want_matrix, want_trajectory = projected_reference(data, init, config)
         np.testing.assert_allclose(got.final_matrix, want_matrix, rtol=1e-12, atol=0)
         np.testing.assert_allclose(got.trajectory, want_trajectory, rtol=1e-12, atol=0)
@@ -296,19 +336,17 @@ class TestLineCoordinateTrainer:
         assert got.line_feasibility_ok
         assert got.max_line_deviation <= 1e-12
 
-    @pytest.mark.parametrize("projection", [True, False])
     @pytest.mark.parametrize("name", TRAINER_CASES)
-    def test_feasible_exactly_when_final_weights_construct(self, name, projection):
+    def test_feasible_exactly_when_final_weights_construct(self, name):
         data, init, config = _trainer_case(name)
-        result = p.sgd_train(data, init, config, projection=projection)
+        result = p.sgd_train(data, init, config)
         try:
             result.final_weights()
             constructs = True
         except InfeasibleWeights:
             constructs = False
         assert result.line_feasibility_ok == constructs
-        if projection:
-            assert constructs
+        assert constructs
 
     def test_cases_cover_their_features(self):
         data, init, config = _trainer_case("zero_mass")
