@@ -41,10 +41,6 @@ class NotSymmetric(PorcupineError):
     """A matrix required to be symmetric is not, beyond tolerance."""
 
 
-class SingularProjector(PorcupineError):
-    """The line matrix does not span the ambient space where required."""
-
-
 class SingularKernel(PorcupineError):
     """A kernel matrix that must be invertible is numerically singular."""
 

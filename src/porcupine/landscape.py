@@ -16,9 +16,9 @@ import numpy as np
 from .errors import (
     ConfigMismatch,
     DimensionMismatch,
+    DomainError,
     ParameterOutOfRange,
     SingularKernel,
-    SingularProjector,
     ZeroColumn,
 )
 from .kernel import (
@@ -29,7 +29,7 @@ from .kernel import (
     psi,
     symmetric_pseudo_inverse,
 )
-from .lines import LineSet, PNNWeights, RegionSignature, ZERO_TOL, _line_masses
+from .lines import PNNWeights, RegionSignature, ZERO_TOL, _line_masses
 
 ONLY_GLOBAL = "OnlyGlobal"
 ONLY_BAD_LOCAL = "OnlyBadLocal"
@@ -50,6 +50,10 @@ class RegionClassification:
 
 def _sign_pattern(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float).ravel()
+    if arr.size < 1:
+        raise ParameterOutOfRange("need at least one sign")
+    if not np.isfinite(arr).all():
+        raise DomainError("signs must be finite")
     return np.where(arr >= 0, 1, -1).astype(int)
 
 
@@ -62,8 +66,6 @@ def scalar_region_classify(signs, w_star) -> RegionClassification:
     optima and every other region holds no optimizer at all.
     """
     s = _sign_pattern(signs)
-    if s.size < 1:
-        raise ParameterOutOfRange("need at least one neuron")
     s_star = _sign_pattern(w_star)
     s_constant = bool(np.all(s == s[0]))
     star_constant = bool(np.all(s_star == s_star[0]))
@@ -191,47 +193,48 @@ def stationarity_check(
     return bool(np.max(np.abs(projected)) <= tol)
 
 
-def _line_sign_matrix(line_signs, r: int) -> np.ndarray:
-    s = _sign_pattern(line_signs)
-    if s.size != r:
-        raise DimensionMismatch("need one orientation sign per line")
-    return np.diag(s.astype(float))
+def _finite_vector(values, size: int, what: str) -> np.ndarray:
+    """``values`` as a float vector of shape ``(size,)`` with finite entries."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (size,):
+        raise DimensionMismatch("%s must have shape (%d,), got %s" % (what, size, arr.shape))
+    if not np.isfinite(arr).all():
+        raise DomainError("%s must be finite" % what)
+    return arr
 
 
-def bad_region_stationary(line_set: LineSet, bundle: KernelBundle, q_star, line_signs,
-                          w0=None):
+def bad_region_stationary(bundle: KernelBundle, q_star, line_signs, w0=None):
     """Stationary point data in an all-single-orientation region.
 
-    Each line ``l`` carries only neurons of orientation ``line_signs[l]``.
-    Returns ``(z, q)`` where ``z`` is the column-sum gap at the stationary
-    point and ``q`` the stationary per-line masses, both in closed form.
+    Each model line ``l`` of ``bundle.lines`` carries only neurons of
+    orientation ``s_l = line_signs[l]``, so the column sum is ``U S q`` and
+    the risk is a quadratic in the per-line masses ``q``.  Its stationary
+    point solves ``(S G S + psi_lines) q = S U' w0 + psi_cross q*`` (``G``
+    the line Gram matrix), by the package's pseudo-inverse.  Returns
+    ``(z, q)`` with the column-sum gap ``z = U S q - w0``.  The lines need
+    not span the ambient space (r < d is allowed).
     """
-    r = line_set.num_lines
-    U = line_set.unit_vectors
-    S = _line_sign_matrix(line_signs, r)
-    q_star = np.asarray(q_star, dtype=float).ravel()
-    w0 = np.zeros(line_set.dim) if w0 is None else np.asarray(w0, dtype=float)
-    D11 = bundle.psi_lines
-    D12 = bundle.psi_cross
-    projector = U @ U.T  # U S S' U' with S S' = I
-    if _cutoff_drops_any(projector):
-        raise SingularProjector("line matrix does not span the ambient space")
-    core = symmetric_pseudo_inverse(S @ U.T @ U @ S + D11)
-    rhs = D11 @ core @ (S @ U.T @ w0) + (D11 @ core - np.eye(r)) @ (D12 @ q_star)
-    z = -np.linalg.solve(projector, U @ S @ rhs)
-    q = core @ (S @ U.T @ w0 + D12 @ q_star)
-    return z, q
+    s = _sign_pattern(line_signs)
+    if s.size != bundle.num_lines:
+        raise DimensionMismatch("need one orientation sign per line")
+    q_star = _finite_vector(q_star, bundle.star.num_lines, "target masses")
+    d = bundle.lines.dim
+    w0 = np.zeros(d) if w0 is None else _finite_vector(w0, d, "w0")
+    US = bundle.lines.unit_vectors * s
+    core = symmetric_pseudo_inverse(US.T @ US + bundle.psi_lines)
+    q = core @ (US.T @ w0 + bundle.psi_cross @ q_star)
+    return US @ q - w0, q
 
 
-def bad_region_loss(bundle: KernelBundle, line_set: LineSet, q_star) -> float:
+def bad_region_loss(bundle: KernelBundle, q_star) -> float:
     """Population risk at the bad-region stationary point (zero target sum).
 
     Equals a quarter of the quadratic form of ``q*`` under the Schur-style
     complement whose inverted block is the line kernel matrix augmented by
     the plain line Gram matrix.
     """
-    q_star = np.asarray(q_star, dtype=float).ravel()
-    U = line_set.unit_vectors
+    q_star = _finite_vector(q_star, bundle.star.num_lines, "target masses")
+    U = bundle.lines.unit_vectors
     D11 = bundle.psi_lines
     if _cutoff_drops_any(D11):
         raise SingularKernel("line kernel matrix is numerically singular")

@@ -16,6 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
+    DomainError,
     DuplicateLine,
     NegativeMass,
     ParameterOutOfRange,
@@ -134,6 +136,10 @@ def schur_complement(bundle: KernelBundle) -> SchurReport:
 def good_local_loss(report: SchurReport, q_star):
     """Exact good-region loss and its spectral-norm upper bound."""
     q = np.asarray(q_star, dtype=float).ravel()
+    if q.size != report.schur.shape[0]:
+        raise DimensionMismatch("need one target mass per target line")
+    if not np.isfinite(q).all():
+        raise DomainError("per-line masses must be finite")
     if np.any(q < 0):
         raise NegativeMass("per-line masses must be non-negative")
     exact = report.loss_at_good_local(q)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ._seeds import as_seed_sequence
-from .errors import ConfigError, DimensionMismatch, Diverged, ParameterOutOfRange
+from .errors import ConfigError, DimensionMismatch, Diverged, DomainError, ParameterOutOfRange
 from .landscape import region_condition, stationarity_check
 from .lines import (
     LineSet,
@@ -169,8 +169,11 @@ def init_random_pnn(d: int, r: int, seed):
 
 
 def _checked_data(data, dim: int, name: str):
-    """``(X, y)`` as float arrays of shapes ``(n, dim)`` and ``(n,)``."""
-    X, y = data
+    """``(X, y)`` as finite float arrays of shapes ``(n, dim)`` and ``(n,)``."""
+    try:
+        X, y = data
+    except (TypeError, ValueError):
+        raise DimensionMismatch("%s data must be an (X, y) pair" % name) from None
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[1] != dim:
@@ -181,6 +184,8 @@ def _checked_data(data, dim: int, name: str):
         raise DimensionMismatch(
             "%s targets must have shape (%d,), got %s" % (name, X.shape[0], y.shape)
         )
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DomainError("%s data must be finite" % name)
     return X, y
 
 
@@ -394,6 +399,13 @@ class MatchedSummary:
     trials: tuple
 
 
+def _require_runs(**counts) -> None:
+    """Each named count of an experiment must be at least one."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ParameterOutOfRange("need %s >= 1, got %d" % (name, value))
+
+
 def experiment_matched_degree_one(
     d: int,
     k: int,
@@ -405,6 +417,7 @@ def experiment_matched_degree_one(
     """Matched runs on a degree-one network: learn the architecture that
     generated the data, report how often training reaches a global optimum
     and the per-trial gap between learned and true weights."""
+    _require_runs(trials=trials)
     line_set = axes_line_set(d)
     neuron_map = degree_one_map(d, k)
     rows = []
@@ -494,6 +507,7 @@ def experiment_mismatched_random(
     trained with SGD on its line scalars, and the held-out normalized squared error
     is recorded.
     """
+    _require_runs(trials=trials, inits_per_trial=inits_per_trial, k_values=len(k_list))
     for k in k_list:
         if k % 2 != 0:
             raise ConfigError("k values must be even (two neurons per line)")

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import porcupine as p
-from porcupine.errors import ConfigMismatch, SingularKernel, ZeroColumn
+from porcupine.errors import (
+    ConfigMismatch,
+    DimensionMismatch,
+    DomainError,
+    ParameterOutOfRange,
+    SingularKernel,
+    ZeroColumn,
+)
 
 
 def scalar_region_minimum(signs, w_star):
@@ -374,7 +381,7 @@ class TestBadRegion:
     def test_zero_right_hand_side(self):
         ls, star, bundle, q_star, _ = self._setup(70)
         z = p.bad_region_stationary(
-            ls, bundle, np.zeros(star.num_lines), np.ones(ls.num_lines)
+            bundle, np.zeros(star.num_lines), np.ones(ls.num_lines)
         )[0]
         np.testing.assert_allclose(z, 0.0, atol=1e-12)
 
@@ -383,7 +390,7 @@ class TestBadRegion:
         star = p.random_line_set(4, 2, seed=71)
         bundle = p.kernel_bundle(axes, star)
         q_star = np.array([1.0, 2.0])
-        z = p.bad_region_stationary(axes, bundle, q_star, np.ones(4))[0]
+        z = p.bad_region_stationary(bundle, q_star, np.ones(4))[0]
         D11 = bundle.psi_lines
         U = axes.unit_vectors
         direct = np.linalg.solve(
@@ -396,22 +403,57 @@ class TestBadRegion:
         ls, star, bundle, q_star, rng = self._setup(72)
         signs = rng.choice([-1, 1], size=ls.num_lines)
         w0 = rng.standard_normal(ls.dim) * 0.5
-        z, q = p.bad_region_stationary(ls, bundle, q_star, signs, w0)
+        z, q = p.bad_region_stationary(bundle, q_star, signs, w0)
         S = np.diag(signs.astype(float))
         U = ls.unit_vectors
         np.testing.assert_allclose(z, U @ S @ q - w0, atol=1e-10)
         residual = S @ U.T @ z + bundle.psi_lines @ q - bundle.psi_cross @ q_star
         assert np.max(np.abs(residual)) <= 1e-8
 
+    def test_matches_former_projector_route(self):
+        # The former route rebuilt z by solving with the projector U U',
+        # which needs lines spanning R^d; it stays here as a reference.
+        def projector_route(bundle, q_star, signs, w0):
+            U = bundle.lines.unit_vectors
+            S = np.diag(signs)
+            D11, D12 = bundle.psi_lines, bundle.psi_cross
+            core = p.symmetric_pseudo_inverse(S @ U.T @ U @ S + D11)
+            rhs = D11 @ core @ (S @ U.T @ w0) + (D11 @ core - np.eye(U.shape[1])) @ (D12 @ q_star)
+            z = -np.linalg.solve(U @ U.T, U @ S @ rhs)
+            return z, core @ (S @ U.T @ w0 + D12 @ q_star), np.linalg.cond(U @ U.T)
+
+        for seed in range(60):
+            d = 2 + seed % 6
+            ls, star, bundle, q_star, rng = self._setup((82, seed), d=d, r=d + seed % 5)
+            signs = rng.choice([-1.0, 1.0], size=ls.num_lines)
+            w0 = rng.standard_normal(d)
+            z, q = p.bad_region_stationary(bundle, q_star, signs, w0)
+            z_ref, q_ref, cond = projector_route(bundle, q_star, signs, w0)
+            assert np.max(np.abs(q - q_ref)) <= 1e-11 * max(1.0, np.max(np.abs(q_ref)))
+            if cond <= 1e6:
+                assert np.max(np.abs(z - z_ref)) <= 1e-9 * max(1.0, np.max(np.abs(z_ref)))
+
+    def test_fewer_lines_than_dimensions(self):
+        # r < d: the lines do not span R^d, and the stationary point exists.
+        ls, star, bundle, q_star, rng = self._setup(83, d=6, r=3)
+        signs = np.array([1.0, -1.0, 1.0])
+        w0 = rng.standard_normal(6)
+        z, q = p.bad_region_stationary(bundle, q_star, signs, w0)
+        assert np.isfinite(z).all() and np.isfinite(q).all()
+        U = ls.unit_vectors
+        np.testing.assert_allclose(z, U @ (signs * q) - w0, atol=1e-10)
+        residual = signs * (U.T @ z) + bundle.psi_lines @ q - bundle.psi_cross @ q_star
+        assert np.max(np.abs(residual)) <= 1e-10
+
     def test_loss_zero_for_zero_target_mass(self):
         ls, star, bundle, _, _ = self._setup(73)
-        assert p.bad_region_loss(bundle, ls, np.zeros(star.num_lines)) == 0.0
+        assert p.bad_region_loss(bundle, np.zeros(star.num_lines)) == 0.0
 
     def test_bad_region_dominates_good_region(self):
         for seed in range(74, 80):
             ls, star, bundle, q_star, _ = self._setup(seed)
             good = p.schur_complement(bundle).loss_at_good_local(q_star)
-            bad = p.bad_region_loss(bundle, ls, q_star)
+            bad = p.bad_region_loss(bundle, q_star)
             assert bad >= good - 1e-12
 
     def test_two_route_equivalence(self):
@@ -419,12 +461,12 @@ class TestBadRegion:
         # term must match the augmented-block closed form.
         ls, star, bundle, q_star, _ = self._setup(81)
         r, d = ls.num_lines, ls.dim
-        z, _ = p.bad_region_stationary(ls, bundle, q_star, np.ones(r))
+        z, _ = p.bad_region_stationary(bundle, q_star, np.ones(r))
         U = ls.unit_vectors
         schur = p.schur_complement(bundle).schur
         middle = np.eye(d) + U @ np.linalg.solve(bundle.psi_lines, U.T)
         assembled = 0.25 * (float(q_star @ schur @ q_star) + float(z @ middle @ z))
-        closed = p.bad_region_loss(bundle, ls, q_star)
+        closed = p.bad_region_loss(bundle, q_star)
         assert assembled == pytest.approx(closed, abs=1e-8)
 
     def test_singular_kernel_rejected(self):
@@ -439,4 +481,33 @@ class TestBadRegion:
             star=star,
         )
         with pytest.raises(SingularKernel):
-            p.bad_region_loss(degenerate, ls, np.array([1.0]))
+            p.bad_region_loss(degenerate, np.array([1.0]))
+
+
+BAD_INPUT_BUNDLE = p.kernel_bundle(p.random_line_set(5, 7, 90), p.random_line_set(5, 3, 91))
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda b: p.bad_region_stationary(b, [1.0, NAN, 1.0], np.ones(7)), DomainError),
+    (lambda b: p.bad_region_loss(b, [1.0, NAN, 1.0]), DomainError),
+    (lambda b: p.bad_region_loss(b, [1.0, -INF, 1.0]), DomainError),
+    (lambda b: p.bad_region_stationary(b, np.ones(3), np.ones(7), [0, 0, INF, 0, 0]), DomainError),
+    (lambda b: p.bad_region_stationary(b, np.ones(3), [1, 1, 1, NAN, 1, 1, 1]), DomainError),
+    (lambda b: p.bad_region_stationary(b, np.ones(4), np.ones(7)), DimensionMismatch),
+    (lambda b: p.bad_region_loss(b, np.ones(2)), DimensionMismatch),
+    (lambda b: p.bad_region_stationary(b, np.ones(3), np.ones(7), np.zeros(4)), DimensionMismatch),
+    (lambda b: p.scalar_region_classify([NAN, 1], [1, -1]), DomainError),
+    (lambda b: p.scalar_region_classify([1, 1], [6.0, NAN]), DomainError),
+    (lambda b: p.scalar_hessian([NAN, 1]), DomainError),
+    (lambda b: p.scalar_region_classify([], [1, -1]), ParameterOutOfRange),
+    (lambda b: p.scalar_region_classify([1, 1], []), ParameterOutOfRange),
+    (lambda b: p.scalar_hessian([]), ParameterOutOfRange),
+], ids=["stationary-nan-mass", "loss-nan-mass", "loss-inf-mass", "stationary-inf-w0",
+        "stationary-nan-sign", "stationary-long-mass", "loss-short-mass",
+        "stationary-short-w0", "classify-nan-sign", "classify-nan-target", "hessian-nan-sign",
+        "classify-no-signs", "classify-no-target", "hessian-no-signs"])
+def test_bad_input_raises(call, error):
+    with pytest.raises(error):
+        call(BAD_INPUT_BUNDLE)

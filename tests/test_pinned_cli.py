@@ -3,9 +3,11 @@
 The bodies under ``pinned_cli/`` (the column line and the rows, without the
 ``#`` header) were written by the CLI: the two ``risk`` bodies before the
 Monte Carlo oracle was walked in blocks, the two ``train`` bodies before the
-unconstrained d-space trainer and its ``projection`` switch were removed.
-The current code must reproduce them.  A change that alters these numbers
-on purpose regenerates the files.
+unconstrained d-space trainer and its ``projection`` switch were removed,
+and the other six bodies and the ``minimax net --save-net`` vector file
+before the bad-region stationary point dropped its projector solve and
+sign parsing rejected non-finite values.  The current code must reproduce
+them.  A change that alters these numbers on purpose regenerates the files.
 
 Integers and labels must match exactly.  Floats must match within
 ``FLOAT_RTOL`` of the stored value: the bodies are bit-identical on one
@@ -33,7 +35,19 @@ SPECS = {
     "train_mismatched_d15.csv": [
         "train", "mismatched", "--d", "15", "--k-star", "20", "--k", "10,20", "--trials", "2",
         "--inits", "2", "--epochs", "5"],
+    "landscape_classify_scalar.csv": [
+        "landscape", "classify", "--scalar", "--w-star", "6,-4"],
+    "schur_sweep_d16_nearest_asymptotic.csv": [
+        "schur-sweep", "--d", "16", "--r-star", "8", "--r", "8,16", "--trials", "3",
+        "--nearest", "--asymptotic"],
+    "schur_sweep_d2_eig.csv": [  # many lines in few dimensions: the eigendecomposition route
+        "schur-sweep", "--d", "2", "--r-star", "3", "--r", "40,60", "--trials", "2"],
+    "asymptotic_d256.csv": ["asymptotic", "--d", "256", "--r", "256", "--r-star", "256"],
+    "minimax_net_d3.csv": ["minimax", "net", "--d", "3", "--delta", "0.3"],
+    "minimax_bound_d4.csv": [
+        "minimax", "bound", "--d", "4", "--s", "2", "--delta", "0.3", "--k", "8", "--M", "1"],
 }
+SAVED_NET = {"minimax_net_d3.csv": "minimax_net_d3_vectors.csv"}  # the --save-net file
 
 
 def parse_field(text):
@@ -53,17 +67,30 @@ def assert_field_matches(got, want, where):
         assert type(got) is type(want) and got == want, where
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_spec_reproduces_pinned_body(tmp_path, name, threads):
-    out = tmp_path / name
-    assert cli.main(SPECS[name] + ["--threads", str(threads), "--out", str(out)]) == 0
-    got = [line for line in out.read_text().splitlines() if not line.startswith("#")]
-    want = (PINNED / name).read_text().splitlines()
+def assert_rows_match(got, want, name):
+    """The column line exactly, then every row field by field."""
     assert len(got) == len(want)
-    assert got[0] == want[0]  # column names
+    assert got[0] == want[0]  # column names, or the net file's "d,count" header
+    columns = got[0].split(",")
     for row, (got_line, want_line) in enumerate(zip(got[1:], want[1:]), start=1):
         got_fields, want_fields = got_line.split(","), want_line.split(",")
         assert len(got_fields) == len(want_fields), "row %d" % row
         for column, pair in enumerate(zip(got_fields, want_fields)):
-            assert_field_matches(*pair, "%s row %d column %s" % (name, row, got[0].split(",")[column]))
+            label = columns[column] if column < len(columns) else column
+            assert_field_matches(*pair, "%s row %d column %s" % (name, row, label))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_spec_reproduces_pinned_body(tmp_path, name, threads):
+    out = tmp_path / name
+    argv = SPECS[name] + ["--threads", str(threads), "--out", str(out)]
+    saved = SAVED_NET.get(name)
+    if saved:
+        argv += ["--save-net", str(tmp_path / saved)]
+    assert cli.main(argv) == 0
+    got = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert_rows_match(got, (PINNED / name).read_text().splitlines(), name)
+    if saved:
+        assert_rows_match((tmp_path / saved).read_text().splitlines(),
+                          (PINNED / saved).read_text().splitlines(), saved)

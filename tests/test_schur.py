@@ -5,13 +5,13 @@ import pytest
 
 import porcupine as p
 from porcupine.errors import (
+    DimensionMismatch,
     DomainError,
     DuplicateLine,
     NegativeMass,
     ParameterOutOfRange,
     PreconditionViolated,
     SingularKernel,
-    SingularProjector,
     SingularStructure,
 )
 
@@ -131,6 +131,16 @@ class TestGoodLocalLoss:
         report = p.schur_complement(random_bundle(3, 3, 2, 12))
         with pytest.raises(NegativeMass):
             p.good_local_loss(report, np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("q, error", [
+        ([float("nan"), 1.0], DomainError),
+        ([1.0, float("inf")], DomainError),
+        ([1.0, 1.0, 1.0], DimensionMismatch),
+    ])
+    def test_bad_mass_rejected(self, q, error):
+        report = p.schur_complement(random_bundle(3, 3, 2, 12))
+        with pytest.raises(error):
+            p.good_local_loss(report, q)
 
 
 class TestAddLineUpdate:
@@ -432,7 +442,7 @@ class TestBadLocalAsymptoticBound:
             lines = p.random_line_set(d, r, seq[0])
             star = p.random_line_set(d, r_star, seq[1])
             q_star = np.abs(np.random.default_rng(seq[2]).standard_normal(r_star)) + 0.1
-            loss = p.bad_region_loss(p.kernel_bundle(lines, star), lines, q_star)
+            loss = p.bad_region_loss(p.kernel_bundle(lines, star), q_star)
             hits += loss <= bound.coefficient * float(q_star @ q_star)
         assert hits >= 95
 
@@ -645,7 +655,7 @@ class TestSingularityDecision:
         new_line = np.random.default_rng(39).standard_normal(4)
         messages = []
         for call in (lambda: p.add_line_update(report, bundle, new_line),
-                     lambda: p.bad_region_loss(bundle, bundle.lines, np.ones(6))):
+                     lambda: p.bad_region_loss(bundle, np.ones(6))):
             try:
                 call()
             except SingularKernel as exc:
@@ -668,12 +678,9 @@ class TestSingularityDecision:
             singular = singular_reference(U @ U.T, PINV_CUTOFF)
             assert _cutoff_drops_any(U @ U.T) == singular
             outcomes.add(singular)
+            # Every set, singular projector or not, meets the stationary system.
             bundle = p.kernel_bundle(lines, lines)
-            try:
-                p.bad_region_stationary(lines, bundle, np.ones(r), np.ones(r))
-            except SingularProjector:
-                raised = True
-            else:
-                raised = False
-            assert raised == singular
+            z, q = p.bad_region_stationary(bundle, np.ones(r), np.ones(r))
+            residual = U.T @ z + bundle.psi_lines @ q - bundle.psi_cross @ np.ones(r)
+            assert np.max(np.abs(residual)) <= 1e-9
         assert outcomes == {True, False}

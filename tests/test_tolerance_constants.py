@@ -27,8 +27,8 @@ SIGNATURES = [
     (p.spectral_norm, ["matrix"]),
     (p.symmetric_pseudo_inverse, ["matrix"]),
     (p.schur_complement, ["bundle"]),
-    (p.bad_region_stationary, ["line_set", "bundle", "q_star", "line_signs", "w0"]),
-    (p.bad_region_loss, ["bundle", "line_set", "q_star"]),
+    (p.bad_region_stationary, ["bundle", "q_star", "line_signs", "w0"]),
+    (p.bad_region_loss, ["bundle", "q_star"]),
     (p.global_optimum_check, ["weights", "weights_star", "tol"]),
     (p.truncated_covariance, ["w1", "w2"]),
     (p.greedy_angular_net, ["d", "delta", "seed", "max_probes", "probe_budget"]),

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import porcupine as p
+from porcupine import trainer
 from porcupine.errors import (
     ConfigError,
     DimensionMismatch,
     Diverged,
+    DomainError,
     InfeasibleWeights,
     ParameterOutOfRange,
 )
@@ -82,6 +84,12 @@ class TestInitRandomPnn:
 
 
 # (training data, test data) of every malformed shape, from a good (X, y).
+def with_entry(arr, value):
+    arr = arr.copy()
+    arr.flat[3] = value
+    return arr
+
+
 BAD_DATA = {
     "short_y": lambda X, y: ((X, y[:50]), None),
     "long_y": lambda X, y: ((X, np.concatenate([y, y])), None),
@@ -90,6 +98,17 @@ BAD_DATA = {
     "two_d_y": lambda X, y: ((X, y[:, None]), None),
     "short_test_y": lambda X, y: ((X, y), (X, y[:5])),
     "test_wrong_columns": lambda X, y: ((X, y), (np.hstack([X, X]), y)),
+    "not_a_pair": lambda X, y: ((X, y, y), None),
+    "x_alone": lambda X, y: (X, None),
+    "test_not_a_pair": lambda X, y: ((X, y), (X,)),
+}
+
+NON_FINITE_DATA = {
+    "nan_x": lambda X, y: ((with_entry(X, np.nan), y), None),
+    "inf_x": lambda X, y: ((with_entry(X, np.inf), y), None),
+    "neg_inf_y": lambda X, y: ((X, with_entry(y, -np.inf)), None),
+    "test_nan_x": lambda X, y: ((X, y), (with_entry(X, np.nan), y)),
+    "test_inf_y": lambda X, y: ((X, y), (X, with_entry(y, np.inf))),
 }
 
 
@@ -201,13 +220,16 @@ class TestSgdTrain:
         ):
             p.sgd_train((X, y), init, config)
 
-    @pytest.mark.parametrize("case", sorted(BAD_DATA))
+    @pytest.mark.parametrize("case", sorted(BAD_DATA) + sorted(NON_FINITE_DATA))
     def test_bad_data_shapes_rejected(self, case):
+        # Shapes and pairs raise DimensionMismatch, non-finite entries
+        # DomainError, both before anything is trained.
         line_set, neuron_map, truth = scalar_setup([1.0, 2.0])
         X, y = p.generate_dataset(truth, 100, seed=15)
-        train, test = BAD_DATA[case](X, y)
+        error = DimensionMismatch if case in BAD_DATA else DomainError
+        train, test = {**BAD_DATA, **NON_FINITE_DATA}[case](X, y)
         config = p.TrainConfig(batch_size=10, epochs=1, learning_rate=0.01)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(error):
             p.sgd_train(train, truth, config, test_data=test)
 
     def test_batch_size_validated(self):
@@ -428,6 +450,15 @@ class TestMatchedExperiment:
         with pytest.raises(ConfigError):
             p.degree_one_map(4, 6)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected_before_data_is_drawn(self, trials, monkeypatch):
+        calls = []
+        monkeypatch.setattr(trainer, "generate_dataset", lambda *a: calls.append(a))
+        config = p.TrainConfig(batch_size=10, epochs=1, learning_rate=1e-3)
+        with pytest.raises(ParameterOutOfRange):
+            p.experiment_matched_degree_one(2, 4, trials, config)
+        assert calls == []
+
     @pytest.mark.parametrize("d, k", [(0, 3), (0, 0), (-2, 4), (3, -3)])
     def test_degree_one_map_needs_positive_sizes(self, d, k):
         with pytest.raises(ParameterOutOfRange):
@@ -449,6 +480,17 @@ class TestMismatchedExperiment:
             assert run.normalized_test_mse >= 0.0
         medians = summary.per_k()
         assert set(medians) == {4, 8}
+
+    @pytest.mark.parametrize("k_list, trials, inits", [
+        ([4], 0, 1), ([4], -1, 1), ([4], 1, 0), ([4], 1, -2), ([], 1, 1),
+    ], ids=["no-trials", "negative-trials", "no-inits", "negative-inits", "no-k"])
+    def test_no_runs_rejected_before_data_is_drawn(self, k_list, trials, inits, monkeypatch):
+        calls = []
+        monkeypatch.setattr(trainer, "generate_dataset", lambda *a: calls.append(a))
+        config = p.TrainConfig(batch_size=10, epochs=1, learning_rate=1e-3)
+        with pytest.raises(ParameterOutOfRange):
+            p.experiment_mismatched_random(3, 4, k_list, trials, config, inits, 100, 100)
+        assert calls == []
 
     def test_rejects_odd_widths(self):
         config = p.TrainConfig(batch_size=10, epochs=1, learning_rate=1e-3)
