@@ -22,6 +22,9 @@ CLAMP_EPS = 1e-9
 PINV_CUTOFF = 1e-10
 ASYM_TOL = 1e-9
 
+_PSI_BLOCK = 8192  # entries per block of psi's large-array path
+_SYM_TILE = 128  # rows and columns per tile of the exact symmetry check
+
 
 def psi(x):
     """Kernel value ``x + (2/pi) * (sqrt(1-x^2) - x*arccos(x))``.
@@ -31,15 +34,30 @@ def psi(x):
     CLAMP_EPS of the interval are clamped, anything farther out and NaN
     raise DomainError (to distinguish roundoff from bugs).  The function is
     even, 1-Lipschitz, and takes values in [2/pi, 1].
+
+    C-contiguous arrays larger than one block are evaluated block by block
+    into the output, with the same operations entry for entry: the result
+    is bit-identical and the temporaries stay cache-sized.
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.abs(arr) <= 1.0 + CLAMP_EPS):  # NaN fails this test too
-        raise DomainError("kernel argument outside [-1, 1] beyond tolerance or NaN")
-    c = np.clip(arr, -1.0, 1.0)
-    out = c + (2.0 / np.pi) * (np.sqrt(1.0 - c * c) - c * np.arccos(c))
+    if arr.size > _PSI_BLOCK and arr.flags.c_contiguous:
+        out = np.empty(arr.shape)
+        flat_in, flat_out = arr.reshape(-1), out.reshape(-1)
+        for start in range(0, arr.size, _PSI_BLOCK):
+            flat_out[start:start + _PSI_BLOCK] = _psi_formula(flat_in[start:start + _PSI_BLOCK])
+        return out
+    out = _psi_formula(arr)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
+
+
+def _psi_formula(arr: np.ndarray) -> np.ndarray:
+    """``psi`` of a float array in one pass, after the domain check."""
+    if not np.all(np.abs(arr) <= 1.0 + CLAMP_EPS):  # NaN fails this test too
+        raise DomainError("kernel argument outside [-1, 1] beyond tolerance or NaN")
+    c = np.clip(arr, -1.0, 1.0)
+    return c + (2.0 / np.pi) * (np.sqrt(1.0 - c * c) - c * np.arccos(c))
 
 
 def _column_angles(A: np.ndarray, B: np.ndarray):
@@ -66,12 +84,24 @@ def equiangular_2d(r: int) -> LineSet:
     return build_line_set(np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
+def _exactly_symmetric(matrix: np.ndarray) -> bool:
+    """``np.array_equal(matrix, matrix.T)`` for a square matrix, compared
+    tile against transposed tile so that no strided full transpose is read."""
+    n = matrix.shape[0]
+    for i in range(0, n, _SYM_TILE):
+        for j in range(i, n, _SYM_TILE):
+            tile = matrix[i:i + _SYM_TILE, j:j + _SYM_TILE]
+            if not np.array_equal(tile, matrix[j:j + _SYM_TILE, i:i + _SYM_TILE].T):
+                return False
+    return True
+
+
 def _require_symmetric(matrix) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch("expected a square matrix")
     # Kernel blocks are exactly symmetric, and then (m + m') / 2 is m itself.
-    if np.array_equal(matrix, matrix.T):
+    if _exactly_symmetric(matrix):
         return matrix
     if matrix.size and np.max(np.abs(matrix - matrix.T)) > ASYM_TOL:
         raise NotSymmetric("asymmetry %.3g exceeds %.3g"
@@ -141,8 +171,10 @@ def _cutoff_keeps_all(sym: np.ndarray) -> bool:
     """
     if sym.size == 0:
         return False
-    shifted = np.array(sym)
-    shifted.flat[:: sym.shape[0] + 1] -= PINV_CUTOFF * float(np.max(np.abs(sym).sum(axis=1)))
+    shifted = np.abs(sym)
+    row_sum = float(np.max(shifted.sum(axis=1)))
+    np.copyto(shifted, sym)
+    shifted.flat[:: sym.shape[0] + 1] -= PINV_CUTOFF * row_sum
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -9,7 +9,8 @@ risk, and prices the stationary points inside bad regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -142,8 +143,14 @@ def good_region_probability(r: int, d: int, neurons_per_line: int) -> float:
 
     With ``t`` neurons per line each line is single-orientation with
     probability ``2^(1-t)``; the region is good when at most ``r - d``
-    lines are single-orientation, a binomial tail.
+    lines are single-orientation, a binomial tail.  Non-finite arguments
+    raise DomainError, non-integer ones ParameterOutOfRange.
     """
+    counts = (r, d, neurons_per_line)
+    if any(isinstance(n, Real) and not isfinite(n) for n in counts):
+        raise DomainError("r, d and neurons_per_line must be finite")
+    if not all(isinstance(n, Integral) for n in counts):
+        raise ParameterOutOfRange("r, d and neurons_per_line must be integers")
     if r < 1 or d < 1 or neurons_per_line < 1:
         raise ParameterOutOfRange("need r, d, neurons_per_line >= 1")
     p = 2.0 ** (1 - neurons_per_line)

@@ -208,6 +208,31 @@ def cross_gram(a: LineSet, b: LineSet) -> np.ndarray:
     return np.clip(a.unit_vectors.T @ b.unit_vectors, -1.0, 1.0)
 
 
+def _canonical_rows(block: np.ndarray) -> np.ndarray:
+    """``canonicalize_vector(row)[0]`` of every row of ``block``, in one pass.
+
+    Rows whose norm is non-finite or at most ZERO_TOL go through
+    ``canonicalize_vector`` itself; zero rows are dropped.  The norms are
+    one dot product per row, as ``np.linalg.norm`` takes them, so every
+    row has the bits that ``canonicalize_vector`` gives it.
+    """
+    with np.errstate(over="ignore"):  # rows of huge entries go the per-row way
+        norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
+    plain = np.isfinite(norms) & (norms > ZERO_TOL)
+    units = block / np.where(plain, norms, 1.0)[:, None]
+    pivots = units.shape[1] - 1 - np.argmax((np.abs(units) > ZERO_TOL)[:, ::-1], axis=1)
+    units *= np.where(units[np.arange(len(units)), pivots] > 0, 1.0, -1.0)[:, None]
+    if plain.all():
+        return units
+    for i in np.flatnonzero(~plain):
+        try:
+            units[i] = canonicalize_vector(block[i])[0]
+        except ZeroVector:
+            continue
+        plain[i] = True
+    return units[plain]
+
+
 def random_line_set(d: int, r: int, seed, max_draws: int | None = None) -> LineSet:
     """Draw ``r`` i.i.d. uniformly random lines in ``d`` dimensions.
 
@@ -231,16 +256,12 @@ def random_line_set(d: int, r: int, seed, max_draws: int | None = None) -> LineS
     while draws < budget:
         block = rng.standard_normal((min(r - units.shape[1], budget - draws), d))
         draws += len(block)
-        count = size = units.shape[1]
-        grown = np.empty((d, count + len(block)))
+        count = units.shape[1]
+        oriented = _canonical_rows(block)
+        grown = np.empty((d, count + len(oriented)))
         grown[:, :count] = units
-        for g in block:
-            try:
-                grown[:, size] = canonicalize_vector(g)[0]
-            except ZeroVector:  # pragma: no cover - probability zero
-                continue
-            size += 1
-        units = grown[:, :size]
+        grown[:, count:] = oriented.T
+        units = grown
         # The first block is screened on the Gram of the assembled set, a
         # shortfall block on the cosines of its lines against every line.
         line_set = _assemble_line_set(units) if count == 0 else None

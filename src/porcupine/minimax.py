@@ -21,6 +21,11 @@ from .lines import _unit_columns, canonicalize_vector, load_vectors_csv, save_ve
 # Probes drawn and screened against the net per matmul.
 _PROBE_BLOCK = 1024
 
+# Net-by-probe cosines that coverage_gap holds at once, in blocks of a
+# multiple of _GAP_ALIGN probes (a multiple of BLAS kernels' tile widths).
+_GAP_BUDGET = 1 << 17
+_GAP_ALIGN = 64
+
 _MAX_DIM = 6  # the greedy construction is desk-scale: coverage checks blow up with d
 
 # Probes join the net farther than _MARGIN * delta from it.  The headroom
@@ -173,7 +178,15 @@ def coverage_gap(net: AngularNet, n_probes: int = 100_000, seed=0) -> float:
     rng = np.random.default_rng(seed)
     probes = rng.standard_normal((net.dim, n_probes))
     probes /= np.linalg.norm(probes, axis=0, keepdims=True)
-    return float(_angles_to_net(net.vectors, probes).max())
+    # Blocks of about _GAP_BUDGET cosines keep the temporaries cache-sized.
+    # They start at multiples of _GAP_ALIGN probes and the remainder joins
+    # the last block, so every probe but the last n_probes mod (BLAS tile
+    # width) gets the bits that one product over all probes gives it.
+    step = max(_GAP_ALIGN, _GAP_BUDGET // net.size // _GAP_ALIGN * _GAP_ALIGN)
+    starts = range(0, max(n_probes // step, 1) * step, step)
+    ends = [*starts[1:], n_probes]
+    return max(float(_angles_to_net(net.vectors, probes[:, start:end]).max())
+               for start, end in zip(starts, ends))
 
 
 def nearest_net_approx(w_star, net: AngularNet):

@@ -92,8 +92,13 @@ class SchurReport:
         return self._health[2]
 
     def loss_at_good_local(self, q_star) -> float:
-        """Risk attained at good-region optima for target masses ``q_star``."""
+        """Risk attained at good-region optima for target masses ``q_star``,
+        one finite mass per target line (DimensionMismatch, DomainError)."""
         q = np.asarray(q_star, dtype=float).ravel()
+        if q.size != self.schur.shape[0]:
+            raise DimensionMismatch("need one target mass per target line")
+        if not np.isfinite(q).all():
+            raise DomainError("per-line masses must be finite")
         return 0.25 * float(q @ self.schur @ q)
 
 
@@ -136,13 +141,9 @@ def schur_complement(bundle: KernelBundle) -> SchurReport:
 def good_local_loss(report: SchurReport, q_star):
     """Exact good-region loss and its spectral-norm upper bound."""
     q = np.asarray(q_star, dtype=float).ravel()
-    if q.size != report.schur.shape[0]:
-        raise DimensionMismatch("need one target mass per target line")
-    if not np.isfinite(q).all():
-        raise DomainError("per-line masses must be finite")
+    exact = report.loss_at_good_local(q)
     if np.any(q < 0):
         raise NegativeMass("per-line masses must be non-negative")
-    exact = report.loss_at_good_local(q)
     upper = 0.25 * float(q @ q) * report.spectral_norm
     return exact, upper
 

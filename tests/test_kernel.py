@@ -5,6 +5,7 @@ import pytest
 
 import porcupine as p
 from porcupine.errors import DomainError, NotSymmetric, ParameterOutOfRange
+from porcupine.kernel import CLAMP_EPS, _PSI_BLOCK, _SYM_TILE, _exactly_symmetric
 
 
 class TestPsiValues:
@@ -97,6 +98,105 @@ class TestPsiApply:
             r = int(rng.integers(2, 20))
             ls = p.random_line_set(d, r, seed=(77, trial))
             assert p.min_eigenvalue(p.psi(ls.gram)) >= -1e-9
+
+
+def psi_reference(x):
+    """psi's formula in one shot over the whole input."""
+    c = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
+    return c + (2.0 / np.pi) * (np.sqrt(1.0 - c * c) - c * np.arccos(c))
+
+
+class TestPsiInBlocks:
+    """Large C-contiguous inputs are evaluated block by block; every layout
+    and size must give the one-shot formula's bits."""
+
+    SIZES = [0, 1, _PSI_BLOCK - 1, _PSI_BLOCK, _PSI_BLOCK + 1, 3 * _PSI_BLOCK + 17]
+
+    @staticmethod
+    def cosines(n, seed=0):
+        # Values across [-1, 1] and into the clamp band on either side.
+        return np.random.default_rng(seed).uniform(-1.0 - CLAMP_EPS, 1.0 + CLAMP_EPS, n)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_vector_sizes(self, n):
+        x = self.cosines(n)
+        got = p.psi(x)
+        assert got.shape == (n,)
+        assert np.array_equal(got, psi_reference(x))
+
+    def test_gram_of_several_blocks(self):
+        gram = p.random_line_set(16, 200, seed=5).gram
+        assert gram.size > 4 * _PSI_BLOCK
+        assert np.array_equal(p.psi(gram), psi_reference(gram))
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "broadcast", "strided"])
+    def test_non_contiguous_layouts(self, layout):
+        base = self.cosines(130 * 127, seed=1).reshape(130, 127)
+        x = {
+            "fortran": np.asfortranarray(base),
+            "transposed": base.T,
+            "broadcast": np.broadcast_to(base[0], (300, 127)),
+            "strided": base[:, ::2],
+        }[layout]
+        got = p.psi(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, psi_reference(x))
+
+    @pytest.mark.parametrize("value", [0.3, -1.0 - CLAMP_EPS / 2, 1.0])
+    def test_zero_dimensional_inputs_give_floats(self, value):
+        for x in (value, np.float64(value), np.array(value)):
+            got = p.psi(x)
+            assert type(got) is float and got == float(psi_reference(value))
+
+    def test_lists(self):
+        x = self.cosines(_PSI_BLOCK + 1, seed=2).tolist()
+        assert np.array_equal(p.psi(x), psi_reference(x))
+        assert np.array_equal(p.psi(x[:5]), psi_reference(x[:5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.0 + 2 * CLAMP_EPS, -1.0 - 2 * CLAMP_EPS])
+    @pytest.mark.parametrize("where", [0, _PSI_BLOCK, -1])
+    def test_bad_entry_in_any_block_raises(self, bad, where):
+        x = self.cosines(3 * _PSI_BLOCK + 17, seed=3)
+        x[where] = bad
+        with pytest.raises(DomainError):
+            p.psi(x)
+        with pytest.raises(DomainError):
+            p.psi(x.reshape(1, -1))
+
+
+class TestExactSymmetryInTiles:
+    """The tiled exact-symmetry check answers as ``array_equal(m, m.T)``."""
+
+    @pytest.mark.parametrize("n", [0, 1, _SYM_TILE - 1, _SYM_TILE, _SYM_TILE + 1, 2 * _SYM_TILE + 5])
+    def test_symmetric_matrices(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        sym = a + a.T
+        assert _exactly_symmetric(sym) and np.array_equal(sym, sym.T)
+        assert _exactly_symmetric(np.asfortranarray(sym))
+
+    @pytest.mark.parametrize("entry", [
+        (0, 1), (_SYM_TILE - 1, _SYM_TILE), (_SYM_TILE, _SYM_TILE - 1),
+        (0, _SYM_TILE - 1), (_SYM_TILE - 1, 0), (0, _SYM_TILE), (_SYM_TILE, 0),
+        (_SYM_TILE, 2 * _SYM_TILE), (2 * _SYM_TILE - 1, 2 * _SYM_TILE),
+        (2 * _SYM_TILE + 4, 0), (0, 2 * _SYM_TILE + 4),
+        (2 * _SYM_TILE + 4, 2 * _SYM_TILE + 3), (_SYM_TILE + 1, _SYM_TILE),
+    ])
+    def test_one_asymmetric_entry_at_a_tile_edge(self, entry):
+        n = 2 * _SYM_TILE + 5
+        a = np.random.default_rng(7).standard_normal((n, n))
+        m = a + a.T
+        m[entry] = np.nextafter(m[entry], np.inf)
+        assert not np.array_equal(m, m.T)
+        assert not _exactly_symmetric(m)
+        m[entry[::-1]] = m[entry]
+        assert np.array_equal(m, m.T) and _exactly_symmetric(m)
+
+    @pytest.mark.parametrize("where", [(3, 3), (0, 2 * _SYM_TILE + 4), (_SYM_TILE, _SYM_TILE)])
+    def test_nan_is_never_symmetric(self, where):
+        n = 2 * _SYM_TILE + 5
+        m = np.eye(n)
+        m[where] = m[where[::-1]] = np.nan
+        assert not np.array_equal(m, m.T) and not _exactly_symmetric(m)
 
 
 class TestEquiangular2d:

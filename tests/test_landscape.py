@@ -201,6 +201,22 @@ class TestRegionCondition:
     def test_single_neuron_lines_give_zero_probability(self):
         assert p.good_region_probability(10, 3, 1) == 0.0
 
+    @pytest.mark.parametrize("args", [
+        (5, 2, float("nan")), (float("inf"), 2, 2), (5, -np.inf, 2), (5, 2, np.float64("nan")),
+    ])
+    def test_non_finite_probability_arguments_rejected(self, args):
+        with pytest.raises(DomainError):
+            p.good_region_probability(*args)
+
+    @pytest.mark.parametrize("args", [(5.5, 2, 2), (5, 2.0, 2), (5, 2, "2"), (5, 2, None)])
+    def test_non_integer_probability_arguments_rejected(self, args):
+        with pytest.raises(ParameterOutOfRange):
+            p.good_region_probability(*args)
+
+    def test_numpy_integer_arguments_accepted(self):
+        assert p.good_region_probability(np.int64(12), np.int32(3), np.int8(2)) \
+            == p.good_region_probability(12, 3, 2)
+
 
 class TestAnalyticGradient:
     def test_stationary_at_identity(self):

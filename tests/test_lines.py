@@ -17,6 +17,8 @@ from porcupine.errors import (
     ZeroVector,
 )
 
+from porcupine.lines import ZERO_TOL, _canonical_rows
+
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
@@ -208,6 +210,58 @@ class TestRandomLineSetInBlocks:
             one_draw_reference(1, 2, seed)
         with pytest.raises(TooManyCollisions):
             p.random_line_set(1, 2, seed)
+
+
+class TestBatchedOrientation:
+    """random_line_set orients a drawn block in one pass; each kept row must
+    be canonicalize_vector's unit vector for it, bit for bit."""
+
+    CRAFTED = {
+        "zero": [0.0, 0.0, 0.0, 0.0],
+        "huge": [1e200, 1e200, -1e200, 1e200],
+        "negative_pivot": [0.5, 2.0, 1.0, -3.0],
+        "tiny_trailing": [0.3, -0.8, 0.5 * ZERO_TOL, -0.5 * ZERO_TOL],
+        "tiny_norm": [0.5 * ZERO_TOL, 0.0, 0.0, 0.0],
+        "subnormal": [5e-324, 0.0, 0.0, 0.0],
+        "one_entry": [0.0, -7.0, 0.0, 0.0],
+    }
+
+    @staticmethod
+    def per_row(block):
+        units = []
+        for row in block:
+            try:
+                units.append(p.canonicalize_vector(row)[0])
+            except ZeroVector:
+                continue
+        return np.array(units).reshape(-1, block.shape[1])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("name", sorted(CRAFTED))
+    def test_crafted_row_among_random_rows(self, name):
+        block = np.random.default_rng(3).standard_normal((9, 4))
+        block[4] = self.CRAFTED[name]
+        got = _canonical_rows(block)
+        assert np.array_equal(got, self.per_row(block))
+        assert len(got) == (8 if name in ("zero", "tiny_norm", "subnormal") else 9)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_all_crafted_rows_together(self):
+        block = np.array(list(self.CRAFTED.values()))
+        assert np.array_equal(_canonical_rows(block), self.per_row(block))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 33, 256, 1024])
+    def test_random_rows(self, d):
+        block = np.random.default_rng(d).standard_normal((40, d))
+        block[::3] *= 1e-6
+        assert np.array_equal(_canonical_rows(block), self.per_row(block))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_row_raises(self, bad):
+        block = np.ones((3, 4))
+        block[1, 2] = bad
+        with pytest.raises(DomainError):
+            _canonical_rows(block)
 
 
 class TestNeuronLineMap:

@@ -7,6 +7,7 @@ import pytest
 
 import porcupine as p
 from porcupine.errors import CoverageNotReached, DomainError, ParameterOutOfRange
+from porcupine.minimax import _GAP_ALIGN, _GAP_BUDGET, _angles_to_net
 
 
 class TestNetSizeBound:
@@ -176,6 +177,56 @@ class TestGreedyNetInBlocks:
     def test_tiny_budget_raises(self):
         with pytest.raises(CoverageNotReached):
             p.greedy_angular_net(3, 0.3, seed=0, max_probes=5, probe_budget=5)
+
+
+def coverage_gap_one_shot(net, n_probes, seed):
+    """coverage_gap's probes against the net in one product."""
+    rng = np.random.default_rng(seed)
+    probes = rng.standard_normal((net.dim, n_probes))
+    probes /= np.linalg.norm(probes, axis=0, keepdims=True)
+    return float(_angles_to_net(net.vectors, probes).max())
+
+
+# The nets of 1, 57 and 141 vectors; the last two are the benchmark's.
+GAP_NETS = {1: (1, 0.5, 0), 57: (3, 0.3, [500, 3, 0]), 141: (4, 0.4, [500, 4, 0])}
+
+
+@pytest.fixture(scope="module", params=sorted(GAP_NETS), ids=lambda size: "net%d" % size)
+def gap_net(request):
+    net = p.greedy_angular_net(*GAP_NETS[request.param])
+    assert net.size == request.param
+    return net
+
+
+class TestCoverageGapInBlocks:
+    """coverage_gap walks the probes in blocks of a multiple of _GAP_ALIGN,
+    the remainder joining the last block."""
+
+    @staticmethod
+    def block(net):
+        return max(_GAP_ALIGN, _GAP_BUDGET // net.size // _GAP_ALIGN * _GAP_ALIGN)
+
+    @pytest.mark.parametrize("probes", ["1", "block-1", "block", "block+1", "2block-1",
+                                        "4block"])
+    def test_same_bits_as_one_product(self, gap_net, probes):
+        b = self.block(gap_net)
+        n = {"1": 1, "block-1": b - 1, "block": b, "block+1": b + 1, "2block-1": 2 * b - 1,
+             "4block": 4 * b}[probes]
+        for seed in range(3):
+            assert p.coverage_gap(gap_net, n, seed) == coverage_gap_one_shot(gap_net, n, seed)
+
+    def test_remainder_of_several_blocks(self, gap_net):
+        # The last n mod (BLAS tile width) probes may meet another BLAS kernel
+        # in a block than in one product over all probes; their cosines may
+        # then round differently in the last bits.
+        n = 4 * self.block(gap_net) + 7
+        for seed in range(3):
+            got = p.coverage_gap(gap_net, n, seed)
+            assert abs(got - coverage_gap_one_shot(gap_net, n, seed)) <= 1e-14
+
+    def test_bench_net_at_bench_probes(self):
+        net = p.greedy_angular_net(*GAP_NETS[141])
+        assert p.coverage_gap(net, 20_000, 1) == coverage_gap_one_shot(net, 20_000, 1)
 
 
 class TestNearestNetApprox:

@@ -4,10 +4,12 @@ The bodies under ``pinned_cli/`` (the column line and the rows, without the
 ``#`` header) were written by the CLI: the two ``risk`` bodies before the
 Monte Carlo oracle was walked in blocks, the two ``train`` bodies before the
 unconstrained d-space trainer and its ``projection`` switch were removed,
-and the other six bodies and the ``minimax net --save-net`` vector file
+the next six bodies and the ``minimax net --save-net`` vector file
 before the bad-region stationary point dropped its projector solve and
-sign parsing rejected non-finite values.  The current code must reproduce
-them.  A change that alters these numbers on purpose regenerates the files.
+sign parsing rejected non-finite values, and the two d=64 sweeps, whose
+Grams span more than one evaluation block, before ``psi``,
+``coverage_gap`` and line orientation were evaluated in blocks.  The
+current code must reproduce them.  A change that alters these numbers on purpose regenerates the files.
 
 Integers and labels must match exactly.  Floats must match within
 ``FLOAT_RTOL`` of the stored value: the bodies are bit-identical on one
@@ -42,6 +44,13 @@ SPECS = {
         "--nearest", "--asymptotic"],
     "schur_sweep_d2_eig.csv": [  # many lines in few dimensions: the eigendecomposition route
         "schur-sweep", "--d", "2", "--r-star", "3", "--r", "40,60", "--trials", "2"],
+    # r=128 gives a 16 384-entry Gram, so psi and the blocked passes see more than one block
+    "schur_sweep_d64_asymptotic.csv": [
+        "schur-sweep", "--d", "64", "--r-star", "64", "--r", "64,128", "--trials", "2",
+        "--asymptotic"],
+    "schur_sweep_d64_nearest_asymptotic.csv": [
+        "schur-sweep", "--d", "64", "--r-star", "64", "--r", "64,128", "--trials", "2",
+        "--nearest", "--asymptotic"],
     "asymptotic_d256.csv": ["asymptotic", "--d", "256", "--r", "256", "--r-star", "256"],
     "minimax_net_d3.csv": ["minimax", "net", "--d", "3", "--delta", "0.3"],
     "minimax_bound_d4.csv": [

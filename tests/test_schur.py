@@ -141,6 +141,15 @@ class TestGoodLocalLoss:
         report = p.schur_complement(random_bundle(3, 3, 2, 12))
         with pytest.raises(error):
             p.good_local_loss(report, q)
+        with pytest.raises(error):
+            report.loss_at_good_local(q)
+
+    def test_wrong_length_wins_over_negative_mass(self):
+        report = p.schur_complement(random_bundle(3, 3, 2, 12))
+        with pytest.raises(DimensionMismatch):
+            p.good_local_loss(report, [1.0, -1.0, 1.0])
+        with pytest.raises(DomainError):
+            p.good_local_loss(report, [float("nan"), -1.0])
 
 
 class TestAddLineUpdate:

@@ -32,6 +32,11 @@ SIGNATURES = [
     (p.global_optimum_check, ["weights", "weights_star", "tol"]),
     (p.truncated_covariance, ["w1", "w2"]),
     (p.greedy_angular_net, ["d", "delta", "seed", "max_probes", "probe_budget"]),
+    # Block and tile sizes are private constants, not parameters.
+    (p.psi, ["x"]),
+    (p.cross_gram, ["a", "b"]),
+    (p.kernel_bundle, ["lines", "star"]),
+    (p.coverage_gap, ["net", "n_probes", "seed"]),
     (_require_symmetric, ["matrix"]),
     (_inverted_spectrum, ["matrix", "vectors"]),
     (_cutoff_keeps_all, ["sym"]),
