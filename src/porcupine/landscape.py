@@ -3,8 +3,9 @@
 Weight space splits into orthant-like regions indexed by the orientation
 signs of the neurons on each line.  Which regions can hold bad local
 optima is decided by sign patterns alone; this module classifies regions,
-certifies global optima, evaluates exact gradients of the population
-risk, and prices the stationary points inside bad regions.
+certifies global optima, tests stationarity in line coordinates, prices
+the stationary points inside bad regions, and keeps the d-space gradient
+of the population risk as an oracle.
 """
 from __future__ import annotations
 
@@ -26,11 +27,13 @@ from .kernel import (
     KernelBundle,
     _column_angles,
     _cutoff_drops_any,
+    kernel_bundle,
     min_eigenvalue,
     psi,
     symmetric_pseudo_inverse,
 )
-from .lines import PNNWeights, RegionSignature, ZERO_TOL, _line_masses
+from .lines import PNNWeights, RegionSignature, ZERO_TOL
+from .risk import _line_risk, _line_terms
 
 ONLY_GLOBAL = "OnlyGlobal"
 ONLY_BAD_LOCAL = "OnlyBadLocal"
@@ -106,14 +109,25 @@ class GlobalOptimumCheck:
     kernel_min_eigenvalue: float
 
 
+def _threshold(value, what: str) -> float:
+    """A decision threshold: finite (DomainError) and >= 0 (ParameterOutOfRange)."""
+    if not isfinite(value):
+        raise DomainError("%s must be finite" % what)
+    if value < 0:
+        raise ParameterOutOfRange("%s must be >= 0" % what)
+    return float(value)
+
+
 def global_optimum_check(weights: PNNWeights, weights_star: PNNWeights,
                          tol: float = 1e-9) -> GlobalOptimumCheck:
-    """Test ``sum_i w_i = sum_i w*_i`` and equal per-line masses."""
+    """Test ``sum_i w_i = sum_i w*_i`` and equal per-line masses, each
+    residual within ``tol``.  A non-finite ``tol`` raises DomainError, a
+    negative one ParameterOutOfRange."""
+    tol = _threshold(tol, "tol")
     if not weights.same_config(weights_star):
         raise ConfigMismatch("both networks must share the line configuration")
-    q = _line_masses(weights)
-    q_star = _line_masses(weights_star)
-    sum_residual = float(np.linalg.norm(weights.column_sum() - weights_star.column_sum()))
+    gap, q, q_star = _line_terms(weights, weights_star)
+    sum_residual = float(np.linalg.norm(gap))
     mass_residual = float(np.linalg.norm(q - q_star))
     lam = min_eigenvalue(psi(weights.line_set.gram))
     return GlobalOptimumCheck(
@@ -161,7 +175,10 @@ def good_region_probability(r: int, d: int, neurons_per_line: int) -> float:
 
 
 def analytic_gradient(weights: PNNWeights, weights_star: PNNWeights):
-    """Exact gradient of the population risk at ``weights``.
+    """Exact gradient of the population risk at ``weights`` in weight space:
+    an independent oracle, beside ``pairwise_population_risk``,
+    ``truncated_covariance`` and Monte Carlo, that the package's own code
+    does not call.
 
     ``g_j = 2 sum_i C(w_j, w_i) w_i - 2 sum_i C(w_j, w*_i) w*_i`` with
     ``C(u, v) = E[1{u'x > 0, v'x > 0} x x']``, in the contracted closed form
@@ -192,12 +209,29 @@ def analytic_gradient(weights: PNNWeights, weights_star: PNNWeights):
     return grad, projected
 
 
+def _line_gradient(weights: PNNWeights, weights_star: PNNWeights) -> np.ndarray:
+    """The risk's derivative along each neuron's line: for neuron ``j``
+    with scalar ``c_j`` on line ``l``, ``(u_l' gap + sign(c_j) (psi_lines q
+    - psi_cross q*)_l) / 2``.  A zero column raises ZeroColumn."""
+    gap, q, q_star = _line_terms(weights, weights_star)
+    c = weights.scales
+    if np.any(np.abs(c) <= ZERO_TOL):
+        raise ZeroColumn("gradient undefined at zero weight columns")
+    bundle = kernel_bundle(weights.line_set, weights_star.line_set)
+    lines = list(weights.neuron_map.assignment)
+    along = (weights.line_set.unit_vectors.T @ gap)[lines]
+    mass = (bundle.psi_lines @ q - bundle.psi_cross @ q_star)[lines]
+    return 0.5 * (along + np.sign(c) * mass)
+
+
 def stationarity_check(
     weights: PNNWeights, weights_star: PNNWeights, tol: float
 ) -> bool:
-    """True iff every projected gradient component is within ``tol`` of 0."""
-    _, projected = analytic_gradient(weights, weights_star)
-    return bool(np.max(np.abs(projected)) <= tol)
+    """True iff the risk's derivative along every neuron's line is within
+    ``tol`` of 0.  A non-finite ``tol`` raises DomainError, a negative one
+    ParameterOutOfRange."""
+    tol = _threshold(tol, "tol")
+    return bool(np.max(np.abs(_line_gradient(weights, weights_star))) <= tol)
 
 
 def _finite_vector(values, size: int, what: str) -> np.ndarray:
@@ -236,16 +270,16 @@ def bad_region_stationary(bundle: KernelBundle, q_star, line_signs, w0=None):
 def bad_region_loss(bundle: KernelBundle, q_star) -> float:
     """Population risk at the bad-region stationary point (zero target sum).
 
-    Equals a quarter of the quadratic form of ``q*`` under the Schur-style
-    complement whose inverted block is the line kernel matrix augmented by
-    the plain line Gram matrix.
+    The region is the one where every model line carries a single
+    orientation and all lines the same one (``S = +-I``; both give one
+    value).  A region whose single-orientation lines differ in sign has
+    another stationary value.  The risk is read from the line-coordinate
+    quadratic at ``bad_region_stationary(bundle, q_star, ones)``, an
+    unconstrained stationary point: a negative mass puts it outside the
+    region.
     """
     q_star = _finite_vector(q_star, bundle.star.num_lines, "target masses")
-    U = bundle.lines.unit_vectors
-    D11 = bundle.psi_lines
-    if _cutoff_drops_any(D11):
+    if _cutoff_drops_any(bundle.psi_lines):
         raise SingularKernel("line kernel matrix is numerically singular")
-    augmented = D11 + U.T @ U
-    inner = np.linalg.solve(augmented, bundle.psi_cross @ q_star)
-    value = q_star @ bundle.psi_star @ q_star - (bundle.psi_cross @ q_star) @ inner
-    return 0.25 * float(value)
+    gap, q = bad_region_stationary(bundle, q_star, np.ones(bundle.num_lines))
+    return _line_risk(bundle, gap, q, q_star).total

@@ -135,9 +135,16 @@ def monte_carlo_risk(weights, weights_star, n_samples: int = 2_000_000,
 
 def scalar_risk(w, w_star) -> RiskBreakdown:
     """Single-input closed form: quarter squares of the sum gap and the
-    absolute-sum gap."""
-    w = np.asarray(w, dtype=float).ravel()
-    w_star = np.asarray(w_star, dtype=float).ravel()
+    absolute-sum gap.  Each side is a non-empty finite 1-D vector:
+    DimensionMismatch, ParameterOutOfRange and DomainError otherwise."""
+    w, w_star = np.asarray(w, dtype=float), np.asarray(w_star, dtype=float)
+    for side in (w, w_star):
+        if side.ndim != 1:
+            raise DimensionMismatch("scalar risk needs 1-D weight vectors")
+        if side.size < 1:
+            raise ParameterOutOfRange("scalar risk needs at least one weight per side")
+        if not np.isfinite(side).all():
+            raise DomainError("scalar risk needs finite weights")
     linear = 0.25 * float(w.sum() - w_star.sum()) ** 2
     kernel = 0.25 * float(np.abs(w).sum() - np.abs(w_star).sum()) ** 2
     return RiskBreakdown(linear_term=linear, kernel_term=kernel)
@@ -159,35 +166,43 @@ def degree_one_risk(W, W_star, neuron_map: NeuronLineMap) -> RiskBreakdown:
     return matched_risk(PNNWeights(A, axes, neuron_map), PNNWeights(B, axes, neuron_map))
 
 
-def matched_risk(weights: PNNWeights, weights_star: PNNWeights) -> RiskBreakdown:
-    """Closed form when both networks share one line configuration."""
-    if not weights.same_config(weights_star):
-        raise ConfigMismatch("matched risk needs identical (lines, map) on both sides")
-    q = _line_masses(weights)
-    q_star = _line_masses(weights_star)
-    diff = weights.column_sum() - weights_star.column_sum()
-    dq = q - q_star
-    kernel_matrix = psi(weights.line_set.gram)
-    return RiskBreakdown(
-        linear_term=0.25 * float(diff @ diff),
-        kernel_term=0.25 * float(dq @ kernel_matrix @ dq),
-    )
-
-
-def mismatched_risk(weights: PNNWeights, weights_star: PNNWeights) -> RiskBreakdown:
-    """Closed form when the two networks use different line sets."""
+def _line_terms(weights: PNNWeights, weights_star: PNNWeights):
+    """``(gap, q, q*)``: the column-sum gap ``sum w - sum w*`` and both
+    networks' per-line masses, the pieces of the risk's quadratic."""
     if weights.dim != weights_star.dim:
         raise DimensionMismatch("networks live in different input dimensions")
-    q = _line_masses(weights)
-    q_star = _line_masses(weights_star)
-    bundle = kernel_bundle(weights.line_set, weights_star.line_set)
-    diff = weights.column_sum() - weights_star.column_sum()
+    gap = weights.column_sum() - weights_star.column_sum()
+    return gap, _line_masses(weights), _line_masses(weights_star)
+
+
+def _line_risk(bundle, gap, q, q_star) -> RiskBreakdown:
+    """``|gap|^2 / 4`` plus a quarter of the mass quadratic
+    ``q' psi_lines q + q*' psi_star q* - 2 q' psi_cross q*``."""
     kernel = (
         0.25 * float(q @ bundle.psi_lines @ q)
         + 0.25 * float(q_star @ bundle.psi_star @ q_star)
         - 0.5 * float(q @ bundle.psi_cross @ q_star)
     )
-    return RiskBreakdown(linear_term=0.25 * float(diff @ diff), kernel_term=kernel)
+    return RiskBreakdown(linear_term=0.25 * float(gap @ gap), kernel_term=kernel)
+
+
+def matched_risk(weights: PNNWeights, weights_star: PNNWeights) -> RiskBreakdown:
+    """Closed form when both networks share one line configuration: the
+    mass quadratic collapses to ``dq' psi(G) dq`` with ``dq = q - q*``."""
+    if not weights.same_config(weights_star):
+        raise ConfigMismatch("matched risk needs identical (lines, map) on both sides")
+    gap, q, q_star = _line_terms(weights, weights_star)
+    dq = q - q_star
+    return RiskBreakdown(
+        linear_term=0.25 * float(gap @ gap),
+        kernel_term=0.25 * float(dq @ psi(weights.line_set.gram) @ dq),
+    )
+
+
+def mismatched_risk(weights: PNNWeights, weights_star: PNNWeights) -> RiskBreakdown:
+    """Closed form when the two networks use different line sets."""
+    gap, q, q_star = _line_terms(weights, weights_star)
+    return _line_risk(kernel_bundle(weights.line_set, weights_star.line_set), gap, q, q_star)
 
 
 def truncated_covariance(w1, w2) -> np.ndarray:
@@ -196,15 +211,18 @@ def truncated_covariance(w1, w2) -> np.ndarray:
     An independent oracle that the package's own code does not call: it
     builds the full d x d matrix with its own arctan2 angle convention.
     Tests check it against Monte Carlo, and check the contracted gradient
-    of ``landscape.analytic_gradient`` against it.  Depends only on the directions of the two vectors.  The aligned
-    (theta -> 0) and opposite (theta -> pi) limits are exact: the formula
-    below carries no divided differences, every term is scaled by sin or
-    sin^2 of the angle.
+    of ``landscape.analytic_gradient`` against it.  Depends only on the
+    directions of the two vectors; non-finite entries raise DomainError.
+    The aligned (theta -> 0) and opposite (theta -> pi) limits are exact:
+    the formula below carries no divided differences, every term is scaled
+    by sin or sin^2 of the angle.
     """
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
     if w1.shape != w2.shape or w1.ndim != 1:
         raise DimensionMismatch("need two vectors of one shared dimension")
+    if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
+        raise DomainError("truncated covariance needs finite vectors")
     n1 = float(np.linalg.norm(w1))
     n2 = float(np.linalg.norm(w2))
     if n1 <= ZERO_TOL or n2 <= ZERO_TOL:
@@ -237,12 +255,15 @@ def pairwise_population_risk(weights, weights_star) -> float:
 
     General closed form assembled column pair by column pair.  An
     independent oracle for the line-based closed forms: it needs no line
-    bookkeeping.  Zero columns contribute nothing.
+    bookkeeping.  Zero columns contribute nothing.  Non-finite weights
+    raise DomainError.
     """
     A = _as_matrix(weights)
     B = _as_matrix(weights_star)
     if A.shape[0] != B.shape[0]:
         raise DimensionMismatch("weight matrices disagree on input dimension")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise DomainError("pairwise population risk needs finite weights")
     value = (
         _pairwise_correlations(A, A).sum()
         + _pairwise_correlations(B, B).sum()

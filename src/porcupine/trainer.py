@@ -15,7 +15,7 @@ import numpy as np
 
 from ._seeds import as_seed_sequence
 from .errors import ConfigError, DimensionMismatch, Diverged, DomainError, ParameterOutOfRange
-from .landscape import region_condition, stationarity_check
+from .landscape import _threshold, region_condition, stationarity_check
 from .lines import (
     LineSet,
     NeuronLineMap,
@@ -333,11 +333,15 @@ def classify_outcome(
     """Label a matched run as Global, BadLocal, or NotConverged.
 
     Global when the final training loss is within ``tol`` of zero;
-    BadLocal when the analytic projected gradient vanishes (within
-    ``stationarity_tol``) at a loss above ``tol``; NotConverged otherwise.
-    The report also flags whether the final signature satisfies the
-    mixed-orientation condition and counts the single-orientation lines.
+    BadLocal when the population risk's gradient along every neuron's
+    line vanishes (within ``stationarity_tol``) at a loss above ``tol``;
+    NotConverged otherwise.  The report also flags whether the final
+    signature satisfies the mixed-orientation condition and counts the
+    single-orientation lines.  A non-finite threshold raises DomainError,
+    a negative one ParameterOutOfRange.
     """
+    tol = _threshold(tol, "tol")
+    stationarity_tol = _threshold(stationarity_tol, "stationarity_tol")
     signature = result.final_signature
     condition = region_condition(signature, result.line_set.dim)
     violated = signature.single_orientation_count

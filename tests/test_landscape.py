@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import porcupine as p
+from porcupine.landscape import _line_gradient
 from porcupine.errors import (
     ConfigMismatch,
     DimensionMismatch,
@@ -363,6 +364,79 @@ class TestStationarity:
         assert not p.stationarity_check(w, w_star, tol=1e-4)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+def gradient_instance(seed, matched):
+    """Random network with several neurons per line, both signs on a line,
+    and a target on the same lines (matched) or on its own lines with a
+    zero column and columns aligned and opposite to model neurons."""
+    seq = np.random.SeedSequence([27, seed, int(matched)]).spawn(3)
+    rng = np.random.default_rng(seq[1])
+    d = 2 + seed % 7
+    r = 1 + seed % 6
+    per_line = 2 + seed % 3
+    ls = p.random_line_set(d, r, seq[0])
+    m = p.NeuronLineMap(r * per_line, tuple(np.repeat(np.arange(r), per_line)))
+    k = m.num_neurons
+    w = p.weights_from_masses(ls, m, rng.uniform(0.2, 3.0, k) * rng.choice([-1, 1], k))
+    if matched:
+        masses = rng.uniform(0.2, 3.0, k) * rng.choice([-1, 1], k)
+        masses[seed % k] = 0.0
+        return w, p.weights_from_masses(ls, m, masses)
+    columns = rng.standard_normal((d, 3 + seed % 4))
+    columns[:, 1] = 1.5 * w.matrix[:, 0]
+    columns[:, 2] = -0.7 * w.matrix[:, -1]
+    base = p.weights_from_columns(columns)
+    columns[:, 0] = 0.0
+    return w, p.PNNWeights(columns, base.line_set, base.neuron_map)
+
+
+class TestLineGradient:
+    """The line-coordinate gradient that stationarity_check reads, against
+    the d-space oracle's projection onto each neuron's line."""
+
+    @pytest.mark.parametrize("matched", [True, False])
+    def test_matches_oracle_projection(self, matched):
+        for seed in range(60):
+            w, w_star = gradient_instance(seed, matched)
+            reference = p.analytic_gradient(w, w_star)[1]
+            got = _line_gradient(w, w_star)
+            assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_zero_column_rejected(self):
+        ls = p.random_line_set(3, 2, seed=24)
+        m = p.NeuronLineMap(3, (0, 1, 1))
+        w = p.weights_from_masses(ls, m, [1.0, 0.0, 2.0])
+        with pytest.raises(ZeroColumn):
+            p.stationarity_check(w, w, tol=1e-9)
+
+
+THRESHOLD_CHECKS = [
+    lambda w, tol: p.stationarity_check(w, w, tol=tol),
+    lambda w, tol: p.global_optimum_check(w, w, tol=tol),
+]
+
+
+@pytest.mark.parametrize("tol, error", [
+    (NAN, DomainError), (INF, DomainError), (-INF, DomainError),
+    (-1.0, ParameterOutOfRange), (-1e-12, ParameterOutOfRange),
+])
+@pytest.mark.parametrize("check", THRESHOLD_CHECKS, ids=["stationarity", "global"])
+def test_bad_decision_threshold_raises(check, tol, error):
+    w, _ = gradient_instance(3, matched=True)
+    with pytest.raises(error):
+        check(w, tol)
+
+
+def test_zero_threshold_accepted_at_the_target():
+    ls = p.axes_line_set(3)
+    w = p.weights_from_masses(ls, p.NeuronLineMap(3, (0, 1, 2)), [1.0, -2.0, 0.5])
+    assert p.stationarity_check(w, w, tol=0.0)
+    assert p.global_optimum_check(w, w, tol=0.0).is_global
+
+
 class TestGoodRegionStationaryValue:
     def test_constructed_stationary_point_attains_schur_value(self):
         # Build the good-region stationary point in closed form and check
@@ -485,6 +559,45 @@ class TestBadRegion:
         closed = p.bad_region_loss(bundle, q_star)
         assert assembled == pytest.approx(closed, abs=1e-8)
 
+    @staticmethod
+    def _augmented_solve(bundle, q_star):
+        # The former closed form, kept as a reference: a quarter of the
+        # quadratic form of q* under the Schur-style complement whose
+        # inverted block is psi_lines augmented by the plain line Gram U'U.
+        U = bundle.lines.unit_vectors
+        b = bundle.psi_cross @ q_star
+        inner = np.linalg.solve(bundle.psi_lines + U.T @ U, b)
+        return 0.25 * float(q_star @ bundle.psi_star @ q_star - b @ inner)
+
+    @pytest.mark.parametrize("d, r, r_star", [(5, 7, 3), (16, 32, 16), (128, 256, 128)])
+    def test_matches_augmented_solve(self, d, r, r_star):
+        for seed in range(3):
+            _, _, bundle, q_star, _ = self._setup((84, d, seed), d=d, r=r, r_star=r_star)
+            reference = self._augmented_solve(bundle, q_star)
+            assert p.bad_region_loss(bundle, q_star) == pytest.approx(reference, rel=1e-10)
+
+    def test_loss_is_that_of_the_same_orientation_region(self):
+        # S = +I and S = -I give one value; alternating signs another.  On
+        # these lines every stationary mass is positive, so each value is
+        # the risk of a network inside its region.
+        bundle = p.kernel_bundle(p.random_line_set(3, 4, (8, 0)), p.random_line_set(3, 3, (8, 1)))
+        q_star = np.ones(3)
+        loss = p.bad_region_loss(bundle, q_star)
+
+        # The target puts +q*/2 and -q*/2 on each of its lines: masses q*
+        # and a zero column sum.
+        half = bundle.star.unit_vectors * (q_star / 2)
+        target = np.hstack([half, -half])
+
+        def region_value(signs):
+            _, q = p.bad_region_stationary(bundle, q_star, signs)
+            assert q.min() > 0.0
+            return p.pairwise_population_risk(bundle.lines.unit_vectors * (signs * q), target)
+
+        for signs in (np.ones(4), -np.ones(4)):
+            assert region_value(signs) == pytest.approx(loss, rel=1e-10)
+        assert abs(region_value(np.array([1.0, -1.0, 1.0, -1.0])) - loss) > 0.1
+
     def test_singular_kernel_rejected(self):
         ls = p.build_line_set([[1.0, 0.0], [0.0, 1.0]])
         star = p.build_line_set([[1.0, 1.0]])
@@ -501,8 +614,6 @@ class TestBadRegion:
 
 
 BAD_INPUT_BUNDLE = p.kernel_bundle(p.random_line_set(5, 7, 90), p.random_line_set(5, 3, 91))
-NAN = float("nan")
-INF = float("inf")
 
 
 @pytest.mark.parametrize("call, error", [

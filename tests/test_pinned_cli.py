@@ -9,7 +9,10 @@ before the bad-region stationary point dropped its projector solve and
 sign parsing rejected non-finite values, and the two d=64 sweeps, whose
 Grams span more than one evaluation block, before ``psi``,
 ``coverage_gap`` and line orientation were evaluated in blocks.  The
-current code must reproduce them.  A change that alters these numbers on purpose regenerates the files.
+``BadLocal`` train body and the matched ``risk`` body were written before
+the closed-form risks and the stationarity test were read from one
+line-coordinate quadratic (the stationarity test decides each ``BadLocal``
+row).  The current code must reproduce them.  A change that alters these numbers on purpose regenerates the files.
 
 Integers and labels must match exactly.  Floats must match within
 ``FLOAT_RTOL`` of the stored value: the bodies are bit-identical on one
@@ -34,6 +37,11 @@ SPECS = {
         "--k-star", "5", "--seed", "7", "--mc-samples", "300000"],
     "train_matched_d5.csv": [
         "train", "matched", "--d", "5", "--k", "10,15", "--trials", "3", "--epochs", "20"],
+    # three BadLocal rows, each decided by stationarity_check
+    "train_matched_d5_k10_badlocal.csv": [
+        "train", "matched", "--d", "5", "--k", "10", "--trials", "10", "--epochs", "30"],
+    "risk_matched_d5.csv": [
+        "risk", "--matched", "--d", "5", "--r", "4", "--k", "7", "--seed", "3"],
     "train_mismatched_d15.csv": [
         "train", "mismatched", "--d", "15", "--k-star", "20", "--k", "10,20", "--trials", "2",
         "--inits", "2", "--epochs", "5"],

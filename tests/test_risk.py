@@ -7,6 +7,7 @@ import pytest
 
 import porcupine as p
 from porcupine._seeds import as_seed_sequence
+from porcupine.lines import _line_masses
 from porcupine.errors import (
     ConfigMismatch,
     DimensionMismatch,
@@ -458,6 +459,75 @@ class TestMismatchedRisk:
         a = p.mismatched_risk(w, w_star).total
         b = p.mismatched_risk(permuted, w_star).total
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def assembled_matched_risk(weights, weights_star):
+    """Reference: the matched closed form assembled in place, in its own order."""
+    q = _line_masses(weights)
+    q_star = _line_masses(weights_star)
+    diff = weights.column_sum() - weights_star.column_sum()
+    dq = q - q_star
+    kernel_matrix = p.psi(weights.line_set.gram)
+    return 0.25 * float(diff @ diff), 0.25 * float(dq @ kernel_matrix @ dq)
+
+
+def assembled_mismatched_risk(weights, weights_star):
+    """Reference: the mismatched closed form assembled in place, in its own order."""
+    q = _line_masses(weights)
+    q_star = _line_masses(weights_star)
+    bundle = p.kernel_bundle(weights.line_set, weights_star.line_set)
+    diff = weights.column_sum() - weights_star.column_sum()
+    kernel = (
+        0.25 * float(q @ bundle.psi_lines @ q)
+        + 0.25 * float(q_star @ bundle.psi_star @ q_star)
+        - 0.5 * float(q @ bundle.psi_cross @ q_star)
+    )
+    return 0.25 * float(diff @ diff), kernel
+
+
+class TestOneLineQuadratic:
+    """Both closed forms read the quadratic's pieces from one helper and
+    must equal the in-place assembly exactly, not merely within rounding."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matched_risk_equals_assembly(self, seed):
+        d = 2 + seed % 6
+        r = 1 + seed % 5
+        w, w_star = random_matched_pair(d, r, r + seed % 7, seed=(60, seed), scale=1 + seed)
+        got = p.matched_risk(w, w_star)
+        assert (got.linear_term, got.kernel_term) == assembled_matched_risk(w, w_star)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mismatched_risk_equals_assembly(self, seed):
+        d = 2 + seed % 6
+        w = random_instance(d, 1 + seed % 5, 6 + seed % 4, seed=(61, seed), scale=1 + seed)
+        w_star = random_instance(d, 1 + seed % 3, 4 + seed % 3, seed=(62, seed))
+        got = p.mismatched_risk(w, w_star)
+        assert (got.linear_term, got.kernel_term) == assembled_mismatched_risk(w, w_star)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: p.scalar_risk([NAN, 1.0], [1.0, 2.0]), DomainError),
+    (lambda: p.scalar_risk([INF], [1.0]), DomainError),
+    (lambda: p.scalar_risk([1.0], [-INF, 0.0]), DomainError),
+    (lambda: p.scalar_risk([], []), ParameterOutOfRange),
+    (lambda: p.scalar_risk([1.0], []), ParameterOutOfRange),
+    (lambda: p.scalar_risk([[1.0, 2.0]], [[1.0, 2.0]]), DimensionMismatch),
+    (lambda: p.scalar_risk(1.0, [1.0]), DimensionMismatch),
+    (lambda: p.pairwise_population_risk([[NAN]], [[1.0]]), DomainError),
+    (lambda: p.pairwise_population_risk([[1.0, 2.0]], [[INF]]), DomainError),
+    (lambda: p.truncated_covariance([NAN, 1.0], [1.0, 0.0]), DomainError),
+    (lambda: p.truncated_covariance([1.0, 0.0], [1.0, -INF]), DomainError),
+], ids=["scalar-nan", "scalar-inf", "scalar-target-inf", "scalar-empty",
+        "scalar-empty-target", "scalar-2d", "scalar-0d", "pairwise-nan", "pairwise-inf",
+        "covariance-nan", "covariance-inf"])
+def test_oracle_bad_input_raises(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestTruncatedCovariance:

@@ -16,7 +16,8 @@ from porcupine.kernel import (
 from porcupine.lines import _collinear, _first_collision
 
 # Every parameter the functions below take; ``tol`` of global_optimum_check
-# is an experiment's decision threshold, not a numerical tolerance.
+# and stationarity_check is an experiment's decision threshold, not a
+# numerical tolerance.
 SIGNATURES = [
     (p.canonicalize_vector, ["v"]),
     (p.build_line_set, ["raw_vectors"]),
@@ -30,6 +31,9 @@ SIGNATURES = [
     (p.bad_region_stationary, ["bundle", "q_star", "line_signs", "w0"]),
     (p.bad_region_loss, ["bundle", "q_star"]),
     (p.global_optimum_check, ["weights", "weights_star", "tol"]),
+    (p.stationarity_check, ["weights", "weights_star", "tol"]),
+    (p.matched_risk, ["weights", "weights_star"]),
+    (p.mismatched_risk, ["weights", "weights_star"]),
     (p.truncated_covariance, ["w1", "w2"]),
     (p.greedy_angular_net, ["d", "delta", "seed", "max_probes", "probe_budget"]),
     # Block and tile sizes are private constants, not parameters.

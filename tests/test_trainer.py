@@ -405,7 +405,8 @@ class TestClassifyOutcome:
         report = p.classify_outcome(result, truth, tol=1e-5)
         assert report.outcome == p.GLOBAL
 
-    def test_trapped_run_is_bad_local(self):
+    @staticmethod
+    def _trapped_run():
         line_set, neuron_map, truth = scalar_setup([6.0, -4.0])
         X, y = p.generate_dataset(truth, 2000, seed=18)
         init = p.weights_from_masses(line_set, neuron_map, [3.0, 3.0])
@@ -413,11 +414,39 @@ class TestClassifyOutcome:
             batch_size=100, epochs=150, learning_rate=0.01, momentum=0.9,
             decay_rate=0.9, decay_every_steps=200, seed=19,
         )
-        result = p.sgd_train((X, y), init, config)
+        return p.sgd_train((X, y), init, config), truth
+
+    def test_trapped_run_is_bad_local(self):
+        result, truth = self._trapped_run()
         report = p.classify_outcome(result, truth, tol=1e-5, stationarity_tol=0.05)
         assert report.outcome == p.BAD_LOCAL
         assert report.violated_lines >= 1
         assert not report.region_condition_ok
+
+    def test_bad_local_label_does_not_call_the_gradient_oracle(self, monkeypatch):
+        # The label reads the line-coordinate gradient; the d-space
+        # analytic_gradient is an oracle for tests and benchmarks only.
+        def oracle_only(*args):
+            raise AssertionError("analytic_gradient is an oracle")
+
+        monkeypatch.setattr(p.landscape, "analytic_gradient", oracle_only)
+        result, truth = self._trapped_run()
+        report = p.classify_outcome(result, truth, tol=1e-5, stationarity_tol=0.05)
+        assert report.outcome == p.BAD_LOCAL
+
+    @pytest.mark.parametrize("value, error", [
+        (float("nan"), DomainError), (float("inf"), DomainError),
+        (-1.0, ParameterOutOfRange),
+    ])
+    @pytest.mark.parametrize("name", ["tol", "stationarity_tol"])
+    def test_bad_thresholds_rejected(self, name, value, error):
+        line_set, neuron_map, truth = scalar_setup([2.0, 3.0])
+        X, y = p.generate_dataset(truth, 200, seed=20)
+        init = p.weights_from_masses(line_set, neuron_map, [1.0, 1.0])
+        config = p.TrainConfig(batch_size=100, epochs=1, learning_rate=0.01, seed=21)
+        result = p.sgd_train((X, y), init, config)
+        with pytest.raises(error):
+            p.classify_outcome(result, truth, **{name: value})
 
 
 class TestMatchedExperiment:
