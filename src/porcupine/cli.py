@@ -41,7 +41,6 @@ from .minimax import (
 from .risk import matched_risk, mismatched_risk, monte_carlo_risk, scalar_risk
 from .schur import asymptotic_reference, nearest_line_subset, schur_complement
 from .trainer import (
-    TrainConfig,
     desk_matched_config,
     desk_mismatched_config,
     experiment_matched_degree_one,
@@ -424,6 +423,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValidationError("--threads must be >= 1")
+        if args.seed < 0:
+            raise ValidationError("--seed must be >= 0")
         if args.command == "train" and args.samples is None:
             args.samples = 2000 if args.mode == "matched" else 4000
         args.func(args)

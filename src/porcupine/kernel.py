@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import count, finite_array
 from .errors import DimensionMismatch, DomainError, NotSymmetric, ParameterOutOfRange
 from .lines import LineSet, build_line_set, cross_gram
 
@@ -78,9 +79,7 @@ def _column_angles(A: np.ndarray, B: np.ndarray):
 
 def equiangular_2d(r: int) -> LineSet:
     """``r`` planar lines with equal angles pi/r between neighbours."""
-    if r < 2:
-        raise ParameterOutOfRange("need r >= 2 equiangular lines, got %d" % r)
-    angles = np.arange(r) * np.pi / r
+    angles = np.arange(count(r, "r", 2)) * np.pi / r
     return build_line_set(np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
@@ -112,11 +111,9 @@ def _require_symmetric(matrix) -> np.ndarray:
 def _spectral_input(matrix) -> np.ndarray:
     """The public spectral helpers' input: non-empty (ParameterOutOfRange),
     finite (DomainError) and symmetric within ASYM_TOL."""
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = finite_array(matrix, "matrix", (None, None))
     if matrix.size == 0:
         raise ParameterOutOfRange("expected a non-empty matrix")
-    if not np.isfinite(matrix).all():
-        raise DomainError("matrix entries must be finite")
     return _require_symmetric(matrix)
 
 

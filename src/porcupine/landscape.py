@@ -10,15 +10,14 @@ of the population risk as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite
-from numbers import Integral, Real
+from math import comb
 
 import numpy as np
 
+from ._checks import count, finite_array, real
 from .errors import (
     ConfigMismatch,
     DimensionMismatch,
-    DomainError,
     ParameterOutOfRange,
     SingularKernel,
     ZeroColumn,
@@ -27,6 +26,7 @@ from .kernel import (
     KernelBundle,
     _column_angles,
     _cutoff_drops_any,
+    _cutoff_keeps_all,
     kernel_bundle,
     min_eigenvalue,
     psi,
@@ -53,11 +53,9 @@ class RegionClassification:
 
 
 def _sign_pattern(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = finite_array(np.ravel(values), "signs", (None,))
     if arr.size < 1:
         raise ParameterOutOfRange("need at least one sign")
-    if not np.isfinite(arr).all():
-        raise DomainError("signs must be finite")
     return np.where(arr >= 0, 1, -1).astype(int)
 
 
@@ -109,21 +107,12 @@ class GlobalOptimumCheck:
     kernel_min_eigenvalue: float
 
 
-def _threshold(value, what: str) -> float:
-    """A decision threshold: finite (DomainError) and >= 0 (ParameterOutOfRange)."""
-    if not isfinite(value):
-        raise DomainError("%s must be finite" % what)
-    if value < 0:
-        raise ParameterOutOfRange("%s must be >= 0" % what)
-    return float(value)
-
-
 def global_optimum_check(weights: PNNWeights, weights_star: PNNWeights,
                          tol: float = 1e-9) -> GlobalOptimumCheck:
     """Test ``sum_i w_i = sum_i w*_i`` and equal per-line masses, each
     residual within ``tol``.  A non-finite ``tol`` raises DomainError, a
     negative one ParameterOutOfRange."""
-    tol = _threshold(tol, "tol")
+    tol = real(tol, "tol", 0.0)
     if not weights.same_config(weights_star):
         raise ConfigMismatch("both networks must share the line configuration")
     gap, q, q_star = _line_terms(weights, weights_star)
@@ -141,7 +130,7 @@ def global_optimum_check(weights: PNNWeights, weights_star: PNNWeights,
 
 def region_condition(signature: RegionSignature, d: int) -> bool:
     """True iff at least ``d`` lines carry both orientations."""
-    return signature.mixed_line_count >= d
+    return signature.mixed_line_count >= count(d, "d")
 
 
 def classify_region(signature: RegionSignature, d: int) -> RegionClassification:
@@ -157,17 +146,10 @@ def good_region_probability(r: int, d: int, neurons_per_line: int) -> float:
 
     With ``t`` neurons per line each line is single-orientation with
     probability ``2^(1-t)``; the region is good when at most ``r - d``
-    lines are single-orientation, a binomial tail.  Non-finite arguments
-    raise DomainError, non-integer ones ParameterOutOfRange.
+    lines are single-orientation, a binomial tail.
     """
-    counts = (r, d, neurons_per_line)
-    if any(isinstance(n, Real) and not isfinite(n) for n in counts):
-        raise DomainError("r, d and neurons_per_line must be finite")
-    if not all(isinstance(n, Integral) for n in counts):
-        raise ParameterOutOfRange("r, d and neurons_per_line must be integers")
-    if r < 1 or d < 1 or neurons_per_line < 1:
-        raise ParameterOutOfRange("need r, d, neurons_per_line >= 1")
-    p = 2.0 ** (1 - neurons_per_line)
+    r, d = count(r, "r"), count(d, "d")
+    p = 2.0 ** (1 - count(neurons_per_line, "neurons_per_line"))
     tail = 0.0
     for i in range(min(d, r + 1)):
         tail += comb(r, i) * (1.0 - p) ** i * p ** (r - i)
@@ -230,18 +212,8 @@ def stationarity_check(
     """True iff the risk's derivative along every neuron's line is within
     ``tol`` of 0.  A non-finite ``tol`` raises DomainError, a negative one
     ParameterOutOfRange."""
-    tol = _threshold(tol, "tol")
+    tol = real(tol, "tol", 0.0)
     return bool(np.max(np.abs(_line_gradient(weights, weights_star))) <= tol)
-
-
-def _finite_vector(values, size: int, what: str) -> np.ndarray:
-    """``values`` as a float vector of shape ``(size,)`` with finite entries."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (size,):
-        raise DimensionMismatch("%s must have shape (%d,), got %s" % (what, size, arr.shape))
-    if not np.isfinite(arr).all():
-        raise DomainError("%s must be finite" % what)
-    return arr
 
 
 def bad_region_stationary(bundle: KernelBundle, q_star, line_signs, w0=None):
@@ -251,19 +223,25 @@ def bad_region_stationary(bundle: KernelBundle, q_star, line_signs, w0=None):
     orientation ``s_l = line_signs[l]``, so the column sum is ``U S q`` and
     the risk is a quadratic in the per-line masses ``q``.  Its stationary
     point solves ``(S G S + psi_lines) q = S U' w0 + psi_cross q*`` (``G``
-    the line Gram matrix), by the package's pseudo-inverse.  Returns
+    the line Gram matrix): by one ``np.linalg.solve`` when the guard
+    ``kernel._cutoff_keeps_all`` proves the pseudo-inverse is the inverse,
+    as ``schur.schur_complement`` does, else by the pseudo-inverse.  Returns
     ``(z, q)`` with the column-sum gap ``z = U S q - w0``.  The lines need
     not span the ambient space (r < d is allowed).
     """
     s = _sign_pattern(line_signs)
     if s.size != bundle.num_lines:
         raise DimensionMismatch("need one orientation sign per line")
-    q_star = _finite_vector(q_star, bundle.star.num_lines, "target masses")
+    q_star = finite_array(q_star, "target masses", (bundle.star.num_lines,))
     d = bundle.lines.dim
-    w0 = np.zeros(d) if w0 is None else _finite_vector(w0, d, "w0")
+    w0 = np.zeros(d) if w0 is None else finite_array(w0, "w0", (d,))
     US = bundle.lines.unit_vectors * s
-    core = symmetric_pseudo_inverse(US.T @ US + bundle.psi_lines)
-    q = core @ (US.T @ w0 + bundle.psi_cross @ q_star)
+    system = US.T @ US + bundle.psi_lines
+    rhs = US.T @ w0 + bundle.psi_cross @ q_star
+    if _cutoff_keeps_all(system):
+        q = np.linalg.solve(system, rhs)
+    else:
+        q = symmetric_pseudo_inverse(system) @ rhs
     return US @ q - w0, q
 
 
@@ -278,7 +256,7 @@ def bad_region_loss(bundle: KernelBundle, q_star) -> float:
     unconstrained stationary point: a negative mass puts it outside the
     region.
     """
-    q_star = _finite_vector(q_star, bundle.star.num_lines, "target masses")
+    q_star = finite_array(q_star, "target masses", (bundle.star.num_lines,))
     if _cutoff_drops_any(bundle.psi_lines):
         raise SingularKernel("line kernel matrix is numerically singular")
     gap, q = bad_region_stationary(bundle, q_star, np.ones(bundle.num_lines))

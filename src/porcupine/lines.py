@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
+from ._checks import count, finite_array
 from .errors import (
     DimensionMismatch,
-    DomainError,
     DuplicateLine,
     InfeasibleWeights,
     ParameterOutOfRange,
@@ -61,15 +61,9 @@ def canonicalize_vector(v):
     Raises DomainError when an entry is NaN or infinite and ZeroVector
     when ``||v|| <= ZERO_TOL``.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatch("expected a 1-D vector, got shape %s" % (v.shape,))
+    v = finite_array(v, "vector", (None,))
     norm = float(np.linalg.norm(v))
-    if not math.isfinite(norm):
-        # Decide on the entries: finite ones whose squares overflow (a
-        # vector of 1e200s) also give an infinite norm.
-        if not np.isfinite(v).all():
-            raise DomainError("cannot orient a vector with non-finite entries")
+    if not math.isfinite(norm):  # finite entries whose squares overflow (1e200s)
         v = v / np.max(np.abs(v))
         norm = float(np.linalg.norm(v))
     if norm <= ZERO_TOL:
@@ -198,7 +192,7 @@ def build_line_set(raw_vectors) -> LineSet:
 
 def axes_line_set(d: int) -> LineSet:
     """The standard coordinate axes as a line set."""
-    return build_line_set(np.eye(d))
+    return build_line_set(np.eye(count(d, "d")))
 
 
 def cross_gram(a: LineSet, b: LineSet) -> np.ndarray:
@@ -247,26 +241,25 @@ def random_line_set(d: int, r: int, seed, max_draws: int | None = None) -> LineS
     next block.  Every draw counts against ``max_draws``, so the lines and
     the budget are those of drawing one vector at a time.
     """
-    if d < 1 or r < 1:
-        raise ParameterOutOfRange("need d >= 1 and r >= 1, got d=%d r=%d" % (d, r))
+    d, r = count(d, "d"), count(r, "r")
     rng = np.random.default_rng(seed)
-    budget = max_draws if max_draws is not None else max(1000, 200 * r)
+    budget = count(max_draws, "max_draws") if max_draws is not None else max(1000, 200 * r)
     units = np.empty((d, 0))
     draws = 0
     while draws < budget:
         block = rng.standard_normal((min(r - units.shape[1], budget - draws), d))
         draws += len(block)
-        count = units.shape[1]
+        have = units.shape[1]
         oriented = _canonical_rows(block)
-        grown = np.empty((d, count + len(oriented)))
-        grown[:, :count] = units
-        grown[:, count:] = oriented.T
+        grown = np.empty((d, have + len(oriented)))
+        grown[:, :have] = units
+        grown[:, have:] = oriented.T
         units = grown
         # The first block is screened on the Gram of the assembled set, a
         # shortfall block on the cosines of its lines against every line.
-        line_set = _assemble_line_set(units) if count == 0 else None
-        cos = line_set.gram if count == 0 else units[:, count:].T @ units
-        _, kept = _first_kept(_collinear(cos), count)
+        line_set = _assemble_line_set(units) if have == 0 else None
+        cos = line_set.gram if have == 0 else units[:, have:].T @ units
+        _, kept = _first_kept(_collinear(cos), have)
         if not kept.all():
             units = units[:, kept]
         elif units.shape[1] == r:
@@ -285,8 +278,7 @@ class NeuronLineMap:
     assignment: tuple
 
     def __post_init__(self):
-        if self.num_neurons < 1:
-            raise ParameterOutOfRange("need at least one neuron")
+        count(self.num_neurons, "num_neurons")
         assignment = tuple(int(a) for a in self.assignment)
         object.__setattr__(self, "assignment", assignment)
         if len(assignment) != self.num_neurons:
@@ -420,22 +412,9 @@ class PNNWeights:
     scales: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise DimensionMismatch("weights must be a d x k matrix")
         # Every comparison in the feasibility check is False for NaN.
-        if not np.isfinite(matrix).all():
-            raise DomainError("weights must be finite")
-        d, k = matrix.shape
-        if d != self.line_set.dim:
-            raise DimensionMismatch(
-                "weights have d=%d but lines have d=%d" % (d, self.line_set.dim)
-            )
-        if k != self.neuron_map.num_neurons:
-            raise DimensionMismatch(
-                "weights have k=%d but map has k=%d"
-                % (k, self.neuron_map.num_neurons)
-            )
+        matrix = finite_array(self.matrix, "weights",
+                              (self.line_set.dim, self.neuron_map.num_neurons))
         if self.neuron_map.num_lines != self.line_set.num_lines:
             raise DimensionMismatch(
                 "map covers %d lines but the line set has %d"
@@ -505,9 +484,7 @@ def weights_from_masses(
 ) -> PNNWeights:
     """Assemble weights with column ``i`` equal to ``signed_masses[i]``
     times the canonical unit vector of its line."""
-    signed_masses = np.asarray(signed_masses, dtype=float)
-    if signed_masses.shape != (neuron_map.num_neurons,):
-        raise DimensionMismatch("need one signed mass per neuron")
+    signed_masses = finite_array(signed_masses, "signed masses", (neuron_map.num_neurons,))
     cols = line_set.unit_vectors[:, list(neuron_map.assignment)]
     return PNNWeights(
         matrix=cols * signed_masses[None, :],
@@ -579,10 +556,8 @@ def load_vectors_csv(path) -> np.ndarray:
     for j, values in enumerate(records):
         if len(values) != d:
             raise DimensionMismatch("row %d has %d entries, expected %d" % (j, len(values), d))
-    vectors = np.array(records).T.copy()  # C order, like the arrays the package builds
-    if not np.isfinite(vectors).all():
-        raise DomainError("stored vectors must be finite")
-    return vectors
+    # C order, like the arrays the package builds
+    return finite_array(np.array(records).T.copy(), "stored vectors", (d, m))
 
 
 def save_line_set(line_set: LineSet, path) -> None:

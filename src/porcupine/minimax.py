@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CoverageNotReached, DimensionMismatch, DomainError, \
-    ParameterOutOfRange
+from ._checks import count, finite_array, real
+from .errors import CoverageNotReached, DomainError, ParameterOutOfRange
 from .lines import _unit_columns, canonicalize_vector, load_vectors_csv, save_vectors_csv
 
 # Probes drawn and screened against the net per matmul.
@@ -68,22 +68,20 @@ class AngularNet:
 def load_angular_net(path, delta: float) -> AngularNet:
     """Read a net written by ``AngularNet.save``, checking ``delta`` and
     unit norm too."""
-    _check_delta(delta)
+    delta = _check_delta(delta)
     vectors = load_vectors_csv(path)
-    return AngularNet(dim=vectors.shape[0], delta=float(delta), vectors=vectors)
+    return AngularNet(dim=vectors.shape[0], delta=delta, vectors=vectors)
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta <= np.pi / 2:
-        raise DomainError("delta must lie in (0, pi/2]")
+def _check_delta(delta: float) -> float:
+    """An angle in (0, pi/2]: DomainError otherwise, NaN and infinities too."""
+    return real(delta, "delta", 0.0, np.pi / 2, open_low=True, error=DomainError)
 
 
 def net_size_bound(n: int, delta: float) -> float:
     """Size of an angular delta-net guaranteed to exist in n dimensions:
     ``(1/2) (1 + sqrt(2)/sqrt(1 - cos delta))^n``."""
-    _check_delta(delta)
-    if n < 1:
-        raise ParameterOutOfRange("need n >= 1")
+    delta, n = _check_delta(delta), count(n, "n")
     return 0.5 * (1.0 + math.sqrt(2.0) / math.sqrt(1.0 - math.cos(delta))) ** n
 
 
@@ -93,15 +91,13 @@ def sparse_net_size(d: int, s: int, delta: float, k: int | None = None) -> float
     Counts one net per support: ``(1/2) C(d, s)`` supports in general, or
     ``k/2`` when the sparsity patterns of the ``k`` neurons are known.
     """
-    _check_delta(delta)
-    if not 1 <= s <= d:
-        raise DomainError("need 1 <= s <= d")
+    delta, d, s = _check_delta(delta), count(d, "d"), count(s, "s")
+    if s > d:
+        raise DomainError("need s <= d, got s=%d d=%d" % (s, d))
     per_support = (1.0 + math.sqrt(2.0) / math.sqrt(1.0 - math.cos(delta))) ** s
     if k is None:
         return 0.5 * math.comb(d, s) * per_support
-    if k < 1:
-        raise ParameterOutOfRange("need k >= 1")
-    return 0.5 * k * per_support
+    return 0.5 * count(k, "k") * per_support
 
 
 def _angles_to_net(vectors: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -128,9 +124,8 @@ def greedy_angular_net(d: int, delta: float, seed=0, max_probes: int = 10_000,
     stopping rule and the ``probe_budget`` count are those of a
     one-probe-at-a-time loop.
     """
-    _check_delta(delta)
-    if d < 1:
-        raise ParameterOutOfRange("need d >= 1")
+    delta, d = _check_delta(delta), count(d, "d")
+    max_probes, probe_budget = count(max_probes, "max_probes"), count(probe_budget, "probe_budget")
     if d > _MAX_DIM:
         raise ParameterOutOfRange(
             "greedy construction is desk-scale only (d <= %d)" % _MAX_DIM
@@ -155,7 +150,7 @@ def greedy_angular_net(d: int, delta: float, seed=0, max_probes: int = 10_000,
             stop = start + int(uncovered[0]) if uncovered.size else len(units)
             covered_streak += stop - start
             if stop > start and covered_streak >= max_probes:
-                return AngularNet(dim=d, delta=float(delta), vectors=net)
+                return AngularNet(dim=d, delta=delta, vectors=net)
             if stop == len(units):
                 break
             added, _ = canonicalize_vector(probes[stop])
@@ -171,8 +166,7 @@ def greedy_angular_net(d: int, delta: float, seed=0, max_probes: int = 10_000,
 
 def coverage_gap(net: AngularNet, n_probes: int = 100_000, seed=0) -> float:
     """Largest angle from a fresh uniform probe to the net (modulo sign)."""
-    if n_probes < 1:
-        raise ParameterOutOfRange("need n_probes >= 1")
+    n_probes = count(n_probes, "n_probes")
     if net.size < 1:
         raise ParameterOutOfRange("the net is empty")
     rng = np.random.default_rng(seed)
@@ -197,11 +191,7 @@ def nearest_net_approx(w_star, net: AngularNet):
     norm, so ``|w - w_tilde|^2 = 2 |w|^2 (1 - cos angle)`` per column.
     Zero columns stay zero; non-finite entries raise DomainError.
     """
-    W = np.asarray(w_star, dtype=float)
-    if W.ndim != 2 or W.shape[0] != net.dim:
-        raise DimensionMismatch("weights must be d x k with d matching the net")
-    if not np.isfinite(W).all():
-        raise DomainError("weights must be finite")
+    W = finite_array(w_star, "weights", (net.dim, None))
     if net.size < 1:
         raise ParameterOutOfRange("the net is empty")
     cols = np.ascontiguousarray(W.T)
@@ -219,9 +209,8 @@ def nearest_net_approx(w_star, net: AngularNet):
 
 def minimax_risk_bound(k: int, M: float, d: int, delta: float) -> float:
     """``k M sqrt(2 d (1 - cos delta))`` on expected absolute output error."""
-    _check_delta(delta)
-    if k < 1 or d < 1 or not 0 < M < math.inf:  # NaN fails this test too
-        raise ParameterOutOfRange("need k, d >= 1 and finite M > 0")
+    delta, k, d = _check_delta(delta), count(k, "k"), count(d, "d")
+    M = real(M, "M", 0.0, open_low=True, error=ParameterOutOfRange)
     return k * M * math.sqrt(2.0 * d * (1.0 - math.cos(delta)))
 
 
@@ -233,9 +222,8 @@ class ReluGap(NamedTuple):
 
 def relu_gap(w1, w2, x) -> ReluGap:
     """``|relu(w1'x) - relu(w2'x)|`` and its Lipschitz bound ``|w1-w2||x|``."""
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    x = np.asarray(x, dtype=float)
+    w1 = finite_array(w1, "w1", (None,))
+    w2, x = finite_array(w2, "w2", w1.shape), finite_array(x, "x", w1.shape)
     gap = abs(max(float(w1 @ x), 0.0) - max(float(w2 @ x), 0.0))
     bound = float(np.linalg.norm(w1 - w2) * np.linalg.norm(x))
     return ReluGap(gap=gap, bound=bound, within_bound=gap <= bound + RELU_GAP_SLACK)

@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import count, finite_array
 from ._seeds import as_seed_sequence
-from .errors import (
-    ConfigMismatch,
-    DimensionMismatch,
-    DomainError,
-    ParameterOutOfRange,
-    ZeroVector,
-)
+from .errors import ConfigMismatch, DimensionMismatch, ParameterOutOfRange, ZeroVector
 from .kernel import _column_angles, kernel_bundle, psi
 from .lines import NeuronLineMap, PNNWeights, ZERO_TOL, _line_masses, axes_line_set
 
@@ -40,6 +35,13 @@ class RiskBreakdown:
     @property
     def total(self) -> float:
         return self.linear_term + self.kernel_term
+
+
+def _finite_pair(weights, weights_star):
+    """Both weight matrices, finite and of one input dimension, for the
+    oracles that take arbitrary matrices."""
+    A = finite_array(_as_matrix(weights), "weights", (None, None))
+    return A, finite_array(_as_matrix(weights_star), "target weights", (A.shape[0], None))
 
 
 def _as_matrix(weights) -> np.ndarray:
@@ -80,32 +82,26 @@ def monte_carlo_risk(weights, weights_star, n_samples: int = 2_000_000,
     are summed over the whole chunk, so the blocks change no bit of the
     result.  Non-finite weights raise DomainError.
     """
-    A = _as_matrix(weights)
-    B = _as_matrix(weights_star)
-    if A.shape[0] != B.shape[0]:
-        raise DimensionMismatch("weight matrices disagree on input dimension")
-    if n_samples < 1:
-        raise ParameterOutOfRange("need n_samples >= 1")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise DomainError("Monte Carlo needs finite weights")
+    A, B = _finite_pair(weights, weights_star)
+    pairs = (count(n_samples, "n_samples") + 1) // 2
+    threads = count(threads, "threads")
     d = A.shape[0]
     sum_gap = A.sum(axis=1) - B.sum(axis=1)
-    pairs = (int(n_samples) + 1) // 2
     n_chunks = (pairs + _MC_CHUNK_PAIRS - 1) // _MC_CHUNK_PAIRS
     seeds = as_seed_sequence(seed).spawn(n_chunks)
 
     def run_chunk(index: int):
-        count = min(_MC_CHUNK_PAIRS, pairs - index * _MC_CHUNK_PAIRS)
+        chunk_pairs = min(_MC_CHUNK_PAIRS, pairs - index * _MC_CHUNK_PAIRS)
         rng = np.random.default_rng(seeds[index])
         # Buffers belong to one chunk call: with threads > 1 chunks run at once.
-        block = min(_MC_BLOCK_PAIRS, count)
+        block = min(_MC_BLOCK_PAIRS, chunk_pairs)
         X = np.empty((block, d))
         ZA = np.empty((block, A.shape[1]))
         ZB = np.empty((block, B.shape[1]))
-        forward = np.empty(count)
-        backward = np.empty(count)
-        for start in range(0, count, block):
-            rows = slice(start, min(start + block, count))
+        forward = np.empty(chunk_pairs)
+        backward = np.empty(chunk_pairs)
+        for start in range(0, chunk_pairs, block):
+            rows = slice(start, min(start + block, chunk_pairs))
             n = rows.stop - start
             x, za, zb = X[:n], ZA[:n], ZB[:n]
             rng.standard_normal(out=x)
@@ -137,14 +133,9 @@ def scalar_risk(w, w_star) -> RiskBreakdown:
     """Single-input closed form: quarter squares of the sum gap and the
     absolute-sum gap.  Each side is a non-empty finite 1-D vector:
     DimensionMismatch, ParameterOutOfRange and DomainError otherwise."""
-    w, w_star = np.asarray(w, dtype=float), np.asarray(w_star, dtype=float)
-    for side in (w, w_star):
-        if side.ndim != 1:
-            raise DimensionMismatch("scalar risk needs 1-D weight vectors")
-        if side.size < 1:
-            raise ParameterOutOfRange("scalar risk needs at least one weight per side")
-        if not np.isfinite(side).all():
-            raise DomainError("scalar risk needs finite weights")
+    w, w_star = finite_array(w, "w", (None,)), finite_array(w_star, "w_star", (None,))
+    if min(w.size, w_star.size) < 1:
+        raise ParameterOutOfRange("scalar risk needs at least one weight per side")
     linear = 0.25 * float(w.sum() - w_star.sum()) ** 2
     kernel = 0.25 * float(np.abs(w).sum() - np.abs(w_star).sum()) ** 2
     return RiskBreakdown(linear_term=linear, kernel_term=kernel)
@@ -217,12 +208,8 @@ def truncated_covariance(w1, w2) -> np.ndarray:
     the formula below carries no divided differences, every term is scaled
     by sin or sin^2 of the angle.
     """
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    if w1.shape != w2.shape or w1.ndim != 1:
-        raise DimensionMismatch("need two vectors of one shared dimension")
-    if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
-        raise DomainError("truncated covariance needs finite vectors")
+    w1 = finite_array(w1, "w1", (None,))
+    w2 = finite_array(w2, "w2", w1.shape)
     n1 = float(np.linalg.norm(w1))
     n2 = float(np.linalg.norm(w2))
     if n1 <= ZERO_TOL or n2 <= ZERO_TOL:
@@ -258,12 +245,7 @@ def pairwise_population_risk(weights, weights_star) -> float:
     bookkeeping.  Zero columns contribute nothing.  Non-finite weights
     raise DomainError.
     """
-    A = _as_matrix(weights)
-    B = _as_matrix(weights_star)
-    if A.shape[0] != B.shape[0]:
-        raise DimensionMismatch("weight matrices disagree on input dimension")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise DomainError("pairwise population risk needs finite weights")
+    A, B = _finite_pair(weights, weights_star)
     value = (
         _pairwise_correlations(A, A).sum()
         + _pairwise_correlations(B, B).sum()

@@ -15,9 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import count, finite_array, real
 from .errors import (
-    DimensionMismatch,
-    DomainError,
     DuplicateLine,
     NegativeMass,
     ParameterOutOfRange,
@@ -94,11 +93,7 @@ class SchurReport:
     def loss_at_good_local(self, q_star) -> float:
         """Risk attained at good-region optima for target masses ``q_star``,
         one finite mass per target line (DimensionMismatch, DomainError)."""
-        q = np.asarray(q_star, dtype=float).ravel()
-        if q.size != self.schur.shape[0]:
-            raise DimensionMismatch("need one target mass per target line")
-        if not np.isfinite(q).all():
-            raise DomainError("per-line masses must be finite")
+        q = finite_array(np.ravel(q_star), "target masses", (self.schur.shape[0],))
         return 0.25 * float(q @ self.schur @ q)
 
 
@@ -247,14 +242,12 @@ class AsymptoticReference:
 
 
 def asymptotic_reference(d: int, r: int, r_star: int) -> AsymptoticReference:
-    """Reference matrix, its spectrum, and the limiting Schur norm."""
-    if d < 1 or r < 1 or r_star < 1:
-        raise ParameterOutOfRange("need d, r, r_star >= 1")
+    """Reference matrix, its spectrum, and the limiting Schur norm
+    (``normalized_loss_bound(r, r_star)``)."""
+    d, limit = count(d, "d"), normalized_loss_bound(r, r_star)
     alpha = 1.0 - 2.0 / np.pi
-    gamma = r / d
-    top = 2.0 / np.pi * r + 1.0 - 2.0 / np.pi + gamma / np.pi
+    top = 2.0 / np.pi * r + 1.0 - 2.0 / np.pi + r / d / np.pi
     eigenvalues = ((alpha, r - 1), (top, 1)) if r > 1 else ((top, 1),)
-    limit = (1.0 + r_star / r) * alpha
     return AsymptoticReference(d=d, r=r, limit=limit, eigenvalues=eigenvalues)
 
 
@@ -266,6 +259,7 @@ def perturbation_bound(lines: LineSet, targets: LineSet, delta: float) -> float:
     delta/2`` with ``Z`` the difference of the unit-vector matrices.
     The returned value is verified against the actual Schur norm.
     """
+    delta = real(delta, "delta", 0.0, open_low=True)
     if lines.num_lines != targets.num_lines:
         raise ParameterOutOfRange("perturbation bound needs equal line counts")
     r = lines.num_lines
@@ -293,9 +287,7 @@ def perturbation_bound(lines: LineSet, targets: LineSet, delta: float) -> float:
 
 def normalized_loss_bound(r: int, r_star: int) -> float:
     """Limiting bound on achieved risk over the risk of the zero network."""
-    if r < 1 or r_star < 1:
-        raise ParameterOutOfRange("need r, r_star >= 1")
-    return (1.0 + r_star / r) * (1.0 - 2.0 / np.pi)
+    return (1.0 + count(r_star, "r_star") / count(r, "r")) * (1.0 - 2.0 / np.pi)
 
 
 @dataclass(frozen=True)
@@ -320,12 +312,8 @@ def bad_local_asymptotic_bound(
     Holds with probability ``1 - 2 exp(-mu^2 d)`` for uniformly random
     lines in the proportional regime ``r = gamma d``.
     """
-    if gamma <= 1.0:
-        raise ParameterOutOfRange("need gamma > 1")
-    if mu <= 1.0:
-        raise ParameterOutOfRange("need mu > 1")
-    if r < 1 or r_star < 1:
-        raise ParameterOutOfRange("need r, r_star >= 1")
+    gamma, mu = real(gamma, "gamma", 1.0, open_low=True), real(mu, "mu", 1.0, open_low=True)
+    r, r_star = count(r, "r"), count(r_star, "r_star")
     coefficient = 0.25 * (
         1.0 - 2.0 / np.pi + (1.0 + math.sqrt(gamma) + mu) ** 2 * r_star / r
     )
@@ -343,8 +331,7 @@ def structured_inverse(alpha: float, beta: float, n: int):
     Returns ``(alpha2, beta2)`` with ``alpha2 = 1/alpha`` and
     ``beta2 = -beta / (alpha^2 + alpha*beta*n)``.
     """
-    if n < 1:
-        raise ParameterOutOfRange("need n >= 1")
+    alpha, beta, n = real(alpha, "alpha"), real(beta, "beta"), count(n, "n")
     if alpha == 0.0 or alpha + beta * n == 0.0:
         raise SingularStructure("alpha and alpha + beta*n must be non-zero")
     return 1.0 / alpha, -beta / (alpha * alpha + alpha * beta * n)

@@ -13,9 +13,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ._checks import count, finite_array, real
 from ._seeds import as_seed_sequence
-from .errors import ConfigError, DimensionMismatch, Diverged, DomainError, ParameterOutOfRange
-from .landscape import _threshold, region_condition, stationarity_check
+from .errors import ConfigError, DimensionMismatch, Diverged
+from .landscape import region_condition, stationarity_check
 from .lines import (
     LineSet,
     NeuronLineMap,
@@ -142,9 +143,11 @@ class TrainResult:
 
 def generate_dataset(w_star, n: int, seed):
     """``n`` pairs ``(x, h(x; W*))`` with standard Gaussian inputs."""
-    if n < 1:
-        raise ParameterOutOfRange("need n >= 1")
-    W = w_star.matrix if isinstance(w_star, PNNWeights) else np.asarray(w_star, float)
+    n = count(n, "n")
+    if isinstance(w_star, PNNWeights):
+        W = w_star.matrix
+    else:
+        W = finite_array(w_star, "target weights", (None, None))
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, W.shape[0]))
     return X, network_output(X, W)
@@ -174,19 +177,8 @@ def _checked_data(data, dim: int, name: str):
         X, y = data
     except (TypeError, ValueError):
         raise DimensionMismatch("%s data must be an (X, y) pair" % name) from None
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[1] != dim:
-        raise DimensionMismatch(
-            "%s inputs must have shape (n, %d), got %s" % (name, dim, X.shape)
-        )
-    if y.shape != (X.shape[0],):
-        raise DimensionMismatch(
-            "%s targets must have shape (%d,), got %s" % (name, X.shape[0], y.shape)
-        )
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise DomainError("%s data must be finite" % name)
-    return X, y
+    X = finite_array(X, name + " inputs", (None, dim))
+    return X, finite_array(y, name + " targets", (X.shape[0],))
 
 
 def _train_line_coordinates(X, y, init_weights: PNNWeights, config: TrainConfig):
@@ -340,8 +332,8 @@ def classify_outcome(
     single-orientation lines.  A non-finite threshold raises DomainError,
     a negative one ParameterOutOfRange.
     """
-    tol = _threshold(tol, "tol")
-    stationarity_tol = _threshold(stationarity_tol, "stationarity_tol")
+    tol = real(tol, "tol", 0.0)
+    stationarity_tol = real(stationarity_tol, "stationarity_tol", 0.0)
     signature = result.final_signature
     condition = region_condition(signature, result.line_set.dim)
     violated = signature.single_orientation_count
@@ -374,8 +366,7 @@ def classify_outcome(
 
 def degree_one_map(d: int, k: int) -> NeuronLineMap:
     """Assign ``k`` neurons evenly to ``d`` axes (k divisible by d)."""
-    if d < 1 or k < 1:
-        raise ParameterOutOfRange("need d, k >= 1, got d=%d k=%d" % (d, k))
+    d, k = count(d, "d"), count(k, "k")
     if k % d != 0:
         raise ConfigError("k=%d is not divisible by d=%d" % (k, d))
     per = k // d
@@ -403,13 +394,6 @@ class MatchedSummary:
     trials: tuple
 
 
-def _require_runs(**counts) -> None:
-    """Each named count of an experiment must be at least one."""
-    for name, value in counts.items():
-        if value < 1:
-            raise ParameterOutOfRange("need %s >= 1, got %d" % (name, value))
-
-
 def experiment_matched_degree_one(
     d: int,
     k: int,
@@ -421,7 +405,8 @@ def experiment_matched_degree_one(
     """Matched runs on a degree-one network: learn the architecture that
     generated the data, report how often training reaches a global optimum
     and the per-trial gap between learned and true weights."""
-    _require_runs(trials=trials)
+    trials = count(trials, "trials")
+    n_train, n_test = count(n_train, "n_train"), count(n_test, "n_test")
     line_set = axes_line_set(d)
     neuron_map = degree_one_map(d, k)
     rows = []
@@ -485,11 +470,12 @@ class MismatchedSummary:
     k_star: int
     runs: tuple
 
-    def per_k(self, reducer=np.median) -> dict:
+    def per_k(self) -> dict:
+        """Median held-out normalized error per width ``k``."""
         values: dict[int, list[float]] = {}
         for run in self.runs:
             values.setdefault(run.k, []).append(run.normalized_test_mse)
-        return {k: float(reducer(v)) for k, v in sorted(values.items())}
+        return {k: float(np.median(v)) for k, v in sorted(values.items())}
 
 
 def experiment_mismatched_random(
@@ -511,10 +497,13 @@ def experiment_mismatched_random(
     trained with SGD on its line scalars, and the held-out normalized squared error
     is recorded.
     """
-    _require_runs(trials=trials, inits_per_trial=inits_per_trial, k_values=len(k_list))
-    for k in k_list:
-        if k % 2 != 0:
-            raise ConfigError("k values must be even (two neurons per line)")
+    d, k_star, trials = count(d, "d"), count(k_star, "k_star"), count(trials, "trials")
+    inits_per_trial = count(inits_per_trial, "inits_per_trial")
+    n_train, n_test = count(n_train, "n_train"), count(n_test, "n_test")
+    k_list = [count(k, "k") for k in k_list]
+    count(len(k_list), "number of k values")
+    if any(k % 2 for k in k_list):
+        raise ConfigError("k values must be even (two neurons per line)")
     runs = []
     for trial in range(trials):
         seq = np.random.SeedSequence((config.seed, trial)).spawn(3)
@@ -526,7 +515,7 @@ def experiment_mismatched_random(
         for k in k_list:
             for init_index in range(inits_per_trial):
                 init_seq = np.random.SeedSequence(
-                    (config.seed, trial, int(k), init_index)
+                    (config.seed, trial, k, init_index)
                 )
                 init_seed, train_seed = init_seq.spawn(2)
                 _, _, init = init_random_pnn(d, k // 2, init_seed)
@@ -536,7 +525,7 @@ def experiment_mismatched_random(
                 signature = result.final_signature
                 runs.append(
                     MismatchedRun(
-                        k=int(k),
+                        k=k,
                         trial=trial,
                         init=init_index,
                         seed=run_seed,

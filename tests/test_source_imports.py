@@ -37,3 +37,40 @@ def test_no_forbidden_import(path):
 def test_guard_sees_forbidden_imports(source):
     found = {name for _, name in imported_packages(ast.parse(source))}
     assert found & FORBIDDEN
+
+
+def unused_imports(tree):
+    """``(line, name)`` of each name the module imports and never reads;
+    imports from ``__future__`` are directives, not names."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+# __init__.py imports names to re-export them.
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == [], "%s never uses %s" % (path.name, unused_imports(tree))
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import math", [(1, "math")]),
+    ("import numpy as np\nx = np.pi", []),
+    ("import os.path\nos.sep", []),
+    ("from .errors import A, B as C\nraise C", [(1, "A")]),
+    ("from __future__ import annotations", []),
+    ("from .lines import LineSet\ndef f(a: LineSet): pass", []),
+])
+def test_guard_sees_unused_imports(source, unused):
+    assert unused_imports(ast.parse(source)) == unused
