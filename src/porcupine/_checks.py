@@ -1,10 +1,10 @@
-"""The three rules that check the package's public arguments.
+"""The four rules that check the package's arguments.
 
-``count`` checks an integer size, ``real`` a real number within bounds and
-``finite_array`` an array of a given shape.  Whatever fails raises a
-PorcupineError: DomainError for a non-finite value, ParameterOutOfRange for
-a value out of range, DimensionMismatch for a wrong shape.  Each rule costs
-O(1) for a number and one pass for an array.
+``count`` checks an integer size, ``real`` a real number within bounds,
+``finite_array`` an array of a given shape and ``seed_sequence`` a seed.
+Whatever fails raises a PorcupineError: DomainError for a non-finite value,
+ParameterOutOfRange for a value out of range, DimensionMismatch for a wrong
+shape.  Each rule costs O(1) for a number and one pass for an array.
 """
 from __future__ import annotations
 
@@ -16,17 +16,18 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, ParameterOutOfRange
 
 
-def count(value, name: str, minimum: int = 1) -> int:
+def count(value, name: str, minimum: int = 1, *, error=None) -> int:
     """``value`` as an ``int`` of at least ``minimum``; it must be an
     Integral, not a bool.  A non-finite real raises DomainError, anything
-    else that fails ParameterOutOfRange."""
+    else that fails ParameterOutOfRange, unless ``error`` names the class
+    to raise for every failure."""
     if isinstance(value, Integral) and not isinstance(value, bool):
         if value >= minimum:
             return int(value)
-        raise ParameterOutOfRange("need %s >= %d, got %d" % (name, minimum, value))
+        raise (error or ParameterOutOfRange)("need %s >= %d, got %d" % (name, minimum, value))
     if isinstance(value, Real) and not math.isfinite(value):
-        raise DomainError("%s must be finite, got %r" % (name, value))
-    raise ParameterOutOfRange("%s must be an integer, got %r" % (name, value))
+        raise (error or DomainError)("%s must be finite, got %r" % (name, value))
+    raise (error or ParameterOutOfRange)("%s must be an integer, got %r" % (name, value))
 
 
 def real(value, name: str, low: float = -math.inf, high: float = math.inf, *,
@@ -59,3 +60,16 @@ def finite_array(values, name: str, shape: tuple) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DomainError("%s must be finite" % name)
     return arr
+
+
+def seed_sequence(value, name: str) -> np.random.SeedSequence:
+    """``value`` as a SeedSequence: one is returned as it is, and an integer
+    of at least 0 (not a bool), or a non-empty tuple or list of them, is
+    checked part by part with ``count``.  The result draws what numpy
+    draws from ``value``."""
+    if isinstance(value, np.random.SeedSequence):
+        return value
+    parts = value if isinstance(value, (tuple, list)) else [value]
+    if not parts:
+        raise ParameterOutOfRange("%s must not be empty" % name)
+    return np.random.SeedSequence([count(part, name, 0) for part in parts])

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from ._seeds import as_seed_sequence
+from ._checks import count, seed_sequence
 from .errors import ConfigError, DomainError, ParameterOutOfRange, PorcupineError
 from .kernel import kernel_bundle
 from .landscape import scalar_region_classify
@@ -88,16 +87,14 @@ def _echoed_args(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
 
 
-def _int_list(text: str):
+def _int_list(text: str, flag: str):
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ValidationError("expected a comma-separated integer list: %r" % text) from exc
     if not values:
         raise ValidationError("empty grid: %r" % text)
-    if min(values) < 1:
-        raise ValidationError("grid entries must be positive: %r" % text)
-    return values
+    return [count(value, flag) for value in values]
 
 
 def _float_list(text: str):
@@ -107,8 +104,6 @@ def _float_list(text: str):
         raise ValidationError("expected a comma-separated float list: %r" % text) from exc
     if not values:
         raise ValidationError("empty vector: %r" % text)
-    if not all(math.isfinite(v) for v in values):
-        raise ValidationError("vector entries must be finite: %r" % text)
     return values
 
 
@@ -125,7 +120,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _random_instance(d, r, k, seed, scale=1.0):
-    seq = as_seed_sequence(seed).spawn(3)
+    seq = seed.spawn(3)
     line_set = random_line_set(d, r, seq[0])
     rng = np.random.default_rng(seq[1])
     assignment = tuple(np.concatenate([np.arange(r), rng.integers(0, r, size=k - r)]))
@@ -135,8 +130,9 @@ def _random_instance(d, r, k, seed, scale=1.0):
 
 
 def _cmd_risk(args) -> None:
-    if args.mc_samples is not None and args.mc_samples < 1:
-        raise ValidationError("--mc-samples must be >= 1")
+    # Checked apart: "if args.mc_samples" below would skip Monte Carlo at 0.
+    if args.mc_samples is not None:
+        count(args.mc_samples, "--mc-samples")
     # (name, model, target, closed-form breakdown) per row; the model and
     # target are what monte_carlo_risk takes.
     instances = []
@@ -159,7 +155,7 @@ def _cmd_risk(args) -> None:
         if args.mismatched and k_star < r_star:
             raise ValidationError("need k_star >= r_star")
         _check_line_count(args.d, max(args.r, r_star) if args.mismatched else args.r)
-        seq = np.random.SeedSequence(args.seed).spawn(2)
+        seq = seed_sequence(args.seed, "--seed").spawn(2)
         weights = _random_instance(args.d, args.r, args.k, seq[0])
         if args.mismatched:
             star = _random_instance(args.d, r_star, k_star, seq[1])
@@ -198,7 +194,7 @@ def _cmd_landscape(args) -> None:
 
 
 def _schur_trial(d, r_star, r, trial, master_seed, nearest):
-    seq = np.random.SeedSequence((master_seed, r, trial)).spawn(2)
+    seq = seed_sequence((master_seed, r, trial), "--seed").spawn(2)
     seed_id = int(np.random.default_rng(seq[0]).integers(2**31))
     start = time.perf_counter()
     lines = random_line_set(d, r, seq[0])
@@ -211,9 +207,10 @@ def _schur_trial(d, r_star, r, trial, master_seed, nearest):
 
 
 def _cmd_schur_sweep(args) -> None:
-    grid = _int_list(args.r)
-    if args.d < 1 or args.r_star < 1 or args.trials < 1:
-        raise ValidationError("need positive --d, --r-star, --trials")
+    grid = _int_list(args.r, "--r")
+    count(args.d, "--d")
+    count(args.r_star, "--r-star")
+    count(args.trials, "--trials")
     if args.nearest and min(grid) < args.r_star:
         raise ValidationError("--nearest needs every r >= r_star")
     _check_line_count(args.d, max(max(grid), args.r_star))
@@ -245,8 +242,6 @@ def _cmd_schur_sweep(args) -> None:
 
 
 def _cmd_asymptotic(args) -> None:
-    if args.d < 1 or args.r < 1 or args.r_star < 1:
-        raise ValidationError("need positive --d, --r, --r-star")
     reference = asymptotic_reference(args.d, args.r, args.r_star)
     rows = [("limit", reference.limit)]
     for value, multiplicity in reference.eigenvalues:
@@ -256,17 +251,15 @@ def _cmd_asymptotic(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    k_grid = _int_list(args.k)
-    if args.d < 1 or args.trials < 1:
-        raise ValidationError("need positive --d and --trials")
+    k_grid = _int_list(args.k, "--k")
+    count(args.d, "--d")
+    count(args.trials, "--trials")
+    count(args.samples, "--samples")
     if args.mode == "matched" and any(k % args.d for k in k_grid):
         raise ValidationError("matched runs need k divisible by d")
-    if args.mode == "mismatched" and (args.k_star is None or args.k_star < 1):
-        raise ValidationError("mismatched runs need a positive --k-star")
-    if args.mode == "mismatched" and args.inits < 1:
-        raise ValidationError("mismatched runs need a positive --inits")
-    if args.samples < 1:
-        raise ValidationError("need a positive --samples")
+    if args.mode == "mismatched":
+        count(args.k_star, "--k-star")
+        count(args.inits, "--inits")
     preset = desk_matched_config if args.mode == "matched" else desk_mismatched_config
     config = preset(seed=args.seed)
     if args.epochs is not None:
@@ -310,8 +303,8 @@ def _cmd_train(args) -> None:
 def _cmd_minimax(args) -> None:
     if args.delta is None:
         raise ValidationError("--delta is required")
-    if args.action == "net" and args.probes < 1:
-        raise ValidationError("--probes must be >= 1")
+    if args.action == "net":
+        count(args.probes, "--probes")
     if args.action == "bound":
         rows = [("net_size_bound", net_size_bound(args.d, args.delta))]
         if args.s is not None:
@@ -421,10 +414,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.threads < 1:
-            raise ValidationError("--threads must be >= 1")
-        if args.seed < 0:
-            raise ValidationError("--seed must be >= 0")
+        # Checked apart: "args.threads > 1" would run --threads 0 serially.
+        count(args.threads, "--threads")
+        count(args.seed, "--seed", 0)
         if args.command == "train" and args.samples is None:
             args.samples = 2000 if args.mode == "matched" else 4000
         args.func(args)

@@ -222,14 +222,12 @@ class KernelBundle:
 
 
 def kernel_bundle(lines: LineSet, star: LineSet) -> KernelBundle:
-    """Assemble the kernel blocks for model lines against target lines."""
-    if lines.dim != star.dim:
-        raise DimensionMismatch(
-            "line sets live in d=%d and d=%d" % (lines.dim, star.dim)
-        )
+    """Assemble the kernel blocks for model lines against target lines;
+    line sets in different dimensions raise DimensionMismatch (from
+    ``cross_gram``, before any kernel is evaluated)."""
+    psi_cross = psi(cross_gram(lines, star))
     psi_lines = psi(lines.gram)
     psi_star = psi(star.gram)
-    psi_cross = psi(cross_gram(lines, star))
     for arr in (psi_lines, psi_cross, psi_star):
         arr.flags.writeable = False
     return KernelBundle(

@@ -52,8 +52,8 @@ class RegionClassification:
     witness: tuple | None = None
 
 
-def _sign_pattern(values) -> np.ndarray:
-    arr = finite_array(np.ravel(values), "signs", (None,))
+def _sign_pattern(values, name: str = "signs") -> np.ndarray:
+    arr = finite_array(np.ravel(values), name, (None,))
     if arr.size < 1:
         raise ParameterOutOfRange("need at least one sign")
     return np.where(arr >= 0, 1, -1).astype(int)
@@ -68,7 +68,7 @@ def scalar_region_classify(signs, w_star) -> RegionClassification:
     optima and every other region holds no optimizer at all.
     """
     s = _sign_pattern(signs)
-    s_star = _sign_pattern(w_star)
+    s_star = _sign_pattern(w_star, "w_star")
     s_constant = bool(np.all(s == s[0]))
     star_constant = bool(np.all(s_star == s_star[0]))
     if not star_constant:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._checks import count, finite_array
+from ._checks import count, finite_array, seed_sequence
 from .errors import (
     DimensionMismatch,
     DuplicateLine,
@@ -242,7 +242,7 @@ def random_line_set(d: int, r: int, seed, max_draws: int | None = None) -> LineS
     the budget are those of drawing one vector at a time.
     """
     d, r = count(d, "d"), count(r, "r")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed, "seed"))
     budget = count(max_draws, "max_draws") if max_draws is not None else max(1000, 200 * r)
     units = np.empty((d, 0))
     draws = 0

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import count, finite_array, real
+from ._checks import count, finite_array, real, seed_sequence
 from .errors import CoverageNotReached, DomainError, ParameterOutOfRange
 from .lines import _unit_columns, canonicalize_vector, load_vectors_csv, save_vectors_csv
 
@@ -78,11 +78,21 @@ def _check_delta(delta: float) -> float:
     return real(delta, "delta", 0.0, np.pi / 2, open_low=True, error=DomainError)
 
 
+def _nets_times_size(nets: int, delta: float, n: int) -> float:
+    """``(nets/2) (1 + sqrt(2)/sqrt(1 - cos delta))^n``, or ``math.inf``
+    when that leaves the float range."""
+    try:
+        return 0.5 * nets * (1.0 + math.sqrt(2.0) / math.sqrt(1.0 - math.cos(delta))) ** n
+    except OverflowError:
+        return math.inf
+
+
 def net_size_bound(n: int, delta: float) -> float:
     """Size of an angular delta-net guaranteed to exist in n dimensions:
-    ``(1/2) (1 + sqrt(2)/sqrt(1 - cos delta))^n``."""
+    ``(1/2) (1 + sqrt(2)/sqrt(1 - cos delta))^n``, or ``math.inf`` when
+    the bound exceeds the largest float (``n = 10**4, delta = 0.3``)."""
     delta, n = _check_delta(delta), count(n, "n")
-    return 0.5 * (1.0 + math.sqrt(2.0) / math.sqrt(1.0 - math.cos(delta))) ** n
+    return _nets_times_size(1, delta, n)
 
 
 def sparse_net_size(d: int, s: int, delta: float, k: int | None = None) -> float:
@@ -90,14 +100,13 @@ def sparse_net_size(d: int, s: int, delta: float, k: int | None = None) -> float
 
     Counts one net per support: ``(1/2) C(d, s)`` supports in general, or
     ``k/2`` when the sparsity patterns of the ``k`` neurons are known.
+    Returns ``math.inf`` when the bound exceeds the largest float.
     """
     delta, d, s = _check_delta(delta), count(d, "d"), count(s, "s")
     if s > d:
         raise DomainError("need s <= d, got s=%d d=%d" % (s, d))
-    per_support = (1.0 + math.sqrt(2.0) / math.sqrt(1.0 - math.cos(delta))) ** s
-    if k is None:
-        return 0.5 * math.comb(d, s) * per_support
-    return 0.5 * count(k, "k") * per_support
+    nets = math.comb(d, s) if k is None else count(k, "k")
+    return _nets_times_size(nets, delta, s)
 
 
 def _angles_to_net(vectors: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -130,7 +139,7 @@ def greedy_angular_net(d: int, delta: float, seed=0, max_probes: int = 10_000,
         raise ParameterOutOfRange(
             "greedy construction is desk-scale only (d <= %d)" % _MAX_DIM
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed, "seed"))
     threshold = math.cos(_MARGIN * delta)
     net = np.empty((d, 0))
     covered_streak = 0
@@ -169,7 +178,7 @@ def coverage_gap(net: AngularNet, n_probes: int = 100_000, seed=0) -> float:
     n_probes = count(n_probes, "n_probes")
     if net.size < 1:
         raise ParameterOutOfRange("the net is empty")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed, "seed"))
     probes = rng.standard_normal((net.dim, n_probes))
     probes /= np.linalg.norm(probes, axis=0, keepdims=True)
     # Blocks of about _GAP_BUDGET cosines keep the temporaries cache-sized.

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import count, finite_array
-from ._seeds import as_seed_sequence
+from ._checks import count, finite_array, seed_sequence
 from .errors import ConfigMismatch, DimensionMismatch, ParameterOutOfRange, ZeroVector
 from .kernel import _column_angles, kernel_bundle, psi
 from .lines import NeuronLineMap, PNNWeights, ZERO_TOL, _line_masses, axes_line_set
@@ -88,7 +87,7 @@ def monte_carlo_risk(weights, weights_star, n_samples: int = 2_000_000,
     d = A.shape[0]
     sum_gap = A.sum(axis=1) - B.sum(axis=1)
     n_chunks = (pairs + _MC_CHUNK_PAIRS - 1) // _MC_CHUNK_PAIRS
-    seeds = as_seed_sequence(seed).spawn(n_chunks)
+    seeds = seed_sequence(seed, "seed").spawn(n_chunks)
 
     def run_chunk(index: int):
         chunk_pairs = min(_MC_CHUNK_PAIRS, pairs - index * _MC_CHUNK_PAIRS)

@@ -9,12 +9,11 @@ scalars along their lines, one number per neuron.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._checks import count, finite_array, real
-from ._seeds import as_seed_sequence
+from ._checks import count, finite_array, real, seed_sequence
 from .errors import ConfigError, DimensionMismatch, Diverged
 from .landscape import region_condition, stationarity_check
 from .lines import (
@@ -57,25 +56,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Every ordered comparison below is False for NaN: check finiteness first.
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError("%s must be finite, got %r" % (field.name, value))
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if self.decay_rate <= 0:
-            raise ConfigError("decay_rate must be positive")
-        if self.decay_every_steps < 0:
-            raise ConfigError("decay_every_steps must be >= 0")
-        if self.early_stop_window < 1:
-            raise ConfigError("early_stop_window must be positive")
-        if self.early_stop_threshold is not None and self.early_stop_threshold <= 0:
-            raise ConfigError("early_stop_threshold must be positive when set")
+        # Checked, not converted: the frozen fields keep the values given.
+        for name in ("batch_size", "epochs", "early_stop_window"):
+            count(getattr(self, name), name, error=ConfigError)
+        count(self.decay_every_steps, "decay_every_steps", 0, error=ConfigError)
+        count(self.seed, "seed", 0, error=ConfigError)
+        for name in ("learning_rate", "decay_rate"):
+            real(getattr(self, name), name, 0.0, open_low=True, error=ConfigError)
+        if self.early_stop_threshold is not None:
+            real(self.early_stop_threshold, "early_stop_threshold", 0.0, open_low=True,
+                 error=ConfigError)
+        if real(self.momentum, "momentum", 0.0, error=ConfigError) >= 1.0:
+            raise ConfigError("momentum must lie in [0, 1), got %r" % self.momentum)
 
 
 def desk_matched_config(seed: int = 0) -> TrainConfig:
@@ -148,7 +140,7 @@ def generate_dataset(w_star, n: int, seed):
         W = w_star.matrix
     else:
         W = finite_array(w_star, "target weights", (None, None))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed, "seed"))
     X = rng.standard_normal((n, W.shape[0]))
     return X, network_output(X, W)
 
@@ -160,7 +152,7 @@ def init_random_pnn(d: int, r: int, seed):
     scale and the other a Uniform(-1,0) scale, so every line starts with
     both orientations present.
     """
-    seq = as_seed_sequence(seed).spawn(2)
+    seq = seed_sequence(seed, "seed").spawn(2)
     line_set = random_line_set(d, r, seq[0])
     rng = np.random.default_rng(seq[1])
     assignment = tuple(np.repeat(np.arange(r), 2))
@@ -412,7 +404,7 @@ def experiment_matched_degree_one(
     rows = []
     global_count = 0
     for trial in range(trials):
-        seq = np.random.SeedSequence((config.seed, trial))
+        seq = seed_sequence((config.seed, trial), "seed")
         s_data, s_truth, s_init, s_train = seq.spawn(4)
         truth_scales = np.random.default_rng(s_truth).standard_normal(k)
         truth = weights_from_masses(line_set, neuron_map, truth_scales)
@@ -506,7 +498,7 @@ def experiment_mismatched_random(
         raise ConfigError("k values must be even (two neurons per line)")
     runs = []
     for trial in range(trials):
-        seq = np.random.SeedSequence((config.seed, trial)).spawn(3)
+        seq = seed_sequence((config.seed, trial), "seed").spawn(3)
         rng = np.random.default_rng(seq[0])
         truth_matrix = rng.standard_normal((d, k_star)) / np.sqrt(d)
         X, y = generate_dataset(truth_matrix, n_train + n_test, seq[1])
@@ -514,10 +506,9 @@ def experiment_mismatched_random(
         test = (X[n_train:], y[n_train:])
         for k in k_list:
             for init_index in range(inits_per_trial):
-                init_seq = np.random.SeedSequence(
-                    (config.seed, trial, k, init_index)
-                )
-                init_seed, train_seed = init_seq.spawn(2)
+                init_seed, train_seed = seed_sequence(
+                    (config.seed, trial, k, init_index), "seed"
+                ).spawn(2)
                 _, _, init = init_random_pnn(d, k // 2, init_seed)
                 run_seed = int(np.random.default_rng(train_seed).integers(2**31))
                 run_config = replace(config, seed=run_seed)

@@ -1,7 +1,7 @@
-"""Argument checks: the three shared rules of ``porcupine._checks``, every
-count and real argument of the public entry points probed with NaN, the
-infinities, a fraction, zero and a negative value wherever the value is
-invalid, and a small CLI table that must end in exit code 0, 2 or 3."""
+"""Argument checks: the four shared rules of ``porcupine._checks``, every
+count, real and seed argument of the public entry points probed with NaN,
+the infinities, a fraction, zero and a negative value wherever the value is
+invalid, and CLI tables that must end in exit code 0, 2 or 3."""
 
 import math
 
@@ -10,8 +10,14 @@ import pytest
 
 import porcupine as p
 from porcupine import cli
-from porcupine._checks import count, finite_array, real
-from porcupine.errors import DimensionMismatch, DomainError, ParameterOutOfRange, PorcupineError
+from porcupine._checks import count, finite_array, real, seed_sequence
+from porcupine.errors import (
+    ConfigError,
+    DimensionMismatch,
+    DomainError,
+    ParameterOutOfRange,
+    PorcupineError,
+)
 
 NAN = float("nan")
 INF = float("inf")
@@ -69,6 +75,36 @@ def test_finite_array_rule_matches_any_size_at_none():
     assert finite_array([[1, 2, 3]], "a", (1, None)).dtype == float
 
 
+def test_count_rule_raises_the_named_class():
+    for value in (NAN, 2.5, 0):
+        with pytest.raises(ConfigError):
+            count(value, "epochs", error=ConfigError)
+
+
+@pytest.mark.parametrize("value, error", [
+    (-1, ParameterOutOfRange), (2.5, ParameterOutOfRange), (True, ParameterOutOfRange),
+    (NAN, DomainError), (INF, DomainError), ([1, -1], ParameterOutOfRange),
+    ([1, NAN], DomainError), ([], ParameterOutOfRange), ((), ParameterOutOfRange),
+    ("1", ParameterOutOfRange), (None, ParameterOutOfRange),
+    (np.array([1, 2]), ParameterOutOfRange),
+])
+def test_seed_rule_rejects(value, error):
+    with pytest.raises(error):
+        seed_sequence(value, "seed")
+
+
+@pytest.mark.parametrize("value", [0, 7, 2**40, np.int64(5), (35, 2), [500, 3, 1], [0]])
+def test_seed_rule_draws_what_numpy_draws(value):
+    expected = np.random.default_rng(value).standard_normal(5)
+    got = np.random.default_rng(seed_sequence(value, "seed")).standard_normal(5)
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_seed_rule_passes_a_seed_sequence_through():
+    seq = np.random.SeedSequence(3).spawn(2)[1]
+    assert seed_sequence(seq, "seed") is seq
+
+
 # Small fixtures for the entry points that need a network, a net or a run.
 LINES = p.random_line_set(3, 3, 0)
 MAP = p.NeuronLineMap(3, (0, 1, 2))
@@ -79,6 +115,7 @@ _TRUTH = p.weights_from_masses(p.build_line_set([[1.0]]), p.NeuronLineMap(2, (0,
 RESULT = p.sgd_train(p.generate_dataset(_TRUTH, 20, 0), _TRUTH, CONFIG)
 
 COUNT = (NAN, INF, -INF, 2.5, 0, -1)  # an integer of at least 1 (or 2)
+SEED = (NAN, INF, -INF, 2.5, -1, True, "1", [1, -1], [])  # an integer >= 0, or a list of them
 ANGLE = COUNT  # delta in (0, pi/2]: 2.5 > pi/2 lies outside
 POSITIVE = (NAN, INF, -INF, 0, -1)  # a finite real above 0 (or above 1)
 NON_NEGATIVE = (NAN, INF, -INF, -1)  # a decision threshold
@@ -163,6 +200,13 @@ ARGUMENTS = [
      lambda v: p.experiment_mismatched_random(2, 2, [2], 1, CONFIG, 1, v, 20), COUNT),
     ("experiment_mismatched_random.n_test",
      lambda v: p.experiment_mismatched_random(2, 2, [2], 1, CONFIG, 1, 20, v), COUNT),
+    ("random_line_set.seed", lambda v: p.random_line_set(3, 2, v), SEED),
+    ("greedy_angular_net.seed", lambda v: p.greedy_angular_net(2, 0.5, seed=v), SEED),
+    ("coverage_gap.seed", lambda v: p.coverage_gap(NET, n_probes=10, seed=v), SEED),
+    ("generate_dataset.seed", lambda v: p.generate_dataset(W, 5, v), SEED),
+    ("init_random_pnn.seed", lambda v: p.init_random_pnn(3, 2, v), SEED),
+    ("monte_carlo_risk.seed", lambda v: p.monte_carlo_risk(W, W, n_samples=10, seed=v), SEED),
+    ("TrainConfig.seed", lambda v: p.TrainConfig(seed=v), SEED),
 ]
 
 PROBES = [pytest.param(call, value, id="%s=%r" % (name, value))
@@ -205,3 +249,34 @@ def test_cli_exits_zero_two_or_three_without_a_traceback(argv, tmp_path, capsys)
     code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
     assert code in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [
+    "batch_size", "epochs", "early_stop_window", "decay_every_steps", "seed",
+])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_train_config_integer_fields_reject_fractions_and_bools(field, value):
+    with pytest.raises(ConfigError):
+        p.TrainConfig(**{field: value})
+
+
+EXIT_CODES = [
+    (["asymptotic", "--d", "4", "--r", "4", "--r-star", "4", "--seed", "-3"], 2),
+    (["asymptotic", "--d", "4", "--r", "4", "--r-star", "4", "--threads", "0"], 2),
+    (["risk", "--demo", "scalar", "--mc-samples", "0"], 2),
+    (["schur-sweep", "--d", "3", "--r-star", "2", "--r", "2,0", "--trials", "1"], 2),
+    (["train", "mismatched", "--d", "2", "--k", "2", "--trials", "1", "--epochs", "1",
+      "--samples", "20"], 2),
+    (["minimax", "bound", "--d", "10000", "--delta", "0.3"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CODES, ids=[" ".join(a) for a, _ in EXIT_CODES])
+def test_cli_exit_code(argv, code, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and not out.exists()
+    else:
+        assert err == "" and "net_size_bound,inf" in out.read_text()

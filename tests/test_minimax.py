@@ -56,6 +56,17 @@ class TestSparseNetSize:
             p.sparse_net_size(4, 2, 0.0)
 
 
+def test_bounds_beyond_the_float_range_are_inf():
+    assert p.net_size_bound(10**4, 0.3) == math.inf
+    assert p.sparse_net_size(3000, 1500, 1.5) == math.inf
+    assert p.sparse_net_size(3000, 1500, 0.3, k=2) == math.inf
+    # Below the largest float the bounds are the plain formulas, bit for bit.
+    base = 1.0 + math.sqrt(2.0) / math.sqrt(1.0 - math.cos(0.3))
+    assert p.net_size_bound(300, 0.3) == 0.5 * base**300
+    assert p.sparse_net_size(60, 30, 0.3) == 0.5 * math.comb(60, 30) * base**30
+    assert p.sparse_net_size(60, 30, 0.3, k=7) == 0.5 * 7 * base**30
+
+
 class TestGreedyAngularNet:
     def test_one_dimension_single_vector(self):
         net = p.greedy_angular_net(1, 0.3, seed=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import porcupine as p
-from porcupine._seeds import as_seed_sequence
+from porcupine._checks import seed_sequence
 from porcupine.lines import _line_masses
 from porcupine.errors import (
     ConfigMismatch,
@@ -114,7 +114,7 @@ def two_sided_monte_carlo(A, B, n_samples, seed):
     pairs = (n_samples + 1) // 2
     n_chunks = (pairs + chunk - 1) // chunk
     total = total_sq = 0.0
-    for index, child in enumerate(as_seed_sequence(seed).spawn(n_chunks)):
+    for index, child in enumerate(seed_sequence(seed, "seed").spawn(n_chunks)):
         count = min(chunk, pairs - index * chunk)
         X = np.random.default_rng(child).standard_normal((count, d))
         forward = np.maximum(X @ A, 0.0).sum(axis=1) - np.maximum(X @ B, 0.0).sum(axis=1)
@@ -157,7 +157,7 @@ def whole_chunk_monte_carlo(A, B, n_samples, seed):
     pairs = (n_samples + 1) // 2
     n_chunks = (pairs + chunk - 1) // chunk
     results = []
-    for index, child in enumerate(as_seed_sequence(seed).spawn(n_chunks)):
+    for index, child in enumerate(seed_sequence(seed, "seed").spawn(n_chunks)):
         count = min(chunk, pairs - index * chunk)
         X = np.random.default_rng(child).standard_normal((count, d))
         ZA = X @ A

@@ -1,5 +1,7 @@
-"""The library depends on numpy alone: no module under src/porcupine
-imports scipy or hypothesis (hypothesis is a test dependency only)."""
+"""Source guards: the library depends on numpy alone (no module under
+src/porcupine imports scipy or hypothesis, a test dependency only), imports
+no name it does not use, and builds every root seed through the seed rule
+of ``_checks``."""
 
 import ast
 from pathlib import Path
@@ -74,3 +76,27 @@ def test_no_unused_import(path):
 ])
 def test_guard_sees_unused_imports(source, unused):
     assert unused_imports(ast.parse(source)) == unused
+
+
+def seed_sequence_calls(tree):
+    """Lines that call ``SeedSequence(...)``, by bare name or attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "SeedSequence"]
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "_checks.py"],
+                         ids=lambda path: path.name)
+def test_seeds_go_through_the_seed_rule(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert seed_sequence_calls(tree) == [], "%s builds a SeedSequence unchecked" % path.name
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("np.random.SeedSequence(3)", [1]),
+    ("import numpy\nseq = numpy.random.SeedSequence((1, 2)).spawn(2)", [2]),
+    ("from numpy.random import SeedSequence\nSeedSequence(0)", [2]),
+    ("isinstance(s, np.random.SeedSequence)", []),
+    ("seed_sequence((1, 2), 'seed').spawn(2)", []),
+])
+def test_guard_sees_seed_sequence_calls(source, lines):
+    assert seed_sequence_calls(ast.parse(source)) == lines
