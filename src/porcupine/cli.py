@@ -28,7 +28,7 @@ from . import __version__
 from ._checks import count, seed_sequence
 from .errors import ConfigError, DomainError, ParameterOutOfRange, PorcupineError
 from .kernel import kernel_bundle
-from .landscape import scalar_region_classify
+from .landscape import GOOD_REGION, MAY_HAVE_BAD_LOCAL, scalar_region_classify
 from .lines import NeuronLineMap, random_line_set, save_vectors_csv, weights_from_masses
 from .minimax import (
     coverage_gap,
@@ -136,6 +136,8 @@ def _cmd_risk(args) -> None:
     # (name, model, target, closed-form breakdown) per row; the model and
     # target are what monte_carlo_risk takes.
     instances = []
+    if args.demo == "scalar" and args.mismatched:
+        raise ValidationError("--demo scalar is a matched demo; drop --mismatched")
     if args.demo == "scalar":
         demos = [
             ("flat-valley", np.array([5.0, 5.0]), np.array([6.0, 4.0])),
@@ -285,7 +287,7 @@ def _cmd_train(args) -> None:
         rows = [
             ("mismatched", args.d, run.k, args.k_star, run.trial, run.seed,
              run.epochs_run, run.final_train_loss, run.normalized_test_mse,
-             "GoodRegion" if run.region_condition_ok else "MayHaveBadLocal",
+             GOOD_REGION if run.region_condition_ok else MAY_HAVE_BAD_LOCAL,
              run.violated_lines)
             for run in summary.runs
         ]
@@ -339,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_risk = sub.add_parser("risk", help="closed-form risk breakdowns")
-    p_risk.add_argument("--matched", action="store_true")
-    p_risk.add_argument("--mismatched", action="store_true")
+    kind = p_risk.add_mutually_exclusive_group()
+    kind.add_argument("--matched", action="store_true")
+    kind.add_argument("--mismatched", action="store_true")
     p_risk.add_argument("--demo", choices=["scalar"], default=None)
     p_risk.add_argument("--d", type=int)
     p_risk.add_argument("--r", type=int)

@@ -9,6 +9,7 @@ of the population risk as an oracle.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import comb
 
@@ -146,10 +147,14 @@ def good_region_probability(r: int, d: int, neurons_per_line: int) -> float:
 
     With ``t`` neurons per line each line is single-orientation with
     probability ``2^(1-t)``; the region is good when at most ``r - d``
-    lines are single-orientation, a binomial tail.
+    lines are single-orientation, a binomial tail.  For ``r`` beyond the
+    float range the binomial is a step at its mean: 1.0 when ``d`` is
+    below ``(1 - 2^(1-t)) r``, else 0.0.
     """
     r, d = count(r, "r"), count(d, "d")
     p = 2.0 ** (1 - count(neurons_per_line, "neurons_per_line"))
+    if r > sys.float_info.max:
+        return float(d <= r and d / r < 1.0 - p)
     tail = 0.0
     for i in range(min(d, r + 1)):
         tail += comb(r, i) * (1.0 - p) ** i * p ** (r - i)

@@ -217,10 +217,15 @@ def nearest_net_approx(w_star, net: AngularNet):
 
 
 def minimax_risk_bound(k: int, M: float, d: int, delta: float) -> float:
-    """``k M sqrt(2 d (1 - cos delta))`` on expected absolute output error."""
+    """``k M sqrt(2 d (1 - cos delta))`` on expected absolute output error,
+    or ``math.inf`` (still a true bound) when ``k`` or ``d`` exceeds the
+    largest float."""
     delta, k, d = _check_delta(delta), count(k, "k"), count(d, "d")
     M = real(M, "M", 0.0, open_low=True, error=ParameterOutOfRange)
-    return k * M * math.sqrt(2.0 * d * (1.0 - math.cos(delta)))
+    try:
+        return k * M * math.sqrt(2.0 * d * (1.0 - math.cos(delta)))
+    except OverflowError:
+        return math.inf
 
 
 class ReluGap(NamedTuple):

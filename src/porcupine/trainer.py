@@ -327,33 +327,31 @@ def classify_outcome(
     tol = real(tol, "tol", 0.0)
     stationarity_tol = real(stationarity_tol, "stationarity_tol", 0.0)
     signature = result.final_signature
-    condition = region_condition(signature, result.line_set.dim)
-    violated = signature.single_orientation_count
-    if result.final_train_loss <= tol:
-        return OutcomeReport(
-            outcome=GLOBAL,
-            region_condition_ok=condition,
-            stationary=None,
-            violated_lines=violated,
-        )
     stationary = None
-    if result.line_feasibility_ok and all(map(all, signature.nonzero)):
-        stationary = stationarity_check(
-            result.final_weights(), w_star, tol=stationarity_tol
-        )
-    if stationary:
-        return OutcomeReport(
-            outcome=BAD_LOCAL,
-            region_condition_ok=condition,
-            stationary=True,
-            violated_lines=violated,
-        )
+    if result.final_train_loss <= tol:
+        outcome = GLOBAL
+    else:
+        if result.line_feasibility_ok and all(map(all, signature.nonzero)):
+            stationary = stationarity_check(result.final_weights(), w_star, tol=stationarity_tol)
+        outcome = BAD_LOCAL if stationary else NOT_CONVERGED
     return OutcomeReport(
-        outcome=NOT_CONVERGED,
-        region_condition_ok=condition,
+        outcome=outcome,
+        region_condition_ok=region_condition(signature, result.line_set.dim),
         stationary=stationary,
-        violated_lines=violated,
+        violated_lines=signature.single_orientation_count,
     )
+
+
+def _seeded_run(data, n_train: int, init: PNNWeights, config: TrainConfig, seed):
+    """One experiment run: SGD from ``init`` with its seed drawn from
+    ``seed``, trained on the first ``n_train`` samples of ``data`` and
+    tested on the rest (both views of ``data``).  Returns ``(run_seed,
+    result)``; the only place an experiment trains."""
+    X, y = data
+    run_seed = int(np.random.default_rng(seed).integers(2**31))
+    result = sgd_train((X[:n_train], y[:n_train]), init, replace(config, seed=run_seed),
+                       test_data=(X[n_train:], y[n_train:]))
+    return run_seed, result
 
 
 def degree_one_map(d: int, k: int) -> NeuronLineMap:
@@ -402,32 +400,20 @@ def experiment_matched_degree_one(
     line_set = axes_line_set(d)
     neuron_map = degree_one_map(d, k)
     rows = []
-    global_count = 0
     for trial in range(trials):
-        seq = seed_sequence((config.seed, trial), "seed")
-        s_data, s_truth, s_init, s_train = seq.spawn(4)
+        s_data, s_truth, s_init, s_train = seed_sequence((config.seed, trial), "seed").spawn(4)
         truth_scales = np.random.default_rng(s_truth).standard_normal(k)
         truth = weights_from_masses(line_set, neuron_map, truth_scales)
-        X, y = generate_dataset(truth, n_train + n_test, s_data)
+        data = generate_dataset(truth, n_train + n_test, s_data)
         init_scales = np.random.default_rng(s_init).standard_normal(k)
         init = weights_from_masses(line_set, neuron_map, init_scales)
-        trial_config = replace(
-            config, seed=int(np.random.default_rng(s_train).integers(2**31))
-        )
-        result = sgd_train(
-            (X[:n_train], y[:n_train]),
-            init,
-            trial_config,
-            test_data=(X[n_train:], y[n_train:]),
-        )
+        run_seed, result = _seeded_run(data, n_train, init, config, s_train)
         report = classify_outcome(result, truth)
-        if report.outcome == GLOBAL:
-            global_count += 1
         gap = float(np.linalg.norm(result.final_matrix - truth.matrix) ** 2)
         rows.append(
             MatchedTrial(
                 trial=trial,
-                seed=trial_config.seed,
+                seed=run_seed,
                 outcome=report.outcome,
                 final_train_loss=result.final_train_loss,
                 normalized_test_mse=result.final_test_loss_normalized,
@@ -437,9 +423,8 @@ def experiment_matched_degree_one(
                 violated_lines=report.violated_lines,
             )
         )
-    return MatchedSummary(
-        d=d, k=k, fraction_global=global_count / trials, trials=tuple(rows)
-    )
+    fraction_global = sum(row.outcome == GLOBAL for row in rows) / trials
+    return MatchedSummary(d=d, k=k, fraction_global=fraction_global, trials=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -498,21 +483,16 @@ def experiment_mismatched_random(
         raise ConfigError("k values must be even (two neurons per line)")
     runs = []
     for trial in range(trials):
-        seq = seed_sequence((config.seed, trial), "seed").spawn(3)
-        rng = np.random.default_rng(seq[0])
-        truth_matrix = rng.standard_normal((d, k_star)) / np.sqrt(d)
-        X, y = generate_dataset(truth_matrix, n_train + n_test, seq[1])
-        train = (X[:n_train], y[:n_train])
-        test = (X[n_train:], y[n_train:])
+        s_truth, s_data = seed_sequence((config.seed, trial), "seed").spawn(2)
+        truth_matrix = np.random.default_rng(s_truth).standard_normal((d, k_star)) / np.sqrt(d)
+        data = generate_dataset(truth_matrix, n_train + n_test, s_data)
         for k in k_list:
             for init_index in range(inits_per_trial):
                 init_seed, train_seed = seed_sequence(
                     (config.seed, trial, k, init_index), "seed"
                 ).spawn(2)
                 _, _, init = init_random_pnn(d, k // 2, init_seed)
-                run_seed = int(np.random.default_rng(train_seed).integers(2**31))
-                run_config = replace(config, seed=run_seed)
-                result = sgd_train(train, init, run_config, test_data=test)
+                run_seed, result = _seeded_run(data, n_train, init, config, train_seed)
                 signature = result.final_signature
                 runs.append(
                     MismatchedRun(

@@ -268,6 +268,9 @@ EXIT_CODES = [
     (["train", "mismatched", "--d", "2", "--k", "2", "--trials", "1", "--epochs", "1",
       "--samples", "20"], 2),
     (["minimax", "bound", "--d", "10000", "--delta", "0.3"], 0),
+    (["minimax", "bound", "--d", "4", "--delta", "0.3", "--k", "1" + "0" * 400], 0),
+    (["risk", "--matched", "--mismatched", "--d", "3", "--r", "2", "--k", "3"], 2),
+    (["risk", "--mismatched", "--demo", "scalar"], 2),
 ]
 
 
@@ -277,6 +280,7 @@ def test_cli_exit_code(argv, code, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     if code == 2:
-        assert err.startswith("error: ") and not out.exists()
+        # Our own message, or argparse's usage line before its error.
+        assert err.startswith(("error: ", "usage: ")) and not out.exists()
     else:
-        assert err == "" and "net_size_bound,inf" in out.read_text()
+        assert err == "" and "bound,inf\n" in out.read_text()

@@ -67,6 +67,25 @@ def test_bounds_beyond_the_float_range_are_inf():
     assert p.sparse_net_size(60, 30, 0.3, k=7) == 0.5 * 7 * base**30
 
 
+def test_risk_bound_and_region_probability_beyond_the_float_range():
+    assert p.minimax_risk_bound(10**400, 1.0, 3, 0.3) == math.inf
+    assert p.minimax_risk_bound(10**309, 1.0, 3, 0.3) == math.inf
+    assert p.minimax_risk_bound(2, 1.0, 10**400, 0.3) == math.inf
+    # The same values as at r = 10**300, where the tail still evaluates.
+    for neurons_per_line, probability in ((1, 0.0), (2, 1.0), (3, 1.0)):
+        assert p.good_region_probability(10**300, 2, neurons_per_line) == probability
+        assert p.good_region_probability(10**400, 2, neurons_per_line) == probability
+    # More dimensions than lines, as at r = 2, d = 5, or more than the mean
+    # number of mixed lines: never good.
+    assert p.good_region_probability(2, 5, 2) == 0.0
+    assert p.good_region_probability(10**400, 10**401, 2) == 0.0
+    assert p.good_region_probability(10**400, 10**400 - 5, 2) == 0.0
+    assert p.good_region_probability(10**400, 10**399, 2) == 1.0
+    # Below the largest float the risk bound is the plain formula, bit for bit.
+    assert p.minimax_risk_bound(10**308, 1.0, 3, 0.3) == 10**308 * 1.0 * math.sqrt(
+        2.0 * 3 * (1.0 - math.cos(0.3)))
+
+
 class TestGreedyAngularNet:
     def test_one_dimension_single_vector(self):
         net = p.greedy_angular_net(1, 0.3, seed=0)

@@ -1,7 +1,7 @@
 """Source guards: the library depends on numpy alone (no module under
 src/porcupine imports scipy or hypothesis, a test dependency only), imports
-no name it does not use, and builds every root seed through the seed rule
-of ``_checks``."""
+no name it does not use, builds every root seed through the seed rule of
+``_checks``, and trains only in ``trainer._seeded_run``."""
 
 import ast
 from pathlib import Path
@@ -78,10 +78,16 @@ def test_guard_sees_unused_imports(source, unused):
     assert unused_imports(ast.parse(source)) == unused
 
 
+def called_name(node):
+    """The name a call calls, by bare name or attribute (None otherwise)."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+    return None
+
+
 def seed_sequence_calls(tree):
     """Lines that call ``SeedSequence(...)``, by bare name or attribute."""
-    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "SeedSequence"]
+    return [node.lineno for node in ast.walk(tree) if called_name(node) == "SeedSequence"]
 
 
 @pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "_checks.py"],
@@ -100,3 +106,34 @@ def test_seeds_go_through_the_seed_rule(path):
 ])
 def test_guard_sees_seed_sequence_calls(source, lines):
     assert seed_sequence_calls(ast.parse(source)) == lines
+
+
+def sgd_train_calls(tree, owner=None):
+    """``(line, function)`` of each ``sgd_train(...)`` call, with the
+    innermost function around it (None at module level)."""
+    calls = []
+    for node in ast.iter_child_nodes(tree):
+        if called_name(node) == "sgd_train":
+            calls.append((node.lineno, owner))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        calls += sgd_train_calls(node, inner)
+    return sorted(calls)
+
+
+def test_experiments_train_only_in_the_seeded_run():
+    # One run function, so a pool over runs has one place to hook.
+    calls = [(path.name, owner) for path in SOURCES
+             for _, owner in sgd_train_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert calls == [("trainer.py", "_seeded_run")]
+
+
+@pytest.mark.parametrize("source, calls", [
+    ("def _seeded_run():\n    return sgd_train(d, i, c)", [(2, "_seeded_run")]),
+    ("def _seeded_run():\n    sgd_train(d, i, c)\ndef other():\n    trainer.sgd_train(d, i, c)",
+     [(2, "_seeded_run"), (4, "other")]),
+    ("def f():\n    def g():\n        sgd_train(d)\n    return g", [(3, "g")]),
+    ("sgd_train(d, i, c)", [(1, None)]),
+    ("train = sgd_train\ndef sgd_train(data): pass", []),
+])
+def test_guard_sees_sgd_train_calls(source, calls):
+    assert sgd_train_calls(ast.parse(source)) == calls

@@ -434,6 +434,45 @@ class TestClassifyOutcome:
         report = p.classify_outcome(result, truth, tol=1e-5, stationarity_tol=0.05)
         assert report.outcome == p.BAD_LOCAL
 
+    @staticmethod
+    def _scalar_run(init_scales, epochs):
+        # Target 6, -4 on one line; 3, 3 starts on a bad stationary point.
+        line_set, neuron_map, truth = scalar_setup([6.0, -4.0])
+        X, y = p.generate_dataset(truth, 2000, seed=18)
+        init = p.weights_from_masses(line_set, neuron_map, init_scales)
+        config = p.TrainConfig(
+            batch_size=100, epochs=epochs, learning_rate=0.01, momentum=0.9, seed=19,
+        )
+        return p.sgd_train((X, y), init, config), truth
+
+    @pytest.mark.parametrize("init_scales, epochs, outcome, stationary", [
+        ([7.0, -5.0], 20, p.GLOBAL, None),
+        ([3.0, 3.0], 1, p.BAD_LOCAL, True),
+        # One epoch from near the optimum: feasible, no zero scalar, still moving.
+        ([7.0, -5.0], 1, p.NOT_CONVERGED, False),
+        # A zero scalar stays zero, so no line gradient is checked.
+        ([3.0, 0.0], 1, p.NOT_CONVERGED, None),
+    ], ids=["global", "bad_local", "moving", "zero_scalar"])
+    def test_outcome_and_stationary_pairs(self, init_scales, epochs, outcome, stationary):
+        result, truth = self._scalar_run(init_scales, epochs)
+        report = p.classify_outcome(result, truth, tol=1e-5, stationarity_tol=0.05)
+        assert (report.outcome, report.stationary) == (outcome, stationary)
+
+    def test_run_within_tol_skips_the_stationarity_check(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return p.stationarity_check(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "stationarity_check", counted)
+        result, truth = self._scalar_run([7.0, -5.0], 20)
+        assert p.classify_outcome(result, truth, tol=1e-5).outcome == p.GLOBAL
+        assert calls == []
+        result, truth = self._scalar_run([3.0, 3.0], 1)
+        assert p.classify_outcome(result, truth, tol=1e-5).outcome == p.BAD_LOCAL
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("value, error", [
         (float("nan"), DomainError), (float("inf"), DomainError),
         (-1.0, ParameterOutOfRange),
