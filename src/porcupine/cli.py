@@ -49,10 +49,6 @@ from .trainer import (
 _FMT = "%.17g"
 
 
-class ValidationError(Exception):
-    """Bad command-line arguments (exit code 2)."""
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -91,9 +87,9 @@ def _int_list(text: str, flag: str):
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise ValidationError("expected a comma-separated integer list: %r" % text) from exc
+        raise ParameterOutOfRange("expected a comma-separated integer list: %r" % text) from exc
     if not values:
-        raise ValidationError("empty grid: %r" % text)
+        raise ParameterOutOfRange("empty grid: %r" % text)
     return [count(value, flag) for value in values]
 
 
@@ -101,16 +97,16 @@ def _float_list(text: str):
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise ValidationError("expected a comma-separated float list: %r" % text) from exc
+        raise ParameterOutOfRange("expected a comma-separated float list: %r" % text) from exc
     if not values:
-        raise ValidationError("empty vector: %r" % text)
+        raise ParameterOutOfRange("empty vector: %r" % text)
     return values
 
 
 def _check_line_count(d: int, most_lines: int) -> None:
     """A line set in d = 1 has a single line: more can never be drawn."""
     if d == 1 and most_lines >= 2:
-        raise ValidationError("d = 1 has one line; cannot draw %d distinct lines" % most_lines)
+        raise ParameterOutOfRange("d = 1 has one line; cannot draw %d distinct lines" % most_lines)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -137,7 +133,7 @@ def _cmd_risk(args) -> None:
     # target are what monte_carlo_risk takes.
     instances = []
     if args.demo == "scalar" and args.mismatched:
-        raise ValidationError("--demo scalar is a matched demo; drop --mismatched")
+        raise ParameterOutOfRange("--demo scalar is a matched demo; drop --mismatched")
     if args.demo == "scalar":
         demos = [
             ("flat-valley", np.array([5.0, 5.0]), np.array([6.0, 4.0])),
@@ -149,13 +145,13 @@ def _cmd_risk(args) -> None:
             instances.append((name, w[None, :], w_star[None, :], scalar_risk(w, w_star)))
     else:
         if args.d is None or args.r is None or args.k is None:
-            raise ValidationError("need --d, --r, --k (or --demo scalar)")
+            raise ParameterOutOfRange("need --d, --r, --k (or --demo scalar)")
         if args.k < args.r:
-            raise ValidationError("need k >= r so the line map can be surjective")
+            raise ParameterOutOfRange("need k >= r so the line map can be surjective")
         r_star = args.r if args.r_star is None else args.r_star
         k_star = args.k if args.k_star is None else args.k_star
         if args.mismatched and k_star < r_star:
-            raise ValidationError("need k_star >= r_star")
+            raise ParameterOutOfRange("need k_star >= r_star")
         _check_line_count(args.d, max(args.r, r_star) if args.mismatched else args.r)
         seq = seed_sequence(args.seed, "--seed").spawn(2)
         weights = _random_instance(args.d, args.r, args.k, seq[0])
@@ -182,10 +178,10 @@ def _cmd_risk(args) -> None:
 
 def _cmd_landscape(args) -> None:
     if not args.scalar:
-        raise ValidationError("only --scalar classification tables are supported")
+        raise ParameterOutOfRange("only --scalar classification tables are supported")
     w_star = np.array(_float_list(args.w_star))
     if w_star.size > 16:
-        raise ValidationError("sign table grows as 2^k; need k <= 16")
+        raise ParameterOutOfRange("sign table grows as 2^k; need k <= 16")
     rows = [
         ("".join("+" if s > 0 else "-" for s in signs),
          scalar_region_classify(np.array(signs), w_star).label)
@@ -214,7 +210,7 @@ def _cmd_schur_sweep(args) -> None:
     count(args.r_star, "--r-star")
     count(args.trials, "--trials")
     if args.nearest and min(grid) < args.r_star:
-        raise ValidationError("--nearest needs every r >= r_star")
+        raise ParameterOutOfRange("--nearest needs every r >= r_star")
     _check_line_count(args.d, max(max(grid), args.r_star))
     columns = ["d", "r_star", "r", "trial", "seed", "spectral_norm", "min_eig", "runtime_ms"]
     if args.asymptotic:
@@ -258,7 +254,7 @@ def _cmd_train(args) -> None:
     count(args.trials, "--trials")
     count(args.samples, "--samples")
     if args.mode == "matched" and any(k % args.d for k in k_grid):
-        raise ValidationError("matched runs need k divisible by d")
+        raise ParameterOutOfRange("matched runs need k divisible by d")
     if args.mode == "mismatched":
         count(args.k_star, "--k-star")
         count(args.inits, "--inits")
@@ -304,7 +300,7 @@ def _cmd_train(args) -> None:
 
 def _cmd_minimax(args) -> None:
     if args.delta is None:
-        raise ValidationError("--delta is required")
+        raise ParameterOutOfRange("--delta is required")
     if args.action == "net":
         count(args.probes, "--probes")
     if args.action == "bound":
@@ -426,7 +422,7 @@ def main(argv=None) -> int:
         return 0
     # These library errors mean an argument was out of range, not that the
     # numerics failed; an OSError means --out or --save-net cannot be written.
-    except (ValidationError, DomainError, ParameterOutOfRange, ConfigError, OSError) as exc:
+    except (DomainError, ParameterOutOfRange, ConfigError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (PorcupineError, np.linalg.LinAlgError, FloatingPointError) as exc:

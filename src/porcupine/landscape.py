@@ -9,9 +9,9 @@ of the population risk as an oracle.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -145,20 +145,28 @@ def classify_region(signature: RegionSignature, d: int) -> RegionClassification:
 def good_region_probability(r: int, d: int, neurons_per_line: int) -> float:
     """Probability that uniformly random signs give a good region.
 
-    With ``t`` neurons per line each line is single-orientation with
-    probability ``2^(1-t)``; the region is good when at most ``r - d``
-    lines are single-orientation, a binomial tail.  For ``r`` beyond the
-    float range the binomial is a step at its mean: 1.0 when ``d`` is
-    below ``(1 - 2^(1-t)) r``, else 0.0.
-    """
+    With ``t`` neurons per line a line is single-orientation with probability
+    ``p = 2^(1-t)``; the region is good when at least ``d`` lines are mixed: the
+    shorter binomial tail, summed from its largest term until the terms underflow.
+    For ``r`` beyond the float range it is 1.0 if ``d < (1 - p) r``, else 0.0."""
     r, d = count(r, "r"), count(d, "d")
-    p = 2.0 ** (1 - count(neurons_per_line, "neurons_per_line"))
+    p = math.ldexp(1.0, 1 - count(neurons_per_line, "neurons_per_line"))
     if r > sys.float_info.max:
         return float(d <= r and d / r < 1.0 - p)
-    tail = 0.0
-    for i in range(min(d, r + 1)):
-        tail += comb(r, i) * (1.0 - p) ** i * p ** (r - i)
-    return 1.0 - tail
+    if p in (0.0, 1.0) or d > r:  # every line mixed, or none, or too few lines
+        return float(p == 0.0 and d <= r)
+    low, high = (d, r) if r - d < d else (0, d - 1)  # the side with fewer terms
+    top = min(max(math.floor((r + 1) * (1.0 - p)), low), high)  # nearest the mode
+    log_top = math.fsum([math.log((r - j) / (j + 1)) for j in range(min(top, r - top))]
+                        + [top * math.log1p(-p), (r - top) * math.log(p)])
+    odds, terms = (1.0 - p) / p, [1.0]  # term i + 1 over term i is odds (r - i) / (i + 1)
+    for i, stop, term in ((top, high, 1.0), (top, low, 1.0)):  # up, then down
+        while i != stop and term > 0.0:
+            term *= odds * (r - i) / (i + 1) if i < stop else i / (odds * (r - i + 1))
+            terms.append(term)
+            i += 1 if i < stop else -1
+    mass = math.exp(log_top) * math.fsum(terms)
+    return min(mass, 1.0) if low else max(1.0 - mass, 0.0)  # the upper tail, or the lower
 
 
 def analytic_gradient(weights: PNNWeights, weights_star: PNNWeights):

@@ -13,7 +13,6 @@ Its orientation is the sign of ``c``; its feasibility is the residual
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,6 +48,29 @@ def _unit_columns(units) -> bool:
     return bool(np.all(np.abs(np.linalg.norm(units, axis=0) - 1.0) <= UNIT_NORM_TOL))
 
 
+def _oriented_rows(block: np.ndarray):
+    """``(units, flags, norms)``, ``units[i] = flags[i] * block[i] / norms[i]`` with
+    its last entry above ZERO_TOL positive: the one code path that orients vectors.
+    A norm is one dot product per row (as ``np.linalg.norm``), of the row over its
+    peak if its squares overflow; zero and NaN norms are the caller's to judge."""
+    block = np.ascontiguousarray(block)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
+    huge = np.isinf(norms)
+    if huge.any():  # the other rows are divided by 1.0, which keeps their bits
+        peaks = np.where(huge, np.abs(block).max(axis=1), 1.0)
+        with np.errstate(invalid="ignore"):  # an infinite entry makes its row NaN
+            units, flags, norms = _oriented_rows(block / peaks[:, None])
+            return units, flags, norms * peaks
+    units = block / np.where(norms > 0.0, norms, 1.0)[:, None]
+    if not units.shape[1]:  # a vector of length 0 has norm 0 and no pivot
+        return units, np.ones(len(units)), norms
+    pivots = units.shape[1] - 1 - np.argmax((np.abs(units) > ZERO_TOL)[:, ::-1], axis=1)
+    flags = np.where(units[np.arange(len(units)), pivots] > 0, 1.0, -1.0)
+    units *= flags[:, None]
+    return units, flags, norms
+
+
 def canonicalize_vector(v):
     """Normalize ``v`` and orient it canonically.
 
@@ -62,17 +84,19 @@ def canonicalize_vector(v):
     when ``||v|| <= ZERO_TOL``.
     """
     v = finite_array(v, "vector", (None,))
-    norm = float(np.linalg.norm(v))
-    if not math.isfinite(norm):  # finite entries whose squares overflow (1e200s)
-        v = v / np.max(np.abs(v))
-        norm = float(np.linalg.norm(v))
-    if norm <= ZERO_TOL:
-        raise ZeroVector("cannot orient a vector of norm %.3g" % norm)
-    unit = v / norm
-    significant = np.nonzero(np.abs(unit) > ZERO_TOL)[0]
-    pivot = significant[-1]
-    flag = 1 if unit[pivot] > 0 else -1
-    return flag * unit, flag
+    units, flags, norms = _oriented_rows(v[None, :])
+    if norms[0] <= ZERO_TOL:
+        raise ZeroVector("cannot orient a vector of norm %.3g" % norms[0])
+    return units[0], int(flags[0])
+
+
+def _line_units(block: np.ndarray) -> np.ndarray:
+    """The rows' canonical unit vectors as the columns of a C-contiguous array;
+    the first bad row raises what ``canonicalize_vector`` raises for it."""
+    units, _, norms = _oriented_rows(block)
+    if not (norms > ZERO_TOL).all():  # a NaN norm fails too
+        canonicalize_vector(block[np.argmin(norms > ZERO_TOL)])
+    return np.ascontiguousarray(units.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,22 +196,23 @@ def build_line_set(raw_vectors) -> LineSet:
     Vectors are normalized and canonically oriented; pairs that are
     collinear within COLLINEARITY_TOL raise DuplicateLine.
     """
-    vectors = [np.asarray(v, dtype=float) for v in raw_vectors]
-    if not vectors:
+    vectors = list(raw_vectors)
+    try:
+        block = np.array(vectors, dtype=float)
+    except ValueError:  # vectors of different lengths (one dimension fewer), or not numbers
+        block = np.array(vectors, dtype=object)
+    if not len(block):
         raise ParameterOutOfRange("a line set needs at least one vector")
-    dim = vectors[0].shape[0]
-    for v in vectors:
-        if v.ndim != 1 or v.shape[0] != dim:
-            raise DimensionMismatch("all vectors must share one dimension")
-    units = np.column_stack([canonicalize_vector(v)[0] for v in vectors])
-    cosines = units.T @ units
-    pair = _first_collision(cosines)
+    if block.ndim != 2:
+        raise DimensionMismatch("all vectors must share one dimension")
+    if block.dtype == object:  # what canonicalize_vector raises for a vector of strings
+        raise DimensionMismatch("vector must be a numeric array")
+    line_set = _assemble_line_set(_line_units(block))
+    pair = _first_collision(line_set.gram)
     if pair is not None:
-        raise DuplicateLine(
-            "vectors %d and %d span the same line (|cos| = %.12g)"
-            % (*pair, abs(cosines[pair]))
-        )
-    return _assemble_line_set(units)
+        raise DuplicateLine("vectors %d and %d span the same line (|cos| = %.12g)"
+                            % (*pair, abs(line_set.gram[pair])))
+    return line_set
 
 
 def axes_line_set(d: int) -> LineSet:
@@ -202,31 +227,6 @@ def cross_gram(a: LineSet, b: LineSet) -> np.ndarray:
     return np.clip(a.unit_vectors.T @ b.unit_vectors, -1.0, 1.0)
 
 
-def _canonical_rows(block: np.ndarray) -> np.ndarray:
-    """``canonicalize_vector(row)[0]`` of every row of ``block``, in one pass.
-
-    Rows whose norm is non-finite or at most ZERO_TOL go through
-    ``canonicalize_vector`` itself; zero rows are dropped.  The norms are
-    one dot product per row, as ``np.linalg.norm`` takes them, so every
-    row has the bits that ``canonicalize_vector`` gives it.
-    """
-    with np.errstate(over="ignore"):  # rows of huge entries go the per-row way
-        norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
-    plain = np.isfinite(norms) & (norms > ZERO_TOL)
-    units = block / np.where(plain, norms, 1.0)[:, None]
-    pivots = units.shape[1] - 1 - np.argmax((np.abs(units) > ZERO_TOL)[:, ::-1], axis=1)
-    units *= np.where(units[np.arange(len(units)), pivots] > 0, 1.0, -1.0)[:, None]
-    if plain.all():
-        return units
-    for i in np.flatnonzero(~plain):
-        try:
-            units[i] = canonicalize_vector(block[i])[0]
-        except ZeroVector:
-            continue
-        plain[i] = True
-    return units[plain]
-
-
 def random_line_set(d: int, r: int, seed, max_draws: int | None = None) -> LineSet:
     """Draw ``r`` i.i.d. uniformly random lines in ``d`` dimensions.
 
@@ -236,10 +236,10 @@ def random_line_set(d: int, r: int, seed, max_draws: int | None = None) -> LineS
     is exhausted (only plausible for tiny ``d`` and huge ``r``).
 
     The lines are drawn as one ``(r, d)`` block, the stream of ``r`` calls
-    of ``standard_normal(d)``, screened on the Gram matrix of the assembled
-    set and walked in draw order by ``_first_kept``; the shortfall is the
-    next block.  Every draw counts against ``max_draws``, so the lines and
-    the budget are those of drawing one vector at a time.
+    of ``standard_normal(d)``; its rows of the assembled set's Gram are
+    walked in draw order by ``_first_kept``, and the shortfall is the next
+    block.  Every draw counts against ``max_draws``, so the lines and the
+    budget are those of drawing one vector at a time.
     """
     d, r = count(d, "d"), count(r, "r")
     rng = np.random.default_rng(seed_sequence(seed, "seed"))
@@ -249,21 +249,18 @@ def random_line_set(d: int, r: int, seed, max_draws: int | None = None) -> LineS
     while draws < budget:
         block = rng.standard_normal((min(r - units.shape[1], budget - draws), d))
         draws += len(block)
+        oriented, _, norms = _oriented_rows(block)
+        if not (norms > ZERO_TOL).all():  # a draw of norm at most ZERO_TOL is dropped
+            oriented = oriented[norms > ZERO_TOL]
         have = units.shape[1]
-        oriented = _canonical_rows(block)
         grown = np.empty((d, have + len(oriented)))
         grown[:, :have] = units
         grown[:, have:] = oriented.T
-        units = grown
-        # The first block is screened on the Gram of the assembled set, a
-        # shortfall block on the cosines of its lines against every line.
-        line_set = _assemble_line_set(units) if have == 0 else None
-        cos = line_set.gram if have == 0 else units[:, have:].T @ units
-        _, kept = _first_kept(_collinear(cos), have)
-        if not kept.all():
-            units = units[:, kept]
-        elif units.shape[1] == r:
-            return line_set if line_set is not None else _assemble_line_set(units)
+        line_set = _assemble_line_set(grown)
+        _, kept = _first_kept(_collinear(line_set.gram[have:]), have)
+        if kept.all() and len(kept) == r:
+            return line_set
+        units, line_set = grown[:, kept], None  # a shortfall: free this Gram first
     raise TooManyCollisions(
         "could not draw %d collision-free lines in d=%d within %d attempts"
         % (r, d, budget)
@@ -506,7 +503,7 @@ def weights_from_columns(matrix) -> PNNWeights:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise DimensionMismatch("expected a d x k matrix")
-    units = np.column_stack([canonicalize_vector(col)[0] for col in matrix.T])
+    units = _line_units(matrix.T)
     first, kept = _first_kept(_collinear(units.T @ units))
     assignment = (np.cumsum(kept) - 1)[first]  # rank of the first kept column
     line_set = _assemble_line_set(units[:, kept])
@@ -574,9 +571,9 @@ def load_line_set(path) -> LineSet:
     units = load_vectors_csv(path)
     if not _unit_columns(units):
         raise ParameterOutOfRange("stored line vectors are not unit norm")
-    for j in range(units.shape[1]):
-        if canonicalize_vector(units[:, j])[1] != 1:
-            raise ParameterOutOfRange("stored line %d is not canonically oriented" % j)
+    flipped = np.flatnonzero(_oriented_rows(units.T)[1] != 1.0)
+    if flipped.size:
+        raise ParameterOutOfRange("stored line %d is not canonically oriented" % flipped[0])
     line_set = _assemble_line_set(units)
     pair = _first_collision(line_set.gram)
     if pair is not None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._checks import count, finite_array, real, seed_sequence
 from .errors import CoverageNotReached, DomainError, ParameterOutOfRange
-from .lines import _unit_columns, canonicalize_vector, load_vectors_csv, save_vectors_csv
+from .lines import _oriented_rows, _unit_columns, load_vectors_csv, save_vectors_csv
 
 # Probes drawn and screened against the net per matmul.
 _PROBE_BLOCK = 1024
@@ -45,8 +45,8 @@ class AngularNet:
 
     Coverage means: every unit vector is within angle ``delta`` of some
     net vector or its negation.  The property is certified empirically by
-    ``coverage_gap`` rather than proved.  Vectors whose norm is not 1
-    within ``lines.UNIT_NORM_TOL`` raise DomainError.
+    ``coverage_gap`` rather than proved.  Vectors that are not canonical
+    or whose norm is not 1 within ``lines.UNIT_NORM_TOL`` raise DomainError.
     """
 
     dim: int
@@ -56,6 +56,8 @@ class AngularNet:
     def __post_init__(self):
         if not _unit_columns(self.vectors):
             raise DomainError("net vectors must be unit norm")
+        if not np.all(_oriented_rows(np.asarray(self.vectors, dtype=float).T)[1] == 1.0):
+            raise DomainError("net vectors must be canonically oriented")
 
     @property
     def size(self) -> int:
@@ -66,8 +68,8 @@ class AngularNet:
 
 
 def load_angular_net(path, delta: float) -> AngularNet:
-    """Read a net written by ``AngularNet.save``, checking ``delta`` and
-    unit norm too."""
+    """Read a net written by ``AngularNet.save``, checking ``delta``, unit
+    norm and orientation too."""
     delta = _check_delta(delta)
     vectors = load_vectors_csv(path)
     return AngularNet(dim=vectors.shape[0], delta=delta, vectors=vectors)
@@ -128,8 +130,8 @@ def greedy_angular_net(d: int, delta: float, seed=0, max_probes: int = 10_000,
     in draw order.  Adding a net vector only raises a probe's best
     ``|cos|``, so a probe covered at the start of its block stays covered,
     and later probes of the block need checking only against the vectors
-    the walk adds.  Screening needs only ``|cos|``, so only the probes
-    that join the net are canonically oriented.  The decisions, the
+    the walk adds.  Every block is oriented in one pass, so a probe that
+    joins the net is its canonical unit vector already.  The decisions, the
     stopping rule and the ``probe_budget`` count are those of a
     one-probe-at-a-time loop.
     """
@@ -148,10 +150,9 @@ def greedy_angular_net(d: int, delta: float, seed=0, max_probes: int = 10_000,
         # An (m, d) draw is the stream of m successive standard_normal(d) calls.
         probes = rng.standard_normal((min(_PROBE_BLOCK, probe_budget - drawn), d))
         drawn += probes.shape[0]
-        norms = np.linalg.norm(probes, axis=1)
+        units, _, norms = _oriented_rows(probes)
         # A zero probe (probability zero) is skipped but counts against the budget.
-        probes = probes[norms > 0.0]
-        units = probes / norms[norms > 0.0, None]
+        units = units[norms > 0.0]
         best = np.abs(units @ net).max(axis=1, initial=-np.inf)
         start = 0
         while True:
@@ -162,7 +163,7 @@ def greedy_angular_net(d: int, delta: float, seed=0, max_probes: int = 10_000,
                 return AngularNet(dim=d, delta=delta, vectors=net)
             if stop == len(units):
                 break
-            added, _ = canonicalize_vector(probes[stop])
+            added = units[stop]
             net = np.column_stack([net, added])
             covered_streak = 0
             start = stop + 1
@@ -203,9 +204,7 @@ def nearest_net_approx(w_star, net: AngularNet):
     W = finite_array(w_star, "weights", (net.dim, None))
     if net.size < 1:
         raise ParameterOutOfRange("the net is empty")
-    cols = np.ascontiguousarray(W.T)
-    # One dot product per column, as np.linalg.norm(W[:, i]) takes it: same bits.
-    norms = np.sqrt(cols[:, None, :] @ cols[:, :, None]).ravel()
+    norms = _oriented_rows(W.T)[2]  # true norms, also where the squares overflow
     live = np.flatnonzero(norms != 0.0)
     scores = net.vectors.T @ (W[:, live] / norms[live])
     best = np.argmax(np.abs(scores), axis=0)

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from porcupine.errors import (
     ZeroVector,
 )
 
-from porcupine.lines import ZERO_TOL, _canonical_rows
+from porcupine._checks import finite_array
+from porcupine.lines import ZERO_TOL, _oriented_rows
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -93,6 +95,39 @@ class TestBuildLineSet:
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(DomainError):
             p.build_line_set([[1.0, 0.0], [0.5, bad]])
+
+    @pytest.mark.parametrize("first, second, error", [
+        (0.0, np.nan, ZeroVector), (np.nan, 0.0, DomainError), (np.inf, 1e-13, DomainError),
+        (1e-13, np.inf, ZeroVector)])
+    def test_first_bad_vector_raises(self, first, second, error):
+        # What the former one-vector-at-a-time loop raised, message and all.
+        vectors = np.random.default_rng(3).standard_normal((8, 3))
+        vectors[3] = first
+        vectors[5] = second
+        with pytest.raises(error) as expected:
+            for v in vectors:
+                canonicalize_reference(v)
+        with pytest.raises(error) as info:
+            p.build_line_set(vectors)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("vectors", [
+        [[1.0, 2.0], [1.0]], [1.0, 2.0], [[[1.0, 2.0]], [[1.0, 3.0]]], [[1.0, 2.0], ["a"]]])
+    def test_vectors_of_one_length_required(self, vectors):
+        with pytest.raises(DimensionMismatch, match="^all vectors must share one dimension$"):
+            p.build_line_set(vectors)
+
+    @pytest.mark.parametrize("vectors", [[["a", "b"]], [[1.0, 2.0], [3.0, "x"]]])
+    def test_numeric_vectors_required(self, vectors):
+        with pytest.raises(DimensionMismatch) as expected:
+            p.canonicalize_vector(vectors[-1])
+        with pytest.raises(DimensionMismatch) as info:
+            p.build_line_set(vectors)
+        assert str(info.value) == str(expected.value)
+
+    def test_no_vectors_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            p.build_line_set(iter([]))
 
 
 class TestCrossGram:
@@ -212,9 +247,26 @@ class TestRandomLineSetInBlocks:
             p.random_line_set(1, 2, seed)
 
 
+def canonicalize_reference(v):
+    """The former body of ``canonicalize_vector``, verbatim: one vector at a
+    time, with ``np.linalg.norm``.  ``_oriented_rows`` must give its bits."""
+    v = finite_array(v, "vector", (None,))
+    norm = float(np.linalg.norm(v))
+    if not math.isfinite(norm):  # finite entries whose squares overflow (1e200s)
+        v = v / np.max(np.abs(v))
+        norm = float(np.linalg.norm(v))
+    if norm <= ZERO_TOL:
+        raise ZeroVector("cannot orient a vector of norm %.3g" % norm)
+    unit = v / norm
+    significant = np.nonzero(np.abs(unit) > ZERO_TOL)[0]
+    pivot = significant[-1]
+    flag = 1 if unit[pivot] > 0 else -1
+    return flag * unit, flag
+
+
 class TestBatchedOrientation:
-    """random_line_set orients a drawn block in one pass; each kept row must
-    be canonicalize_vector's unit vector for it, bit for bit."""
+    """_oriented_rows orients a block in one pass; each row that is not zero
+    must get the reference's unit vector and flag, bit for bit."""
 
     CRAFTED = {
         "zero": [0.0, 0.0, 0.0, 0.0],
@@ -227,41 +279,53 @@ class TestBatchedOrientation:
     }
 
     @staticmethod
-    def per_row(block):
-        units = []
+    def assert_rows_match_reference(block):
+        """Returns how many rows the reference orients (the rest are zero)."""
+        units, flags, norms = _oriented_rows(block)
+        kept = norms > ZERO_TOL
+        want = []
         for row in block:
             try:
-                units.append(p.canonicalize_vector(row)[0])
+                want.append(canonicalize_reference(row))
             except ZeroVector:
                 continue
-        return np.array(units).reshape(-1, block.shape[1])
+        assert kept.sum() == len(want)
+        want_units = np.array([u for u, _ in want]).reshape(-1, block.shape[1])
+        assert np.array_equal(units[kept], want_units)
+        assert flags[kept].tolist() == [f for _, f in want]
+        return len(want)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("name", sorted(CRAFTED))
     def test_crafted_row_among_random_rows(self, name):
         block = np.random.default_rng(3).standard_normal((9, 4))
         block[4] = self.CRAFTED[name]
-        got = _canonical_rows(block)
-        assert np.array_equal(got, self.per_row(block))
-        assert len(got) == (8 if name in ("zero", "tiny_norm", "subnormal") else 9)
+        kept = self.assert_rows_match_reference(block)
+        assert kept == (8 if name in ("zero", "tiny_norm", "subnormal") else 9)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_all_crafted_rows_together(self):
-        block = np.array(list(self.CRAFTED.values()))
-        assert np.array_equal(_canonical_rows(block), self.per_row(block))
+        self.assert_rows_match_reference(np.array(list(self.CRAFTED.values())))
 
     @pytest.mark.parametrize("d", [1, 2, 5, 16, 33, 256, 1024])
     def test_random_rows(self, d):
         block = np.random.default_rng(d).standard_normal((40, d))
         block[::3] *= 1e-6
-        assert np.array_equal(_canonical_rows(block), self.per_row(block))
+        assert self.assert_rows_match_reference(block) == 40
+
+    def test_overflowing_rows_get_their_true_norm(self):
+        block = np.array([[1e200, 1e200, -1e200, 1e200], [3e300, 4e300, 0.0, 0.0]])
+        _, _, norms = _oriented_rows(block)
+        np.testing.assert_allclose(norms, [2e200, 5e300], rtol=1e-15)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_non_finite_row_raises(self, bad):
+    def test_non_finite_row_gets_nan_norm(self, bad):
         block = np.ones((3, 4))
         block[1, 2] = bad
+        _, _, norms = _oriented_rows(block)
+        assert np.isnan(norms[1]) and np.all(norms[[0, 2]] == 2.0)
         with pytest.raises(DomainError):
-            _canonical_rows(block)
+            p.canonicalize_vector(block[1])
 
 
 class TestNeuronLineMap:

@@ -1,6 +1,8 @@
 """Angular nets, coverage, and the nearest-direction risk bound."""
 
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,6 +88,59 @@ def test_risk_bound_and_region_probability_beyond_the_float_range():
         2.0 * 3 * (1.0 - math.cos(0.3)))
 
 
+def exact_good_region_probability(r, d, t):
+    """1 - P(fewer than d of r lines mixed), each mixed with probability
+    1 - 2^(1-t), in exact rationals: the sum over i < d of
+    comb(r, i) (2^(t-1) - 1)^i, over 2^((t-1) r)."""
+    mixed, below, term = 2 ** (t - 1) - 1, 0, 1  # term = comb(r, i) mixed^i
+    for i in range(min(d, r + 1)):
+        below += term
+        term = term * (r - i) * mixed // (i + 1)
+    return 1 - Fraction(below, 2 ** ((t - 1) * r))
+
+
+# (r, d, t) whose float binomial tail overflows, and a smaller (r, d, t)
+# whose exact value is a lower bound: the probability grows with r and t.
+OVERFLOWING_TAILS = [
+    ((1100, 1000, 2), None), ((2000, 1500, 3), None), ((1030, 1000, 1), None),
+    ((10**300, 3, 2), (2000, 3, 2)), ((5, 2, 10**400), (5, 2, 60)),
+]
+
+
+@pytest.mark.parametrize("args, bound", OVERFLOWING_TAILS, ids=lambda a: str(a)[:20])
+def test_region_probability_where_the_float_tail_overflows(args, bound):
+    got = p.good_region_probability(*args)
+    assert math.isfinite(got) and 0.0 <= got <= 1.0
+    if bound is None:
+        assert abs(got - exact_good_region_probability(*args)) <= 1e-12
+    else:
+        low = exact_good_region_probability(*bound)
+        assert low - Fraction(1, 10**12) <= got <= 1
+        assert 1 - low <= Fraction(1, 10**12)
+
+
+@pytest.mark.parametrize("r, d, t", [
+    (12, 3, 2), (1000, 400, 2), (1020, 1010, 3), (300, 299, 1), (40, 30, 2), (2, 2, 2),
+    (7, 7, 5), (5000, 2500, 2), (5000, 2600, 2), (4000, 3750, 5)])
+def test_region_probability_matches_the_exact_tail(r, d, t):
+    got = p.good_region_probability(r, d, t)
+    assert math.isclose(got, exact_good_region_probability(r, d, t), rel_tol=1e-12)
+
+
+def test_region_probability_of_long_tails_at_large_r():
+    # The log of the largest term has a rounding error of about 1e-16 r, so
+    # at r = 10**5 the result is held to 1e-11; at p = 1/2 and d = r/2 the
+    # exact value is 1/2 + comb(r, r/2) / 2^(r+1).
+    start = time.perf_counter()
+    half = p.good_region_probability(10**5, 5 * 10**4, 2)
+    long_tail = p.good_region_probability(20_000, 10_000, 2)
+    underflowing = p.good_region_probability(10**300, 10**5, 2)
+    assert time.perf_counter() - start < 5.0
+    assert abs(half - (Fraction(1, 2) + Fraction(math.comb(10**5, 5 * 10**4), 2 ** (10**5 + 1)))) <= 1e-11
+    assert abs(long_tail - exact_good_region_probability(20_000, 10_000, 2)) <= 1e-12
+    assert underflowing == 1.0
+
+
 class TestGreedyAngularNet:
     def test_one_dimension_single_vector(self):
         net = p.greedy_angular_net(1, 0.3, seed=0)
@@ -151,6 +206,19 @@ class TestGreedyAngularNet:
     def test_net_vectors_must_be_unit_norm(self, vectors):
         with pytest.raises(DomainError):
             p.AngularNet(dim=2, delta=0.3, vectors=np.array(vectors))
+
+    @pytest.mark.parametrize("vectors", [-np.eye(2), [[0.6, 1.0], [-0.8, 0.0]], [[-1.0], [0.0]]])
+    def test_net_vectors_must_be_canonical(self, vectors):
+        with pytest.raises(DomainError, match="canonically oriented"):
+            p.AngularNet(dim=2, delta=0.3, vectors=np.array(vectors))
+
+    def test_loaded_net_checks_orientation(self, tmp_path):
+        path = tmp_path / "net.csv"
+        vectors = p.greedy_angular_net(3, 0.4, seed=7).vectors.copy()
+        vectors[:, 1] *= -1.0
+        p.save_vectors_csv(path, vectors)
+        with pytest.raises(DomainError, match="canonically oriented"):
+            p.load_angular_net(path, delta=0.4)
 
     def test_unit_norm_rule_is_the_line_loaders(self):
         tol = p.lines.UNIT_NORM_TOL
@@ -340,6 +408,18 @@ class TestNearestNetMatchesLoop:
             np.testing.assert_array_equal(approx, expected)
             assert abs(max_angle - expected_angle) <= 1e-15
 
+
+    def test_columns_whose_squares_overflow(self):
+        # 1e190^2 leaves the float range; the snap must still scale with the column.
+        net = p.greedy_angular_net(2, 0.3, seed=0)
+        W = np.array([[1.0, 1.0, -0.3], [1.0, 0.5, 2.0]])
+        approx, max_angle = p.nearest_net_approx(W, net)
+        huge, huge_angle = p.nearest_net_approx(1e190 * W, net)
+        np.testing.assert_allclose(huge, 1e190 * approx, rtol=1e-12, atol=0.0)
+        assert huge_angle == pytest.approx(max_angle, rel=1e-12)
+        snapped, _ = p.nearest_net_approx([[1e200, 1.0], [1e200, 0.5]], net)
+        assert np.isfinite(snapped).all()
+        assert np.linalg.norm(snapped[:, 0] / 1e200) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_column_rejected(self, bad):

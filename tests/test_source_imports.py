@@ -137,3 +137,59 @@ def test_experiments_train_only_in_the_seeded_run():
 ])
 def test_guard_sees_sgd_train_calls(source, calls):
     assert sgd_train_calls(ast.parse(source)) == calls
+
+
+def _sliced(node, pattern):
+    """Whether ``node`` is ``name[...]`` with a slice tuple of ``pattern``:
+    ``:`` for a full slice, ``None`` for a new axis."""
+    if not isinstance(node, ast.Subscript) or not isinstance(node.slice, ast.Tuple):
+        return False
+    kinds = [":" if isinstance(e, ast.Slice) and e.lower is e.upper is e.step is None
+             else None if isinstance(e, ast.Constant) and e.value is None else "?"
+             for e in node.slice.elts]
+    return kinds == pattern
+
+
+def row_norm_sites(tree, owner=None):
+    """``(line, function)`` of each per-row dot-product norm,
+    ``x[:, None, :] @ x[:, :, None]`` or ``np.matmul`` of the same, with the
+    innermost function around it (None at module level)."""
+    sites = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            pair = (node.left, node.right)
+        else:
+            pair = tuple(node.args) if called_name(node) == "matmul" else ()
+        if (len(pair) == 2 and _sliced(pair[0], [":", None, ":"])
+                and _sliced(pair[1], [":", ":", None])
+                and ast.dump(pair[0].value) == ast.dump(pair[1].value)):
+            sites.append((node.lineno, owner))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        sites += row_norm_sites(node, inner)
+    return sorted(sites)
+
+
+def test_rows_are_normed_in_one_function():
+    # One routine normalises and orients vectors; a second norm rule drifts.
+    sites = [(path.name, owner) for path in SOURCES
+             for _, owner in row_norm_sites(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sites == [("lines.py", "_oriented_rows")]
+
+
+@pytest.mark.parametrize("source, sites", [
+    # The two sites of the earlier code: lines._canonical_rows, minimax.nearest_net_approx.
+    ("def _canonical_rows(block):\n"
+     "    norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])",
+     [(2, "_canonical_rows")]),
+    ("def nearest_net_approx(w_star, net):\n"
+     "    norms = np.sqrt(cols[:, None, :] @ cols[:, :, None]).ravel()",
+     [(2, "nearest_net_approx")]),
+    ("matmul(x[:, None, :], x[:, :, None])", [(1, None)]),
+    ("def f():\n    def g(a):\n        return a.b[:, None, :] @ a.b[:, :, None]", [(3, "g")]),
+    ("x[:, None, :] @ y[:, :, None]", []),
+    ("x[:, None] @ x[None, :]", []),
+    ("x[:, None, :] @ x[:, None, :]", []),
+    ("np.matmul(a, b)", []),
+])
+def test_guard_sees_row_norms(source, sites):
+    assert row_norm_sites(ast.parse(source)) == sites
