@@ -2,11 +2,12 @@
 
 Subcommands: ``risk``, ``landscape``, ``schur-sweep``, ``asymptotic``,
 ``train``, ``minimax``.  Every CSV output starts with comment lines that
-echo the full parameter map, the tool version, and the master seed;
-rerunning the same spec reproduces the body byte for byte (timing
-measurements are opt-in via --timing for that reason).  Each subcommand
-checks its arguments, computes its rows, and hands them to one writer,
-so a run that fails writes no CSV and leaves an existing file untouched.
+echo the tool version, the spec (every set argument but --out and
+--threads) and the master seed; rerunning the same spec reproduces the
+file byte for byte (timing measurements are opt-in via --timing for that
+reason).  Each subcommand checks its arguments and returns its columns
+and rows; ``main`` alone writes them, so a run that fails writes no CSV
+and leaves an existing file untouched.
 
 Exit codes: 0 success, 2 validation error (bad arguments, an unwritable
 output path, and the library's DomainError, ParameterOutOfRange and
@@ -19,7 +20,6 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +37,7 @@ from .minimax import (
     net_size_bound,
     sparse_net_size,
 )
-from .risk import matched_risk, mismatched_risk, monte_carlo_risk, scalar_risk
+from .risk import _ordered_map, matched_risk, mismatched_risk, monte_carlo_risk, scalar_risk
 from .schur import asymptotic_reference, nearest_line_subset, schur_complement
 from .trainer import (
     desk_matched_config,
@@ -57,15 +57,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(args, command: str, spec: dict, columns, rows) -> None:
+def _write_csv(args, columns, rows) -> None:
     """Write one CSV to ``--out`` (or stdout): the header, columns and rows.
 
-    Every value is formatted before the file is opened, so the output is
-    all or nothing.
+    The spec line holds the command and every set argument but the two that
+    cannot change the body, ``--out`` and ``--threads``.  Every value is
+    formatted before the file is opened, so the output is all or nothing.
     """
+    spec = {k: v for k, v in vars(args).items()
+            if k not in ("func", "out", "threads") and v is not None}
     lines = [
         "# porcupine %s" % __version__,
-        "# spec: %s" % json.dumps({"command": command, **spec}, sort_keys=True),
+        "# spec: %s" % json.dumps(spec, sort_keys=True),
         "# master_seed: %s" % args.seed,
         ",".join(columns),
     ]
@@ -78,29 +81,16 @@ def _write_csv(args, command: str, spec: dict, columns, rows) -> None:
         sys.stdout.write(text)
 
 
-def _echoed_args(args) -> dict:
-    """Every set argument except the handler and the output path."""
-    return {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
-
-
-def _int_list(text: str, flag: str):
+def _number_list(text: str, kind, flag: str) -> list:
+    """The comma-separated values of ``flag``, each read by ``kind``; an
+    integer must also pass ``count``."""
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise ParameterOutOfRange("expected a comma-separated integer list: %r" % text) from exc
+        raise ParameterOutOfRange("%s needs a comma-separated list: %r" % (flag, text)) from exc
     if not values:
-        raise ParameterOutOfRange("empty grid: %r" % text)
-    return [count(value, flag) for value in values]
-
-
-def _float_list(text: str):
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ParameterOutOfRange("expected a comma-separated float list: %r" % text) from exc
-    if not values:
-        raise ParameterOutOfRange("empty vector: %r" % text)
-    return values
+        raise ParameterOutOfRange("%s needs at least one value: %r" % (flag, text))
+    return [count(value, flag) for value in values] if kind is int else values
 
 
 def _check_line_count(d: int, most_lines: int) -> None:
@@ -115,17 +105,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
 
 
-def _random_instance(d, r, k, seed, scale=1.0):
+def _random_instance(d, r, k, seed):
     seq = seed.spawn(3)
     line_set = random_line_set(d, r, seq[0])
     rng = np.random.default_rng(seq[1])
     assignment = tuple(np.concatenate([np.arange(r), rng.integers(0, r, size=k - r)]))
-    masses = np.random.default_rng(seq[2]).standard_normal(k) * scale
+    masses = np.random.default_rng(seq[2]).standard_normal(k)
     neuron_map = NeuronLineMap(num_neurons=k, assignment=assignment)
     return weights_from_masses(line_set, neuron_map, masses)
 
 
-def _cmd_risk(args) -> None:
+def _cmd_risk(args):
     # Checked apart: "if args.mc_samples" below would skip Monte Carlo at 0.
     if args.mc_samples is not None:
         count(args.mc_samples, "--mc-samples")
@@ -173,13 +163,13 @@ def _cmd_risk(args) -> None:
             row.extend(monte_carlo_risk(model, target, n_samples=args.mc_samples,
                                         seed=args.seed, threads=args.threads))
         rows.append(row)
-    _write_csv(args, "risk", _echoed_args(args), columns, rows)
+    return columns, rows
 
 
-def _cmd_landscape(args) -> None:
+def _cmd_landscape(args):
     if not args.scalar:
         raise ParameterOutOfRange("only --scalar classification tables are supported")
-    w_star = np.array(_float_list(args.w_star))
+    w_star = np.array(_number_list(args.w_star, float, "--w-star"))
     if w_star.size > 16:
         raise ParameterOutOfRange("sign table grows as 2^k; need k <= 16")
     rows = [
@@ -187,8 +177,7 @@ def _cmd_landscape(args) -> None:
          scalar_region_classify(np.array(signs), w_star).label)
         for signs in itertools.product((1, -1), repeat=w_star.size)
     ]
-    spec = {"action": args.action, "scalar": True, "w_star": list(w_star)}
-    _write_csv(args, "landscape", spec, ["region", "label"], rows)
+    return ["region", "label"], rows
 
 
 def _schur_trial(d, r_star, r, trial, master_seed, nearest):
@@ -204,8 +193,8 @@ def _schur_trial(d, r_star, r, trial, master_seed, nearest):
     return seed_id, report.spectral_norm, report.min_eigenvalue, elapsed_ms
 
 
-def _cmd_schur_sweep(args) -> None:
-    grid = _int_list(args.r, "--r")
+def _cmd_schur_sweep(args):
+    grid = _number_list(args.r, int, "--r")
     count(args.d, "--d")
     count(args.r_star, "--r-star")
     count(args.trials, "--trials")
@@ -226,32 +215,23 @@ def _cmd_schur_sweep(args) -> None:
                elapsed if args.timing else 0.0]
         return row + [limits[r]] if args.asymptotic else row
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
-    spec = {
-        "d": args.d, "r_star": args.r_star, "r": grid, "trials": args.trials,
-        "nearest": bool(args.nearest), "asymptotic": bool(args.asymptotic),
-        "timing": bool(args.timing), "seed": args.seed,
-    }
-    _write_csv(args, "schur-sweep", spec, columns, rows)
+    return columns, _ordered_map(run, jobs, args.threads)
 
 
-def _cmd_asymptotic(args) -> None:
+def _cmd_asymptotic(args):
     reference = asymptotic_reference(args.d, args.r, args.r_star)
     rows = [("limit", reference.limit)]
     for value, multiplicity in reference.eigenvalues:
         rows += [("reference_eigenvalue", value), ("reference_multiplicity", multiplicity)]
-    spec = {"d": args.d, "r": args.r, "r_star": args.r_star}
-    _write_csv(args, "asymptotic", spec, ["quantity", "value"], rows)
+    return ["quantity", "value"], rows
 
 
-def _cmd_train(args) -> None:
-    k_grid = _int_list(args.k, "--k")
+def _cmd_train(args):
+    k_grid = _number_list(args.k, int, "--k")
     count(args.d, "--d")
     count(args.trials, "--trials")
+    if args.samples is None:  # written back, like --epochs, so the spec line shows it
+        args.samples = 2000 if args.mode == "matched" else 4000
     count(args.samples, "--samples")
     if args.mode == "matched" and any(k % args.d for k in k_grid):
         raise ParameterOutOfRange("matched runs need k divisible by d")
@@ -262,6 +242,7 @@ def _cmd_train(args) -> None:
     config = preset(seed=args.seed)
     if args.epochs is not None:
         config = replace(config, epochs=args.epochs)
+    args.epochs = config.epochs
 
     rows = []
     if args.mode == "matched":
@@ -290,15 +271,10 @@ def _cmd_train(args) -> None:
     columns = ["experiment", "d", "k", "k_star", "trial", "seed", "epochs_run",
                "final_train_loss", "normalized_test_mse", "outcome",
                "signature_violations"]
-    spec = {
-        "mode": args.mode, "d": args.d, "k": k_grid, "trials": args.trials,
-        "k_star": args.k_star, "inits": args.inits, "epochs": config.epochs,
-        "samples": args.samples, "seed": args.seed,
-    }
-    _write_csv(args, "train", spec, columns, rows)
+    return columns, rows
 
 
-def _cmd_minimax(args) -> None:
+def _cmd_minimax(args):
     if args.delta is None:
         raise ParameterOutOfRange("--delta is required")
     if args.action == "net":
@@ -313,17 +289,14 @@ def _cmd_minimax(args) -> None:
         if args.k is not None:
             rows.append(("minimax_risk_bound",
                          minimax_risk_bound(args.k, args.M, args.d, args.delta)))
-        spec = _echoed_args(args)
     else:
         net = greedy_angular_net(args.d, args.delta, seed=args.seed)
         gap = coverage_gap(net, n_probes=args.probes, seed=args.seed + 1)
         rows = [("net_size", net.size), ("coverage_gap", gap), ("delta", args.delta),
                 ("size_bound", net_size_bound(args.d, args.delta))]
-        spec = {"action": "net", "d": args.d, "delta": args.delta,
-                "probes": args.probes, "seed": args.seed}
         if args.save_net:
             save_vectors_csv(args.save_net, net.vectors)
-    _write_csv(args, "minimax", spec, ["quantity", "value"], rows)
+    return ["quantity", "value"], rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,9 +389,7 @@ def main(argv=None) -> int:
         # Checked apart: "args.threads > 1" would run --threads 0 serially.
         count(args.threads, "--threads")
         count(args.seed, "--seed", 0)
-        if args.command == "train" and args.samples is None:
-            args.samples = 2000 if args.mode == "matched" else 4000
-        args.func(args)
+        _write_csv(args, *args.func(args))
         return 0
     # These library errors mean an argument was out of range, not that the
     # numerics failed; an OSError means --out or --save-net cannot be written.

@@ -35,6 +35,8 @@ UNIT_NORM_TOL = 1e-12
 
 # 17 significant digits round-trip any IEEE double exactly.
 _FLOAT_FMT = "%.17g"
+# Below this norm a row's squares lose bits to underflow.
+_TINY_NORM = float(np.sqrt(np.finfo(float).tiny))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -52,16 +54,19 @@ def _oriented_rows(block: np.ndarray):
     """``(units, flags, norms)``, ``units[i] = flags[i] * block[i] / norms[i]`` with
     its last entry above ZERO_TOL positive: the one code path that orients vectors.
     A norm is one dot product per row (as ``np.linalg.norm``), of the row over its
-    peak if its squares overflow; zero and NaN norms are the caller's to judge."""
+    peak if its squares overflow or underflow; zero and NaN norms are the caller's
+    to judge."""
     block = np.ascontiguousarray(block)
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
-    huge = np.isinf(norms)
-    if huge.any():  # the other rows are divided by 1.0, which keeps their bits
-        peaks = np.where(huge, np.abs(block).max(axis=1), 1.0)
-        with np.errstate(invalid="ignore"):  # an infinite entry makes its row NaN
-            units, flags, norms = _oriented_rows(block / peaks[:, None])
-            return units, flags, norms * peaks
+    lossy = np.isinf(norms) | (norms < _TINY_NORM)
+    if lossy.any():  # the other rows are divided by 1.0, which keeps their bits
+        peaks = np.where(lossy, np.abs(block).max(axis=1, initial=0.0), 1.0)
+        peaks[peaks == 0.0] = 1.0  # a zero row has no peak to scale by
+        if (peaks != 1.0).any():
+            with np.errstate(invalid="ignore"):  # an infinite entry makes its row NaN
+                units, flags, norms = _oriented_rows(block / peaks[:, None])
+                return units, flags, norms * peaks
     units = block / np.where(norms > 0.0, norms, 1.0)[:, None]
     if not units.shape[1]:  # a vector of length 0 has norm 0 and no pivot
         return units, np.ones(len(units)), norms
@@ -125,7 +130,7 @@ class LineSet:
         idx = list(indices)
         return LineSet(
             dim=self.dim,
-            unit_vectors=_freeze(self.unit_vectors[:, idx]),
+            unit_vectors=_freeze(np.ascontiguousarray(self.unit_vectors[:, idx])),
             gram=_freeze(self.gram[np.ix_(idx, idx)]),
         )
 
@@ -145,8 +150,10 @@ def _assemble_line_set(units: np.ndarray) -> LineSet:
 
     The Gram matrix is ``clip(units' units, -1, 1)`` with a unit diagonal.
     numpy computes a product of a matrix with its own transpose as one
-    symmetric rank-k update, so it is exactly symmetric as it comes.
+    symmetric rank-k update, so it is exactly symmetric as it comes; the
+    units are made C-contiguous first, so every line set has one layout.
     """
+    units = np.ascontiguousarray(units)
     gram = units.T @ units
     np.clip(gram, -1.0, 1.0, out=gram)
     np.fill_diagonal(gram, 1.0)

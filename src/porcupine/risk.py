@@ -65,6 +65,16 @@ def network_output(x, weight_matrix):
     return float(out) if x.ndim == 1 else out
 
 
+def _ordered_map(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, run on a pool of ``threads`` threads
+    when ``threads > 1``; the results keep item order either way.  The one
+    fan-out behind every ``threads`` argument."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def monte_carlo_risk(weights, weights_star, n_samples: int = 2_000_000,
                      seed=0, threads: int = 1):
     """Monte Carlo estimate of ``E[(h(x;W) - h(x;W*))^2]``.
@@ -112,12 +122,7 @@ def monte_carlo_risk(weights, weights_star, n_samples: int = 2_000_000,
         pair_mean = 0.5 * (forward * forward + backward * backward)
         return float(pair_mean.sum()), float((pair_mean * pair_mean).sum())
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        results = [run_chunk(i) for i in range(n_chunks)]
-
+    results = _ordered_map(run_chunk, range(n_chunks), threads)
     total = sum(r[0] for r in results)
     total_sq = sum(r[1] for r in results)
     mean = total / pairs

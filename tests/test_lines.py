@@ -318,6 +318,13 @@ class TestBatchedOrientation:
         _, _, norms = _oriented_rows(block)
         np.testing.assert_allclose(norms, [2e200, 5e300], rtol=1e-15)
 
+    def test_underflowing_rows_get_their_true_norm(self):
+        # (3e-170)^2 underflows to 0; a zero row beside it stays zero.
+        units, flags, norms = _oriented_rows(np.array([[3e-170, 4e-170], [0.0, 0.0]]))
+        np.testing.assert_allclose(norms, [5e-170, 0.0], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(units[0], [0.6, 0.8], rtol=1e-15)
+        assert flags[0] == 1.0 and np.all(units[1] == 0.0)
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_row_gets_nan_norm(self, bad):
         block = np.ones((3, 4))
@@ -326,6 +333,28 @@ class TestBatchedOrientation:
         assert np.isnan(norms[1]) and np.all(norms[[0, 2]] == 2.0)
         with pytest.raises(DomainError):
             p.canonicalize_vector(block[1])
+
+
+def test_every_line_set_has_one_layout(tmp_path):
+    # Every constructor and subset stores C-contiguous units, so each Gram
+    # comes from the same product on the same layout.
+    rng = np.random.default_rng(2)
+    drawn = p.random_line_set(5, 9, seed=4)
+    path = tmp_path / "lines.csv"
+    p.save_line_set(drawn, path)
+    line_sets = {
+        "build": p.build_line_set(rng.standard_normal((6, 4))),
+        "axes": p.axes_line_set(4),
+        "random": drawn,
+        "columns": p.weights_from_columns(rng.standard_normal((3, 4))).line_set,
+        "load": p.load_line_set(path),
+        "subset": drawn.subset([7, 2, 5]),
+        "nearest": p.nearest_line_subset(drawn, p.random_line_set(5, 3, seed=6)).line_set,
+    }
+    for name, line_set in line_sets.items():
+        assert line_set.unit_vectors.flags.c_contiguous, name
+        gram = line_set.gram
+        assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0), name
 
 
 class TestNeuronLineMap:

@@ -421,6 +421,15 @@ class TestNearestNetMatchesLoop:
         assert np.isfinite(snapped).all()
         assert np.linalg.norm(snapped[:, 0] / 1e200) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
+    def test_columns_whose_squares_underflow(self):
+        # (1e-170)^2 underflows to 0; the snap must still scale with the column.
+        net = p.greedy_angular_net(2, 0.3, seed=0)
+        W = np.array([[1.0, 1.0, -0.3], [1.0, 0.5, 2.0]])
+        approx, max_angle = p.nearest_net_approx(W, net)
+        tiny, tiny_angle = p.nearest_net_approx(1e-170 * W, net)
+        np.testing.assert_allclose(tiny, 1e-170 * approx, rtol=1e-12, atol=0.0)
+        assert tiny_angle == pytest.approx(max_angle, rel=1e-12)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_column_rejected(self, bad):
         net = p.greedy_angular_net(3, 0.3, seed=8)

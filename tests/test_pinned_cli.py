@@ -20,6 +20,7 @@ machine, and the bound leaves room only for BLAS builds that round a
 product differently in the last bits.
 """
 
+import json
 import pathlib
 
 import pytest
@@ -111,3 +112,25 @@ def test_spec_reproduces_pinned_body(tmp_path, name, threads):
     if saved:
         assert_rows_match((tmp_path / saved).read_text().splitlines(),
                           (PINNED / saved).read_text().splitlines(), saved)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_spec_line_is_the_body_identity(tmp_path, name):
+    """The whole file, header included, is the same at --threads 1 and 2, and
+    its spec line is the command and every set argument but --out and
+    --threads, with train's per-mode --samples default resolved."""
+    argv = SPECS[name] + (["--save-net", str(tmp_path / SAVED_NET[name])]
+                          if name in SAVED_NET else [])
+    texts = []
+    for threads in (1, 2):
+        out = tmp_path / ("threads%d.csv" % threads)
+        assert cli.main(argv + ["--threads", str(threads), "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    want = {k: v for k, v in parsed.items() if k not in ("func", "threads") and v is not None}
+    if argv[0] == "train":  # every pinned train spec sets --epochs
+        want["samples"] = 2000 if argv[1] == "matched" else 4000
+    spec_line = texts[0].splitlines()[1]
+    assert spec_line.startswith("# spec: ")
+    assert json.loads(spec_line[len("# spec: "):]) == want

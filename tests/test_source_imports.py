@@ -1,7 +1,8 @@
 """Source guards: the library depends on numpy alone (no module under
 src/porcupine imports scipy or hypothesis, a test dependency only), imports
 no name it does not use, builds every root seed through the seed rule of
-``_checks``, and trains only in ``trainer._seeded_run``."""
+``_checks``, trains only in ``trainer._seeded_run``, writes CSV only in
+``cli.main`` and builds its one thread pool in ``risk._ordered_map``."""
 
 import ast
 from pathlib import Path
@@ -108,23 +109,27 @@ def test_guard_sees_seed_sequence_calls(source, lines):
     assert seed_sequence_calls(ast.parse(source)) == lines
 
 
-def sgd_train_calls(tree, owner=None):
-    """``(line, function)`` of each ``sgd_train(...)`` call, with the
-    innermost function around it (None at module level)."""
+def call_sites(tree, name, owner=None):
+    """``(line, function)`` of each call of ``name``, by bare name or
+    attribute, with the innermost function around it (None at module level)."""
     calls = []
     for node in ast.iter_child_nodes(tree):
-        if called_name(node) == "sgd_train":
+        if called_name(node) == name:
             calls.append((node.lineno, owner))
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-        calls += sgd_train_calls(node, inner)
+        calls += call_sites(node, name, inner)
     return sorted(calls)
+
+
+def source_call_sites(name):
+    """``(module, function)`` of each call of ``name`` under src/porcupine."""
+    return [(path.name, owner) for path in SOURCES
+            for _, owner in call_sites(ast.parse(path.read_text(encoding="utf-8")), name)]
 
 
 def test_experiments_train_only_in_the_seeded_run():
     # One run function, so a pool over runs has one place to hook.
-    calls = [(path.name, owner) for path in SOURCES
-             for _, owner in sgd_train_calls(ast.parse(path.read_text(encoding="utf-8")))]
-    assert calls == [("trainer.py", "_seeded_run")]
+    assert source_call_sites("sgd_train") == [("trainer.py", "_seeded_run")]
 
 
 @pytest.mark.parametrize("source, calls", [
@@ -136,7 +141,56 @@ def test_experiments_train_only_in_the_seeded_run():
     ("train = sgd_train\ndef sgd_train(data): pass", []),
 ])
 def test_guard_sees_sgd_train_calls(source, calls):
-    assert sgd_train_calls(ast.parse(source)) == calls
+    assert call_sites(ast.parse(source), "sgd_train") == calls
+
+
+def test_csv_is_written_only_in_main():
+    # Commands return their rows; one writer builds every spec line.
+    assert source_call_sites("_write_csv") == [("cli.py", "main")]
+
+
+# The earlier CLI: each of its six commands wrote its own CSV.
+EARLIER_WRITES = "".join(
+    "def _cmd_%s(args) -> None:\n    _write_csv(args, %r, spec, columns, rows)\n" % (cmd, cmd)
+    for cmd in ("risk", "landscape", "schur_sweep", "asymptotic", "train", "minimax"))
+
+
+@pytest.mark.parametrize("source, calls", [
+    (EARLIER_WRITES, [(2, "_cmd_risk"), (4, "_cmd_landscape"), (6, "_cmd_schur_sweep"),
+                      (8, "_cmd_asymptotic"), (10, "_cmd_train"), (12, "_cmd_minimax")]),
+    ("def main(argv=None):\n    if argv:\n        _write_csv(args, *args.func(args))",
+     [(3, "main")]),
+    ("cli._write_csv(args, columns, rows)", [(1, None)]),
+    ("write = _write_csv", []),
+])
+def test_guard_sees_csv_writes(source, calls):
+    assert call_sites(ast.parse(source), "_write_csv") == calls
+
+
+def test_threads_fan_out_through_one_pool():
+    # One fan-out, so every --threads path keeps item order the same way.
+    assert source_call_sites("ThreadPoolExecutor") == [("risk.py", "_ordered_map")]
+
+
+@pytest.mark.parametrize("source, calls", [
+    # The two pools of the earlier code: risk.monte_carlo_risk, cli._cmd_schur_sweep.
+    ("def monte_carlo_risk(weights, weights_star, threads=1):\n"
+     "    def run_chunk(index):\n"
+     "        return index\n"
+     "    if threads > 1:\n"
+     "        with ThreadPoolExecutor(max_workers=threads) as pool:\n"
+     "            results = list(pool.map(run_chunk, range(4)))",
+     [(5, "monte_carlo_risk")]),
+    ("def _cmd_schur_sweep(args):\n"
+     "    if args.threads > 1:\n"
+     "        with ThreadPoolExecutor(max_workers=args.threads) as pool:\n"
+     "            rows = list(pool.map(run, jobs))",
+     [(3, "_cmd_schur_sweep")]),
+    ("concurrent.futures.ThreadPoolExecutor(2).map(f, items)", [(1, None)]),
+    ("from concurrent.futures import ThreadPoolExecutor", []),
+])
+def test_guard_sees_thread_pools(source, calls):
+    assert call_sites(ast.parse(source), "ThreadPoolExecutor") == calls
 
 
 def _sliced(node, pattern):
