@@ -2,10 +2,9 @@
 
 Subcommands: ``risk``, ``landscape``, ``schur-sweep``, ``asymptotic``,
 ``train``, ``minimax``.  Every CSV output starts with comment lines that
-echo the tool version, the spec (every set argument but --out and
---threads) and the master seed; rerunning the same spec reproduces the
-file byte for byte (timing measurements are opt-in via --timing for that
-reason).  Each subcommand checks its arguments and returns its columns
+echo the tool version, the spec (every argument the run reads but --out,
+--save-net and --threads) and the master seed; rerunning the same spec
+reproduces the file byte for byte (--timing opts into wall-clock times).  Each subcommand checks its arguments and returns its columns
 and rows; ``main`` alone writes them, so a run that fails writes no CSV
 and leaves an existing file untouched.
 
@@ -60,12 +59,12 @@ def _fmt(value) -> str:
 def _write_csv(args, columns, rows) -> None:
     """Write one CSV to ``--out`` (or stdout): the header, columns and rows.
 
-    The spec line holds the command and every set argument but the two that
-    cannot change the body, ``--out`` and ``--threads``.  Every value is
-    formatted before the file is opened, so the output is all or nothing.
+    The spec line holds the command and every set argument but ``--out``,
+    ``--save-net`` and ``--threads``, which cannot change the body.  Every
+    value is formatted before the file is opened: the output is all or nothing.
     """
     spec = {k: v for k, v in vars(args).items()
-            if k not in ("func", "out", "threads") and v is not None}
+            if k not in ("func", "out", "save_net", "threads") and v is not None}
     lines = [
         "# porcupine %s" % __version__,
         "# spec: %s" % json.dumps(spec, sort_keys=True),
@@ -237,7 +236,7 @@ def _cmd_train(args):
         raise ParameterOutOfRange("matched runs need k divisible by d")
     if args.mode == "mismatched":
         count(args.k_star, "--k-star")
-        count(args.inits, "--inits")
+        args.inits = count(5 if args.inits is None else args.inits, "--inits")
     preset = desk_matched_config if args.mode == "matched" else desk_mismatched_config
     config = preset(seed=args.seed)
     if args.epochs is not None:
@@ -278,7 +277,7 @@ def _cmd_minimax(args):
     if args.delta is None:
         raise ParameterOutOfRange("--delta is required")
     if args.action == "net":
-        count(args.probes, "--probes")
+        args.probes = count(100_000 if args.probes is None else args.probes, "--probes")
     if args.action == "bound":
         rows = [("net_size_bound", net_size_bound(args.d, args.delta))]
         if args.s is not None:
@@ -287,6 +286,7 @@ def _cmd_minimax(args):
                 rows.append(("sparse_net_size_known_patterns",
                              sparse_net_size(args.d, args.s, args.delta, k=args.k)))
         if args.k is not None:
+            args.M = 1.0 if args.M is None else args.M
             rows.append(("minimax_risk_bound",
                          minimax_risk_bound(args.k, args.M, args.d, args.delta)))
     else:
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--k", required=True, help="comma-separated grid")
     p_train.add_argument("--k-star", dest="k_star", type=int)
     p_train.add_argument("--trials", type=int, default=10)
-    p_train.add_argument("--inits", type=int, default=5)
+    p_train.add_argument("--inits", type=int, default=None, help="default 5")
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--samples", type=int, default=None)
     _add_common(p_train)
@@ -370,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mini.add_argument("--s", type=int, default=None)
     p_mini.add_argument("--delta", type=float, default=None)
     p_mini.add_argument("--k", type=int, default=None)
-    p_mini.add_argument("--M", type=float, default=1.0)
-    p_mini.add_argument("--probes", type=int, default=100_000)
+    p_mini.add_argument("--M", type=float, default=None, help="default 1")
+    p_mini.add_argument("--probes", type=int, default=None, help="default 100000")
     p_mini.add_argument("--save-net", dest="save_net", default=None)
     _add_common(p_mini)
     p_mini.set_defaults(func=_cmd_minimax)

@@ -156,15 +156,11 @@ def _inverted_spectrum(matrix, vectors: bool = True):
 
 
 def _cutoff_keeps_all(sym: np.ndarray) -> bool:
-    """True when ``sym`` is positive definite and the cutoff of
-    ``_inverted_spectrum`` would keep every one of its eigenvalues.
-
-    One Cholesky factorization of ``sym - tau I`` with ``tau`` PINV_CUTOFF
-    times the largest absolute row sum decides it: the row sum bounds the
-    largest |eigenvalue| from above, so a factorization that succeeds
-    proves every eigenvalue exceeds the cutoff times the largest.  A
-    failure proves nothing; the caller then takes the eigendecomposition.
-    ``sym`` must be symmetric (only its lower triangle is read).
+    """True when one Cholesky factorization of ``sym - tau I``, ``tau``
+    PINV_CUTOFF times the largest absolute row sum, succeeds.  The row sum
+    bounds the largest |eigenvalue|, so then ``sym`` is positive definite and
+    the cutoff of ``_inverted_spectrum`` keeps every eigenvalue; a failure
+    proves nothing.  Only the lower triangle of the symmetric ``sym`` is read.
     """
     if sym.size == 0:
         return False
@@ -179,13 +175,38 @@ def _cutoff_keeps_all(sym: np.ndarray) -> bool:
     return True
 
 
-def _cutoff_drops_any(sym: np.ndarray) -> bool:
-    """True when the cutoff of ``_inverted_spectrum`` zeroes an eigenvalue
-    of the symmetric ``sym`` (it is numerically singular).  Eigenvalues are
-    computed only when the guard ``_cutoff_keeps_all`` fails."""
-    if _cutoff_keeps_all(sym):
-        return False
-    return not _inverted_spectrum(sym, vectors=False)[1].all()
+class _PseudoInverse:
+    """``pinv`` of a symmetric matrix under the cutoff of
+    ``_inverted_spectrum``: the one place its route is chosen.
+
+    When the guard ``_cutoff_keeps_all`` proves the cutoff drops nothing,
+    ``pinv`` is the inverse, applied by ``np.linalg.solve``.  Otherwise one
+    eigendecomposition ``V diag(lam) V'`` gives ``pinv = V diag(inv) V'``,
+    and ``quadratic(B) = B' pinv B`` is ``M' diag(inv) M`` with ``M = V' B``.
+    ``drops_any`` tells whether the cutoff zeroes an eigenvalue.
+    ``inverted()`` gives ``inv`` (after the solve route, by one ``eigvalsh``
+    when called) and holds no eigenvectors, so a report may keep it.
+    """
+
+    def __init__(self, matrix):
+        self._sym = sym = _require_symmetric(matrix)
+        self._vecs, self.drops_any = None, False
+        self.inverted = lambda: _inverted_spectrum(sym, vectors=False)[1]
+        if not _cutoff_keeps_all(sym):
+            self._vecs, inv = _inverted_spectrum(sym)
+            self._inv, self.drops_any = inv, not inv.all()
+            self.inverted = lambda: inv
+
+    def solve(self, rhs) -> np.ndarray:
+        if self._vecs is None:
+            return np.linalg.solve(self._sym, rhs)
+        return (self._vecs * self._inv[None, :]) @ self._vecs.T @ rhs
+
+    def quadratic(self, B) -> np.ndarray:
+        if self._vecs is None:
+            return B.T @ np.linalg.solve(self._sym, B)
+        m = self._vecs.T @ B
+        return (m.T * self._inv) @ m
 
 
 def symmetric_pseudo_inverse(matrix) -> np.ndarray:

@@ -26,12 +26,10 @@ from .errors import (
 from .kernel import (
     KernelBundle,
     _column_angles,
-    _cutoff_drops_any,
-    _cutoff_keeps_all,
+    _PseudoInverse,
     kernel_bundle,
     min_eigenvalue,
     psi,
-    symmetric_pseudo_inverse,
 )
 from .lines import PNNWeights, RegionSignature, ZERO_TOL
 from .risk import _line_risk, _line_terms
@@ -84,12 +82,12 @@ def scalar_region_classify(signs, w_star) -> RegionClassification:
 def scalar_hessian(signs):
     """Hessian of the single-input risk on the region with these signs.
 
-    Returns ``(H, rank)`` with ``H = (ones + s s') / 2``; the rank is 1 on
-    the two constant-sign regions and 2 everywhere else.
+    Returns ``(H, rank)`` with ``H = (ones + s s') / 2``; the rank, read off
+    the signs, is 1 on the two constant-sign regions and 2 everywhere else.
     """
     s = _sign_pattern(signs).astype(float)
     H = 0.5 * np.ones((s.size, s.size)) + 0.5 * np.outer(s, s)
-    return H, int(np.linalg.matrix_rank(H))
+    return H, 1 if np.all(s == s[0]) else 2
 
 
 @dataclass(frozen=True)
@@ -236,9 +234,8 @@ def bad_region_stationary(bundle: KernelBundle, q_star, line_signs, w0=None):
     orientation ``s_l = line_signs[l]``, so the column sum is ``U S q`` and
     the risk is a quadratic in the per-line masses ``q``.  Its stationary
     point solves ``(S G S + psi_lines) q = S U' w0 + psi_cross q*`` (``G``
-    the line Gram matrix): by one ``np.linalg.solve`` when the guard
-    ``kernel._cutoff_keeps_all`` proves the pseudo-inverse is the inverse,
-    as ``schur.schur_complement`` does, else by the pseudo-inverse.  Returns
+    the line Gram matrix) through ``kernel._PseudoInverse``, the
+    pseudo-inverse ``schur.schur_complement`` applies too.  Returns
     ``(z, q)`` with the column-sum gap ``z = U S q - w0``.  The lines need
     not span the ambient space (r < d is allowed).
     """
@@ -251,10 +248,7 @@ def bad_region_stationary(bundle: KernelBundle, q_star, line_signs, w0=None):
     US = bundle.lines.unit_vectors * s
     system = US.T @ US + bundle.psi_lines
     rhs = US.T @ w0 + bundle.psi_cross @ q_star
-    if _cutoff_keeps_all(system):
-        q = np.linalg.solve(system, rhs)
-    else:
-        q = symmetric_pseudo_inverse(system) @ rhs
+    q = _PseudoInverse(system).solve(rhs)
     return US @ q - w0, q
 
 
@@ -270,7 +264,7 @@ def bad_region_loss(bundle: KernelBundle, q_star) -> float:
     region.
     """
     q_star = finite_array(q_star, "target masses", (bundle.star.num_lines,))
-    if _cutoff_drops_any(bundle.psi_lines):
+    if _PseudoInverse(bundle.psi_lines).drops_any:
         raise SingularKernel("line kernel matrix is numerically singular")
     gap, q = bad_region_stationary(bundle, q_star, np.ones(bundle.num_lines))
     return _line_risk(bundle, gap, q, q_star).total

@@ -82,10 +82,11 @@ def _check_delta(delta: float) -> float:
 
 def _nets_times_size(nets: int, delta: float, n: int) -> float:
     """``(nets/2) (1 + sqrt(2)/sqrt(1 - cos delta))^n``, or ``math.inf``
-    when that leaves the float range."""
+    when that leaves the float range.  ``sqrt(2)/sqrt(1 - cos delta)`` is
+    read as ``1/sin(delta/2)``, which does not cancel at small ``delta``."""
     try:
-        return 0.5 * nets * (1.0 + math.sqrt(2.0) / math.sqrt(1.0 - math.cos(delta))) ** n
-    except OverflowError:
+        return 0.5 * nets * (1.0 + 1.0 / math.sin(delta / 2.0)) ** n
+    except (OverflowError, ZeroDivisionError):  # the smallest subnormal halves to 0
         return math.inf
 
 
@@ -222,7 +223,10 @@ def minimax_risk_bound(k: int, M: float, d: int, delta: float) -> float:
     delta, k, d = _check_delta(delta), count(k, "k"), count(d, "d")
     M = real(M, "M", 0.0, open_low=True, error=ParameterOutOfRange)
     try:
-        return k * M * math.sqrt(2.0 * d * (1.0 - math.cos(delta)))
+        # sqrt(2 (1 - cos delta)) = 2 sin(delta/2), or delta where delta/2 is 0;
+        # a product that underflows to 0 is bounded by the smallest float.
+        bound = k * M * math.sqrt(d) * (2.0 * math.sin(delta / 2.0) or delta)
+        return bound or math.ulp(0.0)
     except OverflowError:
         return math.inf
 

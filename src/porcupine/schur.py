@@ -27,11 +27,8 @@ from .errors import (
 )
 from .kernel import (
     KernelBundle,
-    _cutoff_drops_any,
-    _cutoff_keeps_all,
-    _inverted_spectrum,
     _norm_and_min,
-    _require_symmetric,
+    _PseudoInverse,
     kernel_bundle,
     min_eigenvalue,
     psi,
@@ -48,24 +45,19 @@ PERTURBATION_SLACK = 1e-9
 class SchurReport:
     """Schur complement of the model-line kernel block, with its spectrum.
 
-    The health of the pseudo-inverse of the model-line block is computed
-    on first read, so a caller that never reads it (the CLI, a sweep)
-    never pays for it: ``kept_rank`` counts the eigenvalues kept,
-    ``dropped_eigenvalues`` those the cutoff zeroed, and ``condition`` is
-    the largest kept |eigenvalue| over the smallest kept one (inf when
-    none is kept).  When ``schur_complement`` took its eigendecomposition
-    route they are read off the eigenvalues it inverted; after the solve
-    route the report keeps a reference to the read-only block and the
-    first read makes one ``eigvalsh`` of it, under the same cutoff rule.
-    ``add_line_update`` solves instead of decomposing, so its reports
-    give None for all three.
+    The health of the model block's pseudo-inverse is computed on first
+    read, so a caller that never reads it (the CLI, a sweep) never pays for
+    it: ``kept_rank`` counts the eigenvalues kept, ``dropped_eigenvalues``
+    those the cutoff zeroed, and ``condition`` is the largest kept
+    |eigenvalue| over the smallest kept one (inf when none is kept).
+    ``add_line_update``'s reports, whose block is never factorized, give None.
     """
 
     schur: np.ndarray
     spectral_norm: float
     min_eigenvalue: float
     # Zero-argument function giving the inverted eigenvalues of the model
-    # block (``_inverted_spectrum``'s ``inv``), or None when they are unknown.
+    # block (``_PseudoInverse.inverted``), or None when they are unknown.
     _inverted: Callable[[], np.ndarray] | None = field(default=None, repr=False)
 
     @cached_property
@@ -91,8 +83,11 @@ class SchurReport:
         return self._health[2]
 
     def loss_at_good_local(self, q_star) -> float:
-        """Risk attained at good-region optima for target masses ``q_star``,
-        one finite mass per target line (DimensionMismatch, DomainError)."""
+        """``q*' schur q* / 4``, a lower bound on the good-region risk for
+        target masses ``q_star``, one finite mass per target line
+        (DimensionMismatch, DomainError).  It is attained when
+        ``pinv(psi_lines) psi_cross q*`` has no negative entry; otherwise
+        the least reachable risk lies above it."""
         q = finite_array(np.ravel(q_star), "target masses", (self.schur.shape[0],))
         return 0.25 * float(q @ self.schur @ q)
 
@@ -108,39 +103,25 @@ def _report_from_matrix(schur: np.ndarray, inverted=None) -> SchurReport:
 def schur_complement(bundle: KernelBundle) -> SchurReport:
     """``psi_star - psi_cross' pinv(psi_lines) psi_cross`` with spectrum.
 
-    When the model-line block is positive definite with every eigenvalue
-    above PINV_CUTOFF times the largest, the pseudo-inverse is the inverse
-    and the complement is ``psi_star - C' solve(psi_lines, C)`` with
-    ``C = psi_cross``.  One Cholesky factorization of the block shifted
-    down by the cutoff times its largest absolute row sum proves that
-    (``kernel._cutoff_keeps_all``); it holds for random line sets in
-    general position.  Otherwise, e.g. for many lines in few dimensions,
-    one eigendecomposition ``psi_lines = V diag(lam) V'`` gives the
-    pseudo-inverse in factored form: with ``M = V' C`` the complement is
-    ``psi_star - M' diag(1/lam) M``, so no r x r inverse is formed.
-    Either way one ``eigvalsh`` of the symmetrised result gives its
-    spectral norm and smallest eigenvalue; the block's health is computed
-    when first read (see ``SchurReport``).
+    ``pinv`` is applied by ``kernel._PseudoInverse`` (a solve, or a
+    factored eigendecomposition).  One ``eigvalsh`` of the symmetrised
+    result gives its spectral norm and smallest eigenvalue; the block's
+    health is computed when first read (see ``SchurReport``).
     """
-    block = _require_symmetric(bundle.psi_lines)
-    if _cutoff_keeps_all(block):
-        schur = bundle.psi_star - bundle.psi_cross.T @ np.linalg.solve(block, bundle.psi_cross)
-        return _report_from_matrix(
-            schur, lambda: _inverted_spectrum(block, vectors=False)[1])
-    vecs, inv = _inverted_spectrum(block)
-    m = vecs.T @ bundle.psi_cross
-    schur = bundle.psi_star - (m.T * inv) @ m
-    return _report_from_matrix(schur, lambda: inv)
+    pinv = _PseudoInverse(bundle.psi_lines)
+    return _report_from_matrix(bundle.psi_star - pinv.quadratic(bundle.psi_cross),
+                               pinv.inverted)
 
 
 def good_local_loss(report: SchurReport, q_star):
-    """Exact good-region loss and its spectral-norm upper bound."""
+    """The good-region lower bound ``loss_at_good_local`` and its
+    spectral-norm upper bound ``|q*|^2 |schur| / 4``."""
     q = np.asarray(q_star, dtype=float).ravel()
-    exact = report.loss_at_good_local(q)
+    lower = report.loss_at_good_local(q)
     if np.any(q < 0):
         raise NegativeMass("per-line masses must be non-negative")
     upper = 0.25 * float(q @ q) * report.spectral_norm
-    return exact, upper
+    return lower, upper
 
 
 def add_line_update(report: SchurReport, bundle: KernelBundle, new_line):
@@ -151,20 +132,19 @@ def add_line_update(report: SchurReport, bundle: KernelBundle, new_line):
     ``(new_report, alpha, v)`` with ``new_schur = schur - alpha * v v'``
     and ``alpha >= 0``, so the spectral norm never increases.  The new
     report's ``kept_rank``, ``dropped_eigenvalues`` and ``condition`` are
-    None: the update solves with the model-line block instead of
-    decomposing it.
+    None (see ``SchurReport``).
     """
     unit, _ = canonicalize_vector(np.asarray(new_line, dtype=float))
     z1 = np.clip(bundle.lines.unit_vectors.T @ unit, -1.0, 1.0)
     z2 = np.clip(bundle.star.unit_vectors.T @ unit, -1.0, 1.0)
     if _collinear(z1).any():
         raise DuplicateLine("the added line coincides with an existing model line")
-    D11 = bundle.psi_lines
-    if _cutoff_drops_any(D11):
+    pinv = _PseudoInverse(bundle.psi_lines)
+    if pinv.drops_any:
         raise SingularKernel("model-line kernel block is numerically singular")
     zeta1 = psi(z1)
     zeta2 = psi(z2)
-    solved = np.linalg.solve(D11, zeta1)
+    solved = pinv.solve(zeta1)
     denom = 1.0 - float(zeta1 @ solved)
     if denom <= PIVOT_TOL:
         raise SingularKernel("extended kernel block would be singular")

@@ -62,9 +62,13 @@ def test_bounds_beyond_the_float_range_are_inf():
     assert p.net_size_bound(10**4, 0.3) == math.inf
     assert p.sparse_net_size(3000, 1500, 1.5) == math.inf
     assert p.sparse_net_size(3000, 1500, 0.3, k=2) == math.inf
-    # Below the largest float the bounds are the plain formulas, bit for bit.
-    base = 1.0 + math.sqrt(2.0) / math.sqrt(1.0 - math.cos(0.3))
+    # Below the largest float the bounds are the plain formulas, bit for bit,
+    # with sqrt(2)/sqrt(1 - cos delta) read as 1/sin(delta/2); the cosine
+    # form agrees to rounding.
+    base = 1.0 + 1.0 / math.sin(0.3 / 2.0)
+    former = 1.0 + math.sqrt(2.0) / math.sqrt(1.0 - math.cos(0.3))
     assert p.net_size_bound(300, 0.3) == 0.5 * base**300
+    assert p.net_size_bound(300, 0.3) == pytest.approx(0.5 * former**300, rel=1e-12)
     assert p.sparse_net_size(60, 30, 0.3) == 0.5 * math.comb(60, 30) * base**30
     assert p.sparse_net_size(60, 30, 0.3, k=7) == 0.5 * 7 * base**30
 
@@ -83,9 +87,70 @@ def test_risk_bound_and_region_probability_beyond_the_float_range():
     assert p.good_region_probability(10**400, 10**401, 2) == 0.0
     assert p.good_region_probability(10**400, 10**400 - 5, 2) == 0.0
     assert p.good_region_probability(10**400, 10**399, 2) == 1.0
-    # Below the largest float the risk bound is the plain formula, bit for bit.
-    assert p.minimax_risk_bound(10**308, 1.0, 3, 0.3) == 10**308 * 1.0 * math.sqrt(
-        2.0 * 3 * (1.0 - math.cos(0.3)))
+    # Below the largest float the risk bound is the plain formula, bit for bit,
+    # with sqrt(2 d (1 - cos delta)) read as sqrt(d) 2 sin(delta/2).
+    assert p.minimax_risk_bound(10**308, 1.0, 3, 0.3) == 10**308 * 1.0 * math.sqrt(3) * (
+        2.0 * math.sin(0.3 / 2.0))
+    assert p.minimax_risk_bound(10**308, 1.0, 3, 0.3) == pytest.approx(
+        10**308 * 1.0 * math.sqrt(2.0 * 3 * (1.0 - math.cos(0.3))), rel=1e-15)
+
+
+class TestSmallDelta:
+    """``1 - cos delta`` cancels to 0 below about 1e-8; the bounds read it as
+    ``2 sin^2(delta/2)`` and stay true bounds down to the smallest subnormal."""
+
+    @staticmethod
+    def exact_net_size(n, delta):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40 - 2 * math.floor(math.log10(delta))):  # 1 - cos keeps 40
+            delta = mpmath.mpf(delta)
+            return float(0.5 * (1 + mpmath.sqrt(2) / mpmath.sqrt(1 - mpmath.cos(delta))) ** n)
+
+    @pytest.mark.parametrize("n, delta", [(4, 1e-6), (7, 1e-9), (2, 1e-100), (1, 1e-300)])
+    def test_net_size_matches_high_precision(self, n, delta):
+        # At delta = 1e-6 the cosine form was off by 1.8e-4 relative (n = 4);
+        # at 1e-9 it divided by zero.
+        assert p.net_size_bound(n, delta) == pytest.approx(self.exact_net_size(n, delta),
+                                                           rel=1e-13)
+
+    def test_bounds_past_the_float_range_are_inf(self):
+        assert p.sparse_net_size(7, 2, 1e-300) == math.inf
+        assert p.net_size_bound(7, 1e-300) == math.inf
+
+    def test_risk_bound_stays_positive(self):
+        # The cosine form returned 0.0 here, which bounds nothing.
+        assert p.minimax_risk_bound(3, 1.0, 7, 1e-300) == pytest.approx(
+            3 * math.sqrt(7) * 1e-300, rel=1e-12, abs=0.0)
+        # A product below the float range is bounded by the smallest float.
+        assert p.minimax_risk_bound(3, 1e-300, 7, 1e-300) == math.ulp(0.0)
+
+    def test_smallest_subnormal_delta(self):
+        delta = 5e-324  # delta / 2 rounds to 0
+        assert delta / 2.0 == 0.0
+        assert p.net_size_bound(3, delta) == math.inf
+        assert p.sparse_net_size(7, 2, delta, k=3) == math.inf
+        assert 0.0 < p.minimax_risk_bound(3, 1.0, 7, delta) < 1e-320
+
+    def test_every_delta_gives_a_positive_bound_or_inf(self):
+        deltas = [5e-324, 1e-323, 1.5e-323, 1e-320, 1e-310, 1e-200, 1e-20, 1e-9, 1e-8,
+                  1e-4, 0.3, 1.0, math.pi / 2]
+        for delta in deltas:
+            for value in (p.net_size_bound(7, delta), p.sparse_net_size(7, 2, delta),
+                          p.minimax_risk_bound(3, 1.0, 7, delta)):
+                assert value > 0.0
+        sizes = [p.net_size_bound(4, delta) for delta in deltas]
+        assert sizes == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize("argv", [
+        ["minimax", "bound", "--d", "7", "--delta", "1e-300", "--s", "2", "--k", "3"],
+        ["minimax", "bound", "--d", "7", "--delta", "5e-324"],
+        ["minimax", "net", "--d", "1", "--delta", "1e-300", "--probes", "10"],
+    ])
+    def test_cli_exits_zero(self, argv, capsys):
+        from porcupine import cli
+
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 def exact_good_region_probability(r, d, t):

@@ -117,8 +117,9 @@ def test_spec_reproduces_pinned_body(tmp_path, name, threads):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_spec_line_is_the_body_identity(tmp_path, name):
     """The whole file, header included, is the same at --threads 1 and 2, and
-    its spec line is the command and every set argument but --out and
-    --threads, with train's per-mode --samples default resolved."""
+    its spec line is the command and every set argument but --out,
+    --save-net and --threads, with the defaults the run reads resolved:
+    train's per-mode --samples and minimax net's --probes."""
     argv = SPECS[name] + (["--save-net", str(tmp_path / SAVED_NET[name])]
                           if name in SAVED_NET else [])
     texts = []
@@ -128,9 +129,12 @@ def test_spec_line_is_the_body_identity(tmp_path, name):
         texts.append(out.read_text())
     assert texts[0] == texts[1]
     parsed = vars(cli.build_parser().parse_args(argv))
-    want = {k: v for k, v in parsed.items() if k not in ("func", "threads") and v is not None}
-    if argv[0] == "train":  # every pinned train spec sets --epochs
+    want = {k: v for k, v in parsed.items()
+            if k not in ("func", "save_net", "threads") and v is not None}
+    if argv[0] == "train":  # every pinned train spec sets --epochs, mismatched --inits
         want["samples"] = 2000 if argv[1] == "matched" else 4000
+    if argv[:2] == ["minimax", "net"]:  # the pinned bound spec sets its --M
+        want["probes"] = 100_000
     spec_line = texts[0].splitlines()[1]
     assert spec_line.startswith("# spec: ")
     assert json.loads(spec_line[len("# spec: "):]) == want

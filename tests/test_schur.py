@@ -554,13 +554,13 @@ class TestSchurSolveRoute:
 
     def test_health_is_computed_once_on_first_read(self, monkeypatch):
         calls = []
-        original = p.schur._inverted_spectrum
+        original = p.kernel._inverted_spectrum
 
         def counted(*args, **kwargs):
             calls.append(kwargs.get("vectors", True))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(p.schur, "_inverted_spectrum", counted)
+        monkeypatch.setattr(p.kernel, "_inverted_spectrum", counted)
         report = p.schur_complement(random_bundle(8, 16, 8, 35))
         assert calls == []
         assert report.kept_rank == 16
@@ -650,14 +650,14 @@ def singular_reference(matrix, cutoff):
 class TestSingularityDecision:
     @pytest.mark.parametrize("multiple", [0.5, 1.0, 3.0])
     def test_kernel_block_decision_matches_former_rule(self, multiple):
-        from porcupine.kernel import PINV_CUTOFF, _cutoff_drops_any
+        from porcupine.kernel import PINV_CUTOFF, _PseudoInverse
 
         r = 40
         lam = np.linspace(1.0, 2.0, r)
         lam[0] = multiple * PINV_CUTOFF * lam[-1]
         bundle = synthetic_bundle(lam, 6, (36, r))
         singular = singular_reference(bundle.psi_lines, PINV_CUTOFF)
-        assert _cutoff_drops_any(bundle.psi_lines) == singular
+        assert _PseudoInverse(bundle.psi_lines).drops_any == singular
         if multiple != 1.0:  # exactly at the cutoff, rounding decides
             assert singular == (multiple < 1.0)
         report = p.schur_complement(bundle)
@@ -676,7 +676,7 @@ class TestSingularityDecision:
         assert [m == e for m, e in zip(messages, expected)] == [singular, singular]
 
     def test_projector_decision_matches_former_rule(self):
-        from porcupine.kernel import PINV_CUTOFF, _cutoff_drops_any
+        from porcupine.kernel import PINV_CUTOFF, _PseudoInverse
 
         outcomes = set()
         for seed in range(40):
@@ -685,7 +685,7 @@ class TestSingularityDecision:
             lines = p.random_line_set(d, r, (40, seed))
             U = lines.unit_vectors
             singular = singular_reference(U @ U.T, PINV_CUTOFF)
-            assert _cutoff_drops_any(U @ U.T) == singular
+            assert _PseudoInverse(U @ U.T).drops_any == singular
             outcomes.add(singular)
             # Every set, singular projector or not, meets the stationary system.
             bundle = p.kernel_bundle(lines, lines)

@@ -2,7 +2,8 @@
 src/porcupine imports scipy or hypothesis, a test dependency only), imports
 no name it does not use, builds every root seed through the seed rule of
 ``_checks``, trains only in ``trainer._seeded_run``, writes CSV only in
-``cli.main`` and builds its one thread pool in ``risk._ordered_map``."""
+``cli.main``, builds its one thread pool in ``risk._ordered_map`` and
+factorizes matrices only in ``kernel``."""
 
 import ast
 from pathlib import Path
@@ -247,3 +248,73 @@ def test_rows_are_normed_in_one_function():
 ])
 def test_guard_sees_row_norms(source, sites):
     assert row_norm_sites(ast.parse(source)) == sites
+
+
+FACTORIZATIONS = {"solve", "cholesky", "eigh", "eigvalsh", "inv", "pinv", "lstsq", "svd",
+                  "matrix_rank"}
+
+
+def factorization_sites(tree, owner=None):
+    """``(line, function)`` of each call of a ``linalg`` factorization
+    (``np.linalg.solve``, ``linalg.eigh``, ...) and of each import of one
+    by name, with the innermost function around it (None at module level)."""
+    sites = []
+    for node in ast.iter_child_nodes(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(func, ast.Attribute) and func.attr in FACTORIZATIONS
+                and getattr(func.value, "attr", getattr(func.value, "id", None)) == "linalg"):
+            sites.append((node.lineno, owner))
+        if (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                and any(alias.name in FACTORIZATIONS for alias in node.names)):
+            sites.append((node.lineno, owner))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        sites += factorization_sites(node, inner)
+    return sorted(sites)
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "kernel.py"],
+                         ids=lambda path: path.name)
+def test_matrices_are_factorized_only_in_kernel(path):
+    # One pseudo-inverse convention, so every caller applies the same cutoff.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert factorization_sites(tree) == [], "%s factorizes a matrix" % path.name
+
+
+@pytest.mark.parametrize("source, sites", [
+    # The sites of the earlier code: schur.schur_complement, schur.add_line_update,
+    # landscape.bad_region_stationary and landscape.scalar_hessian.
+    ("def schur_complement(bundle):\n"
+     "    block = _require_symmetric(bundle.psi_lines)\n"
+     "    if _cutoff_keeps_all(block):\n"
+     "        schur = bundle.psi_star - bundle.psi_cross.T @ np.linalg.solve(block, C)",
+     [(4, "schur_complement")]),
+    ("def add_line_update(report, bundle, new_line):\n"
+     "    solved = np.linalg.solve(D11, zeta1)", [(2, "add_line_update")]),
+    ("def bad_region_stationary(bundle, q_star, line_signs, w0=None):\n"
+     "    if _cutoff_keeps_all(system):\n"
+     "        q = np.linalg.solve(system, rhs)\n"
+     "    else:\n"
+     "        q = symmetric_pseudo_inverse(system) @ rhs",
+     [(3, "bad_region_stationary")]),
+    ("def scalar_hessian(signs):\n"
+     "    return H, int(np.linalg.matrix_rank(H))", [(2, "scalar_hessian")]),
+    ("from numpy import linalg\nlinalg.eigvalsh(m)", [(2, None)]),
+    ("from numpy.linalg import svd, norm", [(1, None)]),
+    ("numpy.linalg.lstsq(a, b)\nscipy.linalg.cholesky(a)", [(1, None), (2, None)]),
+    ("np.linalg.norm(x)\npinv.solve(rhs)\nfrom numpy.linalg import norm", []),
+])
+def test_guard_sees_factorizations(source, sites):
+    assert factorization_sites(ast.parse(source)) == sites
+
+
+def test_pinv_callers_use_the_one_routine():
+    # The guard decision lives in kernel._PseudoInverse alone.
+    helpers = {"_cutoff_keeps_all", "_cutoff_drops_any", "_inverted_spectrum",
+               "_require_symmetric", "symmetric_pseudo_inverse"}
+    for path in SOURCES:
+        if path.name in ("schur.py", "landscape.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     for alias in node.names}
+            assert names & helpers == set(), path.name
+            assert "_PseudoInverse" in names, path.name

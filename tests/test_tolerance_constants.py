@@ -8,9 +8,9 @@ import pytest
 
 import porcupine as p
 from porcupine.kernel import (
-    _cutoff_drops_any,
     _cutoff_keeps_all,
     _inverted_spectrum,
+    _PseudoInverse,
     _require_symmetric,
 )
 from porcupine.lines import _collinear, _first_collision
@@ -44,7 +44,7 @@ SIGNATURES = [
     (_require_symmetric, ["matrix"]),
     (_inverted_spectrum, ["matrix", "vectors"]),
     (_cutoff_keeps_all, ["sym"]),
-    (_cutoff_drops_any, ["sym"]),
+    (_PseudoInverse, ["matrix"]),
     (_collinear, ["cosines"]),
     (_first_collision, ["cosines"]),
 ]
