@@ -98,6 +98,15 @@ def _check_line_count(d: int, most_lines: int) -> None:
         raise ParameterOutOfRange("d = 1 has one line; cannot draw %d distinct lines" % most_lines)
 
 
+def _reject_ignored(args, action: str, dests) -> None:
+    """ParameterOutOfRange naming every flag among ``dests`` that is set
+    although ``action`` does not read it, so no spec line echoes a flag that
+    cannot change its body."""
+    given = ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise ParameterOutOfRange("%s does not read %s" % (action, " or ".join(given)))
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -234,7 +243,9 @@ def _cmd_train(args):
     count(args.samples, "--samples")
     if args.mode == "matched" and any(k % args.d for k in k_grid):
         raise ParameterOutOfRange("matched runs need k divisible by d")
-    if args.mode == "mismatched":
+    if args.mode == "matched":
+        _reject_ignored(args, "train matched", ("inits", "k_star"))
+    else:
         count(args.k_star, "--k-star")
         args.inits = count(5 if args.inits is None else args.inits, "--inits")
     preset = desk_matched_config if args.mode == "matched" else desk_mismatched_config
@@ -276,9 +287,10 @@ def _cmd_train(args):
 def _cmd_minimax(args):
     if args.delta is None:
         raise ParameterOutOfRange("--delta is required")
-    if args.action == "net":
-        args.probes = count(100_000 if args.probes is None else args.probes, "--probes")
     if args.action == "bound":
+        # --M scales the minimax risk bound, which needs --k.
+        _reject_ignored(args, "minimax bound",
+                        ("probes", "save_net") + (() if args.k is not None else ("M",)))
         rows = [("net_size_bound", net_size_bound(args.d, args.delta))]
         if args.s is not None:
             rows.append(("sparse_net_size", sparse_net_size(args.d, args.s, args.delta)))
@@ -290,6 +302,8 @@ def _cmd_minimax(args):
             rows.append(("minimax_risk_bound",
                          minimax_risk_bound(args.k, args.M, args.d, args.delta)))
     else:
+        _reject_ignored(args, "minimax net", ("k", "s", "M"))
+        args.probes = count(100_000 if args.probes is None else args.probes, "--probes")
         net = greedy_angular_net(args.d, args.delta, seed=args.seed)
         gap = coverage_gap(net, n_probes=args.probes, seed=args.seed + 1)
         rows = [("net_size", net.size), ("coverage_gap", gap), ("delta", args.delta),

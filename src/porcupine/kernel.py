@@ -25,6 +25,7 @@ ASYM_TOL = 1e-9
 
 _PSI_BLOCK = 8192  # entries per block of psi's large-array path
 _SYM_TILE = 128  # rows and columns per tile of the exact symmetry check
+_FACTOR_BLOCK = 128  # largest block _inverse_factor factors without halving
 
 
 def psi(x):
@@ -155,56 +156,91 @@ def _inverted_spectrum(matrix, vectors: bool = True):
     return vecs, inv
 
 
-def _cutoff_keeps_all(sym: np.ndarray) -> bool:
-    """True when one Cholesky factorization of ``sym - tau I``, ``tau``
-    PINV_CUTOFF times the largest absolute row sum, succeeds.  The row sum
-    bounds the largest |eigenvalue|, so then ``sym`` is positive definite and
-    the cutoff of ``_inverted_spectrum`` keeps every eigenvalue; a failure
-    proves nothing.  Only the lower triangle of the symmetric ``sym`` is read.
+def _inverse_factor(sym: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The lower-triangular ``Li`` with ``Li sym Li' = I``, the inverse of
+    the Cholesky factor of ``sym``, written into ``out`` when given.
+
+    It works by halves: with ``Li11`` the factor of the leading block,
+    ``L21 = A21 Li11'``, ``Li22`` the factor of ``A22 - L21 L21'`` and
+    ``Li21 = -Li22 L21 Li11``.  Blocks of at most ``_FACTOR_BLOCK`` rows are
+    factored by ``np.linalg.cholesky`` and inverted, so nearly all the work
+    is in matrix products, which run on every core.  A block that is not
+    numerically positive definite raises ``np.linalg.LinAlgError``.  Only
+    the lower triangle of the symmetric ``sym`` is read.
+    """
+    n = sym.shape[0]
+    out = np.zeros((n, n)) if out is None else out
+    if n <= _FACTOR_BLOCK:
+        out[...] = np.tril(np.linalg.inv(np.linalg.cholesky(sym)))
+        return out
+    h = n // 2
+    li11 = _inverse_factor(sym[:h, :h], out[:h, :h])
+    l21 = sym[h:, :h] @ li11.T
+    schur = l21 @ l21.T
+    np.subtract(sym[h:, h:], schur, out=schur)
+    li22 = _inverse_factor(schur, out[h:, h:])
+    del schur
+    np.matmul(np.negative(li22 @ l21), li11, out=out[h:, :h])
+    return out
+
+
+def _guarded_factor(sym: np.ndarray) -> np.ndarray | None:
+    """``_inverse_factor(sym)`` when it proves that the cutoff of
+    ``_inverted_spectrum`` keeps every eigenvalue of ``sym``, else None.
+
+    The proof: the factor exists, so ``sym`` is positive definite, and
+    PINV_CUTOFF times the largest absolute row sum times ``|Li|_F^2`` is
+    below 1.  The row sum bounds the largest eigenvalue and
+    ``|Li|_F^2 = trace(sym^-1)`` is at least one over the smallest, so the
+    smallest exceeds the cutoff.  A NaN anywhere fails the test; a failure
+    proves nothing.
     """
     if sym.size == 0:
-        return False
-    shifted = np.abs(sym)
-    row_sum = float(np.max(shifted.sum(axis=1)))
-    np.copyto(shifted, sym)
-    shifted.flat[:: sym.shape[0] + 1] -= PINV_CUTOFF * row_sum
+        return None
+    row_sum = float(np.max(np.abs(sym).sum(axis=1)))
     try:
-        np.linalg.cholesky(shifted)
+        factor = _inverse_factor(sym)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
+    if PINV_CUTOFF * row_sum * float(np.vdot(factor, factor)) < 1.0:
+        return factor
+    return None
 
 
 class _PseudoInverse:
     """``pinv`` of a symmetric matrix under the cutoff of
     ``_inverted_spectrum``: the one place its route is chosen.
 
-    When the guard ``_cutoff_keeps_all`` proves the cutoff drops nothing,
-    ``pinv`` is the inverse, applied by ``np.linalg.solve``.  Otherwise one
-    eigendecomposition ``V diag(lam) V'`` gives ``pinv = V diag(inv) V'``,
-    and ``quadratic(B) = B' pinv B`` is ``M' diag(inv) M`` with ``M = V' B``.
-    ``drops_any`` tells whether the cutoff zeroes an eigenvalue.
-    ``inverted()`` gives ``inv`` (after the solve route, by one ``eigvalsh``
-    when called) and holds no eigenvectors, so a report may keep it.
+    When ``_guarded_factor`` proves the cutoff drops nothing, ``pinv`` is the
+    inverse ``Li' Li``, from one inverse Cholesky factor ``Li``:
+    ``solve(rhs)`` is ``Li' (Li rhs)`` and ``quadratic(B)`` is ``M' M`` with
+    ``M = Li B``, a symmetric rank-k product that is exactly symmetric.
+    Otherwise one eigendecomposition ``V diag(lam) V'`` gives
+    ``pinv = V diag(inv) V'``, and ``quadratic(B)`` is ``M' diag(inv) M``
+    with ``M = V' B``.  ``drops_any`` tells whether the cutoff zeroes an
+    eigenvalue.  ``inverted()`` gives ``inv`` (after the factor route, by
+    one ``eigvalsh`` when called) and holds no eigenvectors, so a report may
+    keep it.
     """
 
     def __init__(self, matrix):
-        self._sym = sym = _require_symmetric(matrix)
-        self._vecs, self.drops_any = None, False
+        sym = _require_symmetric(matrix)
+        self._factor, self._vecs, self.drops_any = _guarded_factor(sym), None, False
         self.inverted = lambda: _inverted_spectrum(sym, vectors=False)[1]
-        if not _cutoff_keeps_all(sym):
+        if self._factor is None:
             self._vecs, inv = _inverted_spectrum(sym)
             self._inv, self.drops_any = inv, not inv.all()
             self.inverted = lambda: inv
 
     def solve(self, rhs) -> np.ndarray:
         if self._vecs is None:
-            return np.linalg.solve(self._sym, rhs)
+            return self._factor.T @ (self._factor @ rhs)
         return (self._vecs * self._inv[None, :]) @ self._vecs.T @ rhs
 
     def quadratic(self, B) -> np.ndarray:
         if self._vecs is None:
-            return B.T @ np.linalg.solve(self._sym, B)
+            m = self._factor @ B
+            return m.T @ m
         m = self._vecs.T @ B
         return (m.T * self._inv) @ m
 

@@ -205,16 +205,22 @@ def analytic_gradient(weights: PNNWeights, weights_star: PNNWeights):
 def _line_gradient(weights: PNNWeights, weights_star: PNNWeights) -> np.ndarray:
     """The risk's derivative along each neuron's line: for neuron ``j``
     with scalar ``c_j`` on line ``l``, ``(u_l' gap + sign(c_j) (psi_lines q
-    - psi_cross q*)_l) / 2``.  A zero column raises ZeroColumn."""
+    - psi_cross q*)_l) / 2``; when both networks share one line set the
+    three blocks are ``psi(G)``, and the mass term is read as
+    ``psi(G) (q - q*)``, as ``matched_risk`` does.  A zero column raises
+    ZeroColumn."""
     gap, q, q_star = _line_terms(weights, weights_star)
     c = weights.scales
     if np.any(np.abs(c) <= ZERO_TOL):
         raise ZeroColumn("gradient undefined at zero weight columns")
-    bundle = kernel_bundle(weights.line_set, weights_star.line_set)
+    if weights.line_set.same_geometry(weights_star.line_set):
+        mass = psi(weights.line_set.gram) @ (q - q_star)
+    else:
+        bundle = kernel_bundle(weights.line_set, weights_star.line_set)
+        mass = bundle.psi_lines @ q - bundle.psi_cross @ q_star
     lines = list(weights.neuron_map.assignment)
     along = (weights.line_set.unit_vectors.T @ gap)[lines]
-    mass = (bundle.psi_lines @ q - bundle.psi_cross @ q_star)[lines]
-    return 0.5 * (along + np.sign(c) * mass)
+    return 0.5 * (along + np.sign(c) * mass[lines])
 
 
 def stationarity_check(

@@ -103,10 +103,12 @@ def _report_from_matrix(schur: np.ndarray, inverted=None) -> SchurReport:
 def schur_complement(bundle: KernelBundle) -> SchurReport:
     """``psi_star - psi_cross' pinv(psi_lines) psi_cross`` with spectrum.
 
-    ``pinv`` is applied by ``kernel._PseudoInverse`` (a solve, or a
-    factored eigendecomposition).  One ``eigvalsh`` of the symmetrised
-    result gives its spectral norm and smallest eigenvalue; the block's
-    health is computed when first read (see ``SchurReport``).
+    ``pinv`` is applied by ``kernel._PseudoInverse``: with the inverse
+    Cholesky factor ``Li`` of ``psi_lines`` the product is ``M' M`` with
+    ``M = Li psi_cross``, or, when the cutoff may drop an eigenvalue, it
+    comes from a factored eigendecomposition.  One ``eigvalsh`` of the
+    symmetrised result gives its spectral norm and smallest eigenvalue; the
+    block's health is computed when first read (see ``SchurReport``).
     """
     pinv = _PseudoInverse(bundle.psi_lines)
     return _report_from_matrix(bundle.psi_star - pinv.quadratic(bundle.psi_cross),

@@ -452,3 +452,28 @@ class TestArgumentChecks:
         out = tmp_path / "one.csv"
         assert run_cli(argv + ["--out", str(out)]) == 0
         assert len(read_body(out)) >= 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["minimax", "net", "--d", "2", "--delta", "0.4", "--k", "3"], "--k"),
+        (["minimax", "net", "--d", "2", "--delta", "0.4", "--s", "1"], "--s"),
+        (["minimax", "net", "--d", "2", "--delta", "0.4", "--M", "2"], "--M"),
+        (["minimax", "bound", "--d", "4", "--delta", "0.3", "--probes", "10"], "--probes"),
+        (["minimax", "bound", "--d", "4", "--delta", "0.3", "--M", "2"], "--M"),
+        (["minimax", "bound", "--d", "4", "--delta", "0.3", "--save-net", "v.csv"],
+         "--save-net"),
+        (["train", "matched", "--d", "2", "--k", "4", "--trials", "1", "--epochs", "1",
+          "--inits", "3"], "--inits"),
+        (["train", "matched", "--d", "2", "--k", "4", "--trials", "1", "--epochs", "1",
+          "--k-star", "4"], "--k-star"),
+    ])
+    def test_flag_the_action_ignores_exits_two_without_work(
+            self, argv, flag, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("greedy_angular_net", "net_size_bound", "experiment_matched_degree_one"):
+            monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(a))
+        out = tmp_path / "x.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert calls == []
+        assert not out.exists()

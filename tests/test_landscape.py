@@ -405,6 +405,19 @@ class TestLineGradient:
             got = _line_gradient(w, w_star)
             assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
 
+    def test_shared_line_set_builds_no_bundle(self, monkeypatch):
+        import porcupine.landscape as landscape
+
+        def no_bundle(*args, **kwargs):
+            raise AssertionError("a shared line set needs only psi(G)")
+
+        monkeypatch.setattr(landscape, "kernel_bundle", no_bundle)
+        for seed in range(20):
+            w, w_star = gradient_instance(seed, matched=True)
+            reference = p.analytic_gradient(w, w_star)[1]
+            got = _line_gradient(w, w_star)
+            assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+
     def test_zero_column_rejected(self):
         ls = p.random_line_set(3, 2, seed=24)
         m = p.NeuronLineMap(3, (0, 1, 1))

@@ -12,7 +12,11 @@ Grams span more than one evaluation block, before ``psi``,
 ``BadLocal`` train body and the matched ``risk`` body were written before
 the closed-form risks and the stationarity test were read from one
 line-coordinate quadratic (the stationarity test decides each ``BadLocal``
-row).  The current code must reproduce them.  A change that alters these numbers on purpose regenerates the files.
+row).  Two rows of the d=2 sweep (r=40 trial 0 and r=60 trial 1, whose
+model-line blocks have condition numbers near 6e8) were rewritten when the
+pseudo-inverse's solve moved from an LU solve to one inverse Cholesky
+factor; they moved at the rounding floor of ``psi_star``.  The current code
+must reproduce them.  A change that alters these numbers on purpose regenerates the files.
 
 Integers and labels must match exactly.  Floats must match within
 ``FLOAT_RTOL`` of the stored value: the bodies are bit-identical on one

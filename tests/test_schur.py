@@ -521,14 +521,19 @@ def synthetic_bundle(lam, r_star, seed):
     return dataclasses.replace(base, psi_lines=A, psi_cross=C, psi_star=(star + star.T) / 2.0)
 
 
+def keeps_all(matrix):
+    """Whether the guard proves that the cutoff keeps every eigenvalue."""
+    from porcupine.kernel import _guarded_factor
+
+    return _guarded_factor(matrix) is not None
+
+
 class TestSchurSolveRoute:
     @pytest.mark.parametrize("d", [8, 64, 256])
     @pytest.mark.parametrize("factor", [1, 2])
     def test_solve_route_matches_explicit_pseudo_inverse(self, d, factor):
-        from porcupine.kernel import _cutoff_keeps_all
-
         bundle = random_bundle(d, factor * d, d, (33, d, factor))
-        assert _cutoff_keeps_all(bundle.psi_lines)  # the solve route is taken
+        assert keeps_all(bundle.psi_lines)  # the solve route is taken
         report = p.schur_complement(bundle)
         C = bundle.psi_cross
         explicit = bundle.psi_star - C.T @ p.symmetric_pseudo_inverse(bundle.psi_lines) @ C
@@ -569,7 +574,7 @@ class TestSchurSolveRoute:
 
     @pytest.mark.parametrize("multiple", [0.5, 1.0, 3.0])
     def test_cutoff_boundary_falls_back_and_matches_eigh_route(self, multiple, monkeypatch):
-        from porcupine.kernel import PINV_CUTOFF, _cutoff_keeps_all
+        from porcupine.kernel import PINV_CUTOFF
 
         r = 40
         lam = np.linspace(1.0, 2.0, r)
@@ -578,7 +583,7 @@ class TestSchurSolveRoute:
         # Here the largest absolute row sum is about 2.04 lam_max, so the
         # guard passes at 3x the cutoff and must fail at or below it.
         solved = multiple > 2.04
-        assert _cutoff_keeps_all(bundle.psi_lines) == solved
+        assert keeps_all(bundle.psi_lines) == solved
         eigh_calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
@@ -600,7 +605,7 @@ class TestSchurSolveRoute:
             assert dropped == (1 if multiple < 1.0 else 0)
 
     def test_guard_pass_implies_every_eigenvalue_kept(self):
-        from porcupine.kernel import PINV_CUTOFF, _cutoff_keeps_all, _inverted_spectrum
+        from porcupine.kernel import PINV_CUTOFF, _inverted_spectrum
 
         rng = np.random.default_rng(37)
         passed = failed = 0
@@ -614,7 +619,7 @@ class TestSchurSolveRoute:
             matrix = (V * lam) @ V.T
             matrix = (matrix + matrix.T) / 2.0
             vecs, inv = _inverted_spectrum(matrix)
-            if _cutoff_keeps_all(matrix):
+            if keeps_all(matrix):
                 passed += 1
                 assert np.all(inv > 0.0)
             else:
@@ -622,23 +627,90 @@ class TestSchurSolveRoute:
         for seed in range(20):
             bundle = random_bundle(int(2 + seed % 5), int(2 + 3 * seed), 2, (38, seed))
             _, inv = _inverted_spectrum(bundle.psi_lines)
-            if _cutoff_keeps_all(bundle.psi_lines):
+            if keeps_all(bundle.psi_lines):
                 passed += 1
                 assert np.all(inv > 0.0)
         assert passed > 0 and failed > 0
 
     def test_many_planar_lines_take_the_fallback(self):
-        from porcupine.kernel import _cutoff_keeps_all
-
         lines = p.random_line_set(2, 60, 11)
         star = p.random_line_set(2, 5, 12)
         bundle = p.kernel_bundle(lines, star)
-        assert not _cutoff_keeps_all(bundle.psi_lines)
+        assert not keeps_all(bundle.psi_lines)
         report = p.schur_complement(bundle)
         assert (report.dropped_eigenvalues, report.kept_rank) == (3, 57)
         schur, kept, dropped, condition = _eigh_route(bundle)
         np.testing.assert_array_equal(report.schur, schur)
         assert (kept, dropped, report.condition) == (57, 3, condition)
+
+    @pytest.mark.parametrize("r", [5, 300])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_entry_fails_the_guard(self, r, bad, where):
+        matrix = random_bundle(64, r, 2, (40, r)).psi_lines.copy()
+        assert keeps_all(matrix)
+        i, j = (r - 1, r - 1) if where == "diagonal" else (r - 1, 0)
+        matrix[i, j] = matrix[j, i] = bad
+        assert not keeps_all(matrix)
+
+    @pytest.mark.parametrize("r", [257, 300])
+    def test_blocks_above_the_factor_block_match_explicit_pseudo_inverse(self, r, monkeypatch):
+        from porcupine.kernel import _FACTOR_BLOCK
+
+        assert r > 2 * _FACTOR_BLOCK  # the factor is built by halves, twice over
+        bundle = random_bundle(128, r, 64, (41, r))
+        C = bundle.psi_cross
+        explicit = bundle.psi_star - C.T @ p.symmetric_pseudo_inverse(bundle.psi_lines) @ C
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the factor route needs no LU solve or eigenvectors")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        report = p.schur_complement(bundle)
+        assert np.all(
+            np.abs(report.schur - explicit) <= 1e-10 * np.maximum(1.0, np.abs(explicit))
+        )
+
+    def test_guard_pass_implies_every_eigenvalue_kept_above_the_factor_block(self):
+        from porcupine.kernel import PINV_CUTOFF, _inverted_spectrum
+
+        rng = np.random.default_rng(42)
+        passed = failed = 0
+        for trial in range(12):
+            r = int(rng.integers(129, 301))
+            V, _ = np.linalg.qr(rng.standard_normal((r, r)))
+            lam = rng.uniform(0.5, 2.0, r)
+            # Smallest eigenvalue from 0.1x to 30x the cutoff, or negative.
+            lam[0] = (-1.0 if trial % 4 == 3 else 1.0) * 10.0 ** rng.uniform(-1, 1.5) \
+                * PINV_CUTOFF * lam.max()
+            matrix = (V * lam) @ V.T
+            matrix = (matrix + matrix.T) / 2.0
+            _, inv = _inverted_spectrum(matrix, vectors=False)
+            if keeps_all(matrix):
+                passed += 1
+                assert np.all(inv > 0.0)
+            else:
+                failed += 1
+        assert passed > 0 and failed > 0
+
+    def test_add_line_update_on_a_large_block_matches_lu_solve(self):
+        bundle = random_bundle(64, 300, 16, 43)
+        assert keeps_all(bundle.psi_lines)
+        report = p.schur_complement(bundle)
+        new_line = np.random.default_rng(44).standard_normal(64)
+        updated, alpha, v = p.add_line_update(report, bundle, new_line)
+        unit, _ = p.canonicalize_vector(new_line)
+        zeta1 = p.psi(np.clip(bundle.lines.unit_vectors.T @ unit, -1.0, 1.0))
+        zeta2 = p.psi(np.clip(bundle.star.unit_vectors.T @ unit, -1.0, 1.0))
+        solved = np.linalg.solve(bundle.psi_lines, zeta1)
+        alpha_ref = 1.0 / (1.0 - zeta1 @ solved)
+        v_ref = zeta2 - bundle.psi_cross.T @ solved
+        assert alpha == pytest.approx(alpha_ref, rel=1e-10)
+        np.testing.assert_allclose(v, v_ref, rtol=1e-10, atol=1e-10)
+        schur_ref = report.schur - alpha_ref * np.outer(v_ref, v_ref)
+        np.testing.assert_allclose(updated.schur, schur_ref, rtol=1e-10, atol=1e-10)
 
 
 def singular_reference(matrix, cutoff):

@@ -309,7 +309,8 @@ def test_guard_sees_factorizations(source, sites):
 
 def test_pinv_callers_use_the_one_routine():
     # The guard decision lives in kernel._PseudoInverse alone.
-    helpers = {"_cutoff_keeps_all", "_cutoff_drops_any", "_inverted_spectrum",
+    helpers = {"_cutoff_keeps_all", "_cutoff_drops_any", "_guarded_factor", "_inverse_factor",
+               "_inverted_spectrum",
                "_require_symmetric", "symmetric_pseudo_inverse"}
     for path in SOURCES:
         if path.name in ("schur.py", "landscape.py"):

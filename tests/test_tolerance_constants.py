@@ -8,7 +8,8 @@ import pytest
 
 import porcupine as p
 from porcupine.kernel import (
-    _cutoff_keeps_all,
+    _guarded_factor,
+    _inverse_factor,
     _inverted_spectrum,
     _PseudoInverse,
     _require_symmetric,
@@ -43,7 +44,8 @@ SIGNATURES = [
     (p.coverage_gap, ["net", "n_probes", "seed"]),
     (_require_symmetric, ["matrix"]),
     (_inverted_spectrum, ["matrix", "vectors"]),
-    (_cutoff_keeps_all, ["sym"]),
+    (_inverse_factor, ["sym", "out"]),
+    (_guarded_factor, ["sym"]),
     (_PseudoInverse, ["matrix"]),
     (_collinear, ["cosines"]),
     (_first_collision, ["cosines"]),
