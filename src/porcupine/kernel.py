@@ -25,7 +25,6 @@ ASYM_TOL = 1e-9
 
 _PSI_BLOCK = 8192  # entries per block of psi's large-array path
 _SYM_TILE = 128  # rows and columns per tile of the exact symmetry check
-_FACTOR_BLOCK = 128  # largest block _inverse_factor factors without halving
 
 
 def psi(x):
@@ -160,18 +159,23 @@ def _inverse_factor(sym: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     """The lower-triangular ``Li`` with ``Li sym Li' = I``, the inverse of
     the Cholesky factor of ``sym``, written into ``out`` when given.
 
-    It works by halves: with ``Li11`` the factor of the leading block,
-    ``L21 = A21 Li11'``, ``Li22`` the factor of ``A22 - L21 L21'`` and
-    ``Li21 = -Li22 L21 Li11``.  Blocks of at most ``_FACTOR_BLOCK`` rows are
-    factored by ``np.linalg.cholesky`` and inverted, so nearly all the work
-    is in matrix products, which run on every core.  A block that is not
-    numerically positive definite raises ``np.linalg.LinAlgError``.  Only
-    the lower triangle of the symmetric ``sym`` is read.
+    It works by halves down to single entries: with ``Li11`` the factor of
+    the leading block, ``L21 = A21 Li11'``, ``Li22`` the factor of
+    ``A22 - L21 L21'`` and ``Li21 = -Li22 L21 Li11``; a 1x1 block ``a`` has
+    the factor ``1/sqrt(a)``.  So the factor comes from matrix products and
+    square roots alone, with no LAPACK routine; on OpenBLAS its bits were
+    the same at 1 and 2 BLAS threads up to n = 2048.  A block
+    that is not numerically positive definite (a pivot ``a <= 0`` or NaN)
+    raises ``np.linalg.LinAlgError``.  Only the lower triangle of the
+    symmetric, non-empty ``sym`` is read.
     """
     n = sym.shape[0]
     out = np.zeros((n, n)) if out is None else out
-    if n <= _FACTOR_BLOCK:
-        out[...] = np.tril(np.linalg.inv(np.linalg.cholesky(sym)))
+    if n == 1:
+        pivot = float(sym[0, 0])
+        if not pivot > 0.0:  # NaN fails this test too
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        out[0, 0] = 1.0 / np.sqrt(pivot)
         return out
     h = n // 2
     li11 = _inverse_factor(sym[:h, :h], out[:h, :h])

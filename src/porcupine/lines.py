@@ -39,12 +39,6 @@ _FLOAT_FMT = "%.17g"
 _TINY_NORM = float(np.sqrt(np.finfo(float).tiny))
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 def _unit_columns(units) -> bool:
     """Whether every column has norm 1 within ``UNIT_NORM_TOL`` (NaN fails)."""
     return bool(np.all(np.abs(np.linalg.norm(units, axis=0) - 1.0) <= UNIT_NORM_TOL))
@@ -128,11 +122,10 @@ class LineSet:
     def subset(self, indices) -> "LineSet":
         """Line set restricted to ``indices`` (order preserved)."""
         idx = list(indices)
-        return LineSet(
-            dim=self.dim,
-            unit_vectors=_freeze(np.ascontiguousarray(self.unit_vectors[:, idx])),
-            gram=_freeze(self.gram[np.ix_(idx, idx)]),
-        )
+        units = np.take(self.unit_vectors, idx, axis=1)  # C-contiguous, like every line set's
+        gram = self.gram[np.ix_(idx, idx)]
+        units.flags.writeable = gram.flags.writeable = False
+        return LineSet(dim=self.dim, unit_vectors=units, gram=gram)
 
     def same_geometry(self, other: "LineSet") -> bool:
         return (
@@ -152,13 +145,15 @@ def _assemble_line_set(units: np.ndarray) -> LineSet:
     numpy computes a product of a matrix with its own transpose as one
     symmetric rank-k update, so it is exactly symmetric as it comes; the
     units are made C-contiguous first, so every line set has one layout.
+    Every caller hands over a float array it built for this call, so the
+    units are frozen in place, not copied.
     """
     units = np.ascontiguousarray(units)
     gram = units.T @ units
     np.clip(gram, -1.0, 1.0, out=gram)
     np.fill_diagonal(gram, 1.0)
-    gram.flags.writeable = False
-    return LineSet(dim=units.shape[0], unit_vectors=_freeze(units), gram=gram)
+    units.flags.writeable = gram.flags.writeable = False
+    return LineSet(dim=units.shape[0], unit_vectors=units, gram=gram)
 
 
 def _collinear(cosines: np.ndarray) -> np.ndarray:
@@ -424,7 +419,9 @@ class PNNWeights:
                 "map covers %d lines but the line set has %d"
                 % (self.neuron_map.num_lines, self.line_set.num_lines)
             )
-        object.__setattr__(self, "matrix", _freeze(matrix))
+        matrix = np.array(matrix)  # the caller's array stays the caller's
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
         self._check_feasible()
 
     def _check_feasible(self):

@@ -15,8 +15,12 @@ line-coordinate quadratic (the stationarity test decides each ``BadLocal``
 row).  Two rows of the d=2 sweep (r=40 trial 0 and r=60 trial 1, whose
 model-line blocks have condition numbers near 6e8) were rewritten when the
 pseudo-inverse's solve moved from an LU solve to one inverse Cholesky
-factor; they moved at the rounding floor of ``psi_star``.  The current code
-must reproduce them.  A change that alters these numbers on purpose regenerates the files.
+factor; they moved at the rounding floor of ``psi_star``.  The same two
+rows were rewritten again when that factor's last 128-row blocks stopped
+going to LAPACK's Cholesky and LU inverse and were halved down to single
+entries instead; each moved toward a 60-digit Schur complement of its
+blocks (``test_factor_route_rows_match_a_60_digit_schur_complement``).  The
+current code must reproduce them.  A change that alters these numbers on purpose regenerates the files.
 
 Integers and labels must match exactly.  Floats must match within
 ``FLOAT_RTOL`` of the stored value: the bodies are bit-identical on one
@@ -25,11 +29,18 @@ product differently in the last bits.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import porcupine as p
 from porcupine import cli
+from porcupine._checks import seed_sequence
+from porcupine.kernel import _guarded_factor
 
 PINNED = pathlib.Path(__file__).parent / "pinned_cli"
 FLOAT_RTOL = 1e-12
@@ -142,3 +153,77 @@ def test_spec_line_is_the_body_identity(tmp_path, name):
     spec_line = texts[0].splitlines()[1]
     assert spec_line.startswith("# spec: ")
     assert json.loads(spec_line[len("# spec: "):]) == want
+
+
+BLAS_STABLE = ["schur_sweep_d64_asymptotic.csv", "schur_sweep_d64_nearest_asymptotic.csv"]
+RUN_SPECS = ("import json, sys\nfrom porcupine import cli\n"
+             "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))")
+
+
+def bodies_at_blas_threads(tmp_path, names, blas_threads):
+    """The bodies of the pinned ``names``, run in one subprocess whose
+    OpenBLAS uses ``blas_threads`` threads."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    outs = [tmp_path / ("blas%d_%s" % (blas_threads, name)) for name in names]
+    argvs = [SPECS[name] + ["--out", str(out)] for name, out in zip(names, outs)]
+    done = subprocess.run([sys.executable, "-c", RUN_SPECS, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return ["".join(line for line in out.read_text().splitlines(keepends=True)
+                    if not line.startswith("#")) for out in outs]
+
+
+def test_d64_sweep_bodies_do_not_depend_on_blas_threads(tmp_path):
+    # The factor route is built from products and square roots alone, and at
+    # these sizes the eigen-solves are bit-stable too (aim 3).
+    one = bodies_at_blas_threads(tmp_path, BLAS_STABLE, 1)
+    two = bodies_at_blas_threads(tmp_path, BLAS_STABLE, 2)
+    for name, body_one, body_two in zip(BLAS_STABLE, one, two):
+        assert body_one == body_two, name
+
+
+# Measured relative errors of these rows sit at 1e-4 and 1.6e-3 of kappa * eps,
+# kappa the condition number of the model-line block; the eigen route's
+# rows of the same spec at up to 1.5e-3.  A factor whose leaf inverted
+# Cholesky blocks by LU reached 1.6e-2 on r=60 trial 1.
+KAPPA_EPS_MULTIPLE = 1e-2
+
+
+def schur_norm_at_60_digits(bundle) -> float:
+    """Spectral norm of ``psi_star - psi_cross' psi_lines^-1 psi_cross``
+    for the float64 blocks taken as exact, by Gaussian elimination of the
+    block matrix ``[[psi_lines, psi_cross], [psi_cross', psi_star]]`` at 60
+    digits: an oracle independent of ``kernel``'s factor."""
+    mpmath = pytest.importorskip("mpmath")
+    r, cross = bundle.num_lines, bundle.psi_cross
+    with mpmath.workdps(60):
+        rows = [[mpmath.mpf(x) for x in row] for row in
+                np.block([[bundle.psi_lines, cross], [cross.T, bundle.psi_star]]).tolist()]
+        for k in range(r):
+            pivot_row = rows[k]
+            for row in rows[k + 1:]:
+                factor = row[k] / pivot_row[k]
+                for j in range(k + 1, len(row)):
+                    row[j] -= factor * pivot_row[j]
+        schur = mpmath.matrix([row[r:] for row in rows[r:]])
+        values = mpmath.eigsy((schur + schur.T) / 2, eigvals_only=True)
+        return float(max(abs(value) for value in values))
+
+
+@pytest.mark.parametrize("r, trial", [(40, 0), (60, 1)])
+def test_factor_route_rows_match_a_60_digit_schur_complement(r, trial):
+    name = "schur_sweep_d2_eig.csv"
+    d, r_star, seed = 2, 3, 0  # the spec's --d, --r-star and default --seed
+    row = next(line.split(",") for line in (PINNED / name).read_text().splitlines()[1:]
+               if line.startswith("%d,%d,%d,%d," % (d, r_star, r, trial)))
+    seq = seed_sequence((seed, r, trial), "--seed").spawn(2)
+    bundle = p.kernel_bundle(p.random_line_set(d, r, seq[0]), p.random_line_set(d, r_star, seq[1]))
+    assert _guarded_factor(bundle.psi_lines) is not None  # the factor route
+    norm = p.schur_complement(bundle).spectral_norm
+    assert_field_matches(repr(norm), row[5], "%s r=%d trial %d" % (name, r, trial))
+    eigenvalues = np.linalg.eigvalsh(bundle.psi_lines)
+    kappa = eigenvalues[-1] / eigenvalues[0]
+    exact = schur_norm_at_60_digits(bundle)
+    assert abs(norm - exact) <= KAPPA_EPS_MULTIPLE * kappa * np.finfo(float).eps * exact

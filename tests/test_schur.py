@@ -656,18 +656,15 @@ class TestSchurSolveRoute:
 
     @pytest.mark.parametrize("r", [257, 300])
     def test_blocks_above_the_factor_block_match_explicit_pseudo_inverse(self, r, monkeypatch):
-        from porcupine.kernel import _FACTOR_BLOCK
-
-        assert r > 2 * _FACTOR_BLOCK  # the factor is built by halves, twice over
         bundle = random_bundle(128, r, 64, (41, r))
         C = bundle.psi_cross
         explicit = bundle.psi_star - C.T @ p.symmetric_pseudo_inverse(bundle.psi_lines) @ C
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the factor route needs no LU solve or eigenvectors")
+            raise AssertionError("the factor route needs no LAPACK factorization but eigvalsh")
 
-        monkeypatch.setattr(np.linalg, "solve", refuse)
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for name in ("solve", "eigh", "cholesky", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         report = p.schur_complement(bundle)
         assert np.all(
             np.abs(report.schur - explicit) <= 1e-10 * np.maximum(1.0, np.abs(explicit))

@@ -3,7 +3,7 @@ src/porcupine imports scipy or hypothesis, a test dependency only), imports
 no name it does not use, builds every root seed through the seed rule of
 ``_checks``, trains only in ``trainer._seeded_run``, writes CSV only in
 ``cli.main``, builds its one thread pool in ``risk._ordered_map`` and
-factorizes matrices only in ``kernel``."""
+factorizes matrices only in ``kernel``, by its eigen-solves alone."""
 
 import ast
 from pathlib import Path
@@ -280,6 +280,15 @@ def test_matrices_are_factorized_only_in_kernel(path):
     assert factorization_sites(tree) == [], "%s factorizes a matrix" % path.name
 
 
+def test_kernel_factorizes_only_by_eigen_solves():
+    # The inverse factor is built from products, so eigh and eigvalsh in
+    # these two functions are the package's only factorizations.
+    kernel = next(path for path in SOURCES if path.name == "kernel.py")
+    tree = ast.parse(kernel.read_text(encoding="utf-8"))
+    owners = {owner for _, owner in factorization_sites(tree)}
+    assert owners == {"_inverted_spectrum", "_norm_and_min"}
+
+
 @pytest.mark.parametrize("source, sites", [
     # The sites of the earlier code: schur.schur_complement, schur.add_line_update,
     # landscape.bad_region_stationary and landscape.scalar_hessian.
@@ -302,6 +311,11 @@ def test_matrices_are_factorized_only_in_kernel(path):
     ("from numpy.linalg import svd, norm", [(1, None)]),
     ("numpy.linalg.lstsq(a, b)\nscipy.linalg.cholesky(a)", [(1, None), (2, None)]),
     ("np.linalg.norm(x)\npinv.solve(rhs)\nfrom numpy.linalg import norm", []),
+    # The leaf of the earlier kernel._inverse_factor.
+    ("def _inverse_factor(sym, out=None):\n"
+     "    if n <= _FACTOR_BLOCK:\n"
+     "        out[...] = np.tril(np.linalg.inv(np.linalg.cholesky(sym)))",
+     [(3, "_inverse_factor"), (3, "_inverse_factor")]),
 ])
 def test_guard_sees_factorizations(source, sites):
     assert factorization_sites(ast.parse(source)) == sites
