@@ -27,7 +27,8 @@ from . import __version__
 from ._checks import count, seed_sequence
 from .errors import ConfigError, DomainError, ParameterOutOfRange, PorcupineError
 from .kernel import kernel_bundle
-from .landscape import GOOD_REGION, MAY_HAVE_BAD_LOCAL, scalar_region_classify
+from .landscape import scalar_region_classify
+from .lines import _FLOAT_FMT as _FMT  # _fmt writes floats as lines writes them
 from .lines import NeuronLineMap, random_line_set, save_vectors_csv, weights_from_masses
 from .minimax import (
     coverage_gap,
@@ -44,8 +45,6 @@ from .trainer import (
     experiment_matched_degree_one,
     experiment_mismatched_random,
 )
-
-_FMT = "%.17g"
 
 
 def _fmt(value) -> str:
@@ -254,30 +253,18 @@ def _cmd_train(args):
         config = replace(config, epochs=args.epochs)
     args.epochs = config.epochs
 
-    rows = []
     if args.mode == "matched":
-        for k in k_grid:
-            summary = experiment_matched_degree_one(
-                args.d, k, args.trials, config, n_train=args.samples
-            )
-            rows += [
-                ("matched", args.d, k, k, row.trial, row.seed, row.epochs_run,
-                 row.final_train_loss, row.normalized_test_mse, row.outcome,
-                 row.violated_lines)
-                for row in summary.trials
-            ]
+        runs = [run for k in k_grid for run in experiment_matched_degree_one(
+            args.d, k, args.trials, config, n_train=args.samples).trials]
     else:
-        summary = experiment_mismatched_random(
+        runs = experiment_mismatched_random(
             args.d, args.k_star, k_grid, args.trials, config,
             inits_per_trial=args.inits, n_train=args.samples, n_test=args.samples,
-        )
-        rows = [
-            ("mismatched", args.d, run.k, args.k_star, run.trial, run.seed,
-             run.epochs_run, run.final_train_loss, run.normalized_test_mse,
-             GOOD_REGION if run.region_condition_ok else MAY_HAVE_BAD_LOCAL,
-             run.violated_lines)
-            for run in summary.runs
-        ]
+        ).runs
+    # A matched run's target has the run's width (matched runs take no --k-star).
+    rows = [(args.mode, args.d, run.k, args.k_star or run.k, run.trial, run.seed,
+             run.epochs_run, run.final_train_loss, run.normalized_test_mse, run.outcome,
+             run.violated_lines) for run in runs]
     columns = ["experiment", "d", "k", "k_star", "trial", "seed", "epochs_run",
                "final_train_loss", "normalized_test_mse", "outcome",
                "signature_violations"]

@@ -22,6 +22,8 @@ from .lines import LineSet, build_line_set, cross_gram
 CLAMP_EPS = 1e-9
 PINV_CUTOFF = 1e-10
 ASYM_TOL = 1e-9
+# psi(0) = 2/pi: the kernel of orthogonal lines, and its floor.
+PSI_AT_ZERO = 2.0 / np.pi
 
 _PSI_BLOCK = 8192  # entries per block of psi's large-array path
 _SYM_TILE = 128  # rows and columns per tile of the exact symmetry check
@@ -58,7 +60,7 @@ def _psi_formula(arr: np.ndarray) -> np.ndarray:
     if not np.all(np.abs(arr) <= 1.0 + CLAMP_EPS):  # NaN fails this test too
         raise DomainError("kernel argument outside [-1, 1] beyond tolerance or NaN")
     c = np.clip(arr, -1.0, 1.0)
-    return c + (2.0 / np.pi) * (np.sqrt(1.0 - c * c) - c * np.arccos(c))
+    return c + PSI_AT_ZERO * (np.sqrt(1.0 - c * c) - c * np.arccos(c))
 
 
 def _column_angles(A: np.ndarray, B: np.ndarray):

@@ -258,6 +258,7 @@ def random_line_set(d: int, r: int, seed, max_draws: int | None = None) -> LineS
         grown = np.empty((d, have + len(oriented)))
         grown[:, :have] = units
         grown[:, have:] = oriented.T
+        block = oriented = None  # grown holds the lines: free both copies before the Gram
         line_set = _assemble_line_set(grown)
         _, kept = _first_kept(_collinear(line_set.gram[have:]), have)
         if kept.all() and len(kept) == r:

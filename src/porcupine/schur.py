@@ -26,6 +26,7 @@ from .errors import (
     SingularStructure,
 )
 from .kernel import (
+    PSI_AT_ZERO,
     KernelBundle,
     _norm_and_min,
     _PseudoInverse,
@@ -217,8 +218,8 @@ class AsymptoticReference:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        beta = 2.0 / np.pi + 1.0 / (np.pi * self.d)
-        matrix = beta * np.ones((self.r, self.r)) + (1.0 - 2.0 / np.pi) * np.eye(self.r)
+        beta = PSI_AT_ZERO + 1.0 / (np.pi * self.d)
+        matrix = beta * np.ones((self.r, self.r)) + (1.0 - PSI_AT_ZERO) * np.eye(self.r)
         matrix.flags.writeable = False
         return matrix
 
@@ -227,8 +228,8 @@ def asymptotic_reference(d: int, r: int, r_star: int) -> AsymptoticReference:
     """Reference matrix, its spectrum, and the limiting Schur norm
     (``normalized_loss_bound(r, r_star)``)."""
     d, limit = count(d, "d"), normalized_loss_bound(r, r_star)
-    alpha = 1.0 - 2.0 / np.pi
-    top = 2.0 / np.pi * r + 1.0 - 2.0 / np.pi + r / d / np.pi
+    alpha = 1.0 - PSI_AT_ZERO
+    top = PSI_AT_ZERO * r + 1.0 - PSI_AT_ZERO + r / d / np.pi
     eigenvalues = ((alpha, r - 1), (top, 1)) if r > 1 else ((top, 1),)
     return AsymptoticReference(d=d, r=r, limit=limit, eigenvalues=eigenvalues)
 
@@ -269,7 +270,7 @@ def perturbation_bound(lines: LineSet, targets: LineSet, delta: float) -> float:
 
 def normalized_loss_bound(r: int, r_star: int) -> float:
     """Limiting bound on achieved risk over the risk of the zero network."""
-    return (1.0 + count(r_star, "r_star") / count(r, "r")) * (1.0 - 2.0 / np.pi)
+    return (1.0 + count(r_star, "r_star") / count(r, "r")) * (1.0 - PSI_AT_ZERO)
 
 
 @dataclass(frozen=True)
@@ -297,7 +298,7 @@ def bad_local_asymptotic_bound(
     gamma, mu = real(gamma, "gamma", 1.0, open_low=True), real(mu, "mu", 1.0, open_low=True)
     r, r_star = count(r, "r"), count(r_star, "r_star")
     coefficient = 0.25 * (
-        1.0 - 2.0 / np.pi + (1.0 + math.sqrt(gamma) + mu) ** 2 * r_star / r
+        1.0 - PSI_AT_ZERO + (1.0 + math.sqrt(gamma) + mu) ** 2 * r_star / r
     )
     d = r / gamma
     return BadLocalBound(

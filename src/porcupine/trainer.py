@@ -15,7 +15,7 @@ import numpy as np
 
 from ._checks import count, finite_array, real, seed_sequence
 from .errors import ConfigError, DimensionMismatch, Diverged
-from .landscape import region_condition, stationarity_check
+from .landscape import GOOD_REGION, MAY_HAVE_BAD_LOCAL, region_condition, stationarity_check
 from .lines import (
     LineSet,
     NeuronLineMap,
@@ -342,16 +342,54 @@ def classify_outcome(
     )
 
 
-def _seeded_run(data, n_train: int, init: PNNWeights, config: TrainConfig, seed):
+@dataclass(frozen=True)
+class TrainRun:
+    """One experiment run: its width ``k``, trial, initialization index
+    (0 for a matched run) and training seed, its label, losses and final
+    region.  A matched run's ``outcome`` comes from classify_outcome and
+    ``gap_frobenius_sq`` is its squared distance from the target; a
+    mismatched run's target is no porcupine network, so its ``outcome`` is
+    GoodRegion or MayHaveBadLocal and its gap is None."""
+
+    k: int
+    trial: int
+    init: int
+    seed: int
+    outcome: str
+    final_train_loss: float
+    normalized_test_mse: float
+    gap_frobenius_sq: float | None
+    epochs_run: int
+    feasibility_ok: bool
+    region_condition_ok: bool
+    violated_lines: int
+
+
+def _seeded_run(data, n_train: int, init: PNNWeights, config: TrainConfig, seed,
+                trial: int, init_index: int = 0, truth: PNNWeights | None = None) -> TrainRun:
     """One experiment run: SGD from ``init`` with its seed drawn from
     ``seed``, trained on the first ``n_train`` samples of ``data`` and
-    tested on the rest (both views of ``data``).  Returns ``(run_seed,
-    result)``; the only place an experiment trains."""
+    tested on the rest (both views of ``data``), then its final region
+    read and the run labelled.  ``truth``, the porcupine network behind a
+    matched run's data, makes it a matched run.  The only place an
+    experiment trains or labels a run."""
     X, y = data
     run_seed = int(np.random.default_rng(seed).integers(2**31))
     result = sgd_train((X[:n_train], y[:n_train]), init, replace(config, seed=run_seed),
                        test_data=(X[n_train:], y[n_train:]))
-    return run_seed, result
+    signature = result.final_signature
+    region_ok = region_condition(signature, init.line_set.dim)
+    if truth is None:
+        outcome, gap = (GOOD_REGION if region_ok else MAY_HAVE_BAD_LOCAL), None
+    else:
+        outcome = classify_outcome(result, truth).outcome
+        gap = float(np.linalg.norm(result.final_matrix - truth.matrix) ** 2)
+    return TrainRun(k=init.neuron_map.num_neurons, trial=trial, init=init_index, seed=run_seed,
+                    outcome=outcome, final_train_loss=result.final_train_loss,
+                    normalized_test_mse=result.final_test_loss_normalized, gap_frobenius_sq=gap,
+                    epochs_run=result.epochs_run, feasibility_ok=result.line_feasibility_ok,
+                    region_condition_ok=region_ok,
+                    violated_lines=signature.single_orientation_count)
 
 
 def degree_one_map(d: int, k: int) -> NeuronLineMap:
@@ -361,19 +399,6 @@ def degree_one_map(d: int, k: int) -> NeuronLineMap:
         raise ConfigError("k=%d is not divisible by d=%d" % (k, d))
     per = k // d
     return NeuronLineMap(num_neurons=k, assignment=tuple(np.repeat(np.arange(d), per)))
-
-
-@dataclass(frozen=True)
-class MatchedTrial:
-    trial: int
-    seed: int
-    outcome: str
-    final_train_loss: float
-    normalized_test_mse: float
-    gap_frobenius_sq: float
-    epochs_run: int
-    region_condition_ok: bool
-    violated_lines: int
 
 
 @dataclass(frozen=True)
@@ -399,7 +424,7 @@ def experiment_matched_degree_one(
     n_train, n_test = count(n_train, "n_train"), count(n_test, "n_test")
     line_set = axes_line_set(d)
     neuron_map = degree_one_map(d, k)
-    rows = []
+    runs = []
     for trial in range(trials):
         s_data, s_truth, s_init, s_train = seed_sequence((config.seed, trial), "seed").spawn(4)
         truth_scales = np.random.default_rng(s_truth).standard_normal(k)
@@ -407,38 +432,9 @@ def experiment_matched_degree_one(
         data = generate_dataset(truth, n_train + n_test, s_data)
         init_scales = np.random.default_rng(s_init).standard_normal(k)
         init = weights_from_masses(line_set, neuron_map, init_scales)
-        run_seed, result = _seeded_run(data, n_train, init, config, s_train)
-        report = classify_outcome(result, truth)
-        gap = float(np.linalg.norm(result.final_matrix - truth.matrix) ** 2)
-        rows.append(
-            MatchedTrial(
-                trial=trial,
-                seed=run_seed,
-                outcome=report.outcome,
-                final_train_loss=result.final_train_loss,
-                normalized_test_mse=result.final_test_loss_normalized,
-                gap_frobenius_sq=gap,
-                epochs_run=result.epochs_run,
-                region_condition_ok=report.region_condition_ok,
-                violated_lines=report.violated_lines,
-            )
-        )
-    fraction_global = sum(row.outcome == GLOBAL for row in rows) / trials
-    return MatchedSummary(d=d, k=k, fraction_global=fraction_global, trials=tuple(rows))
-
-
-@dataclass(frozen=True)
-class MismatchedRun:
-    k: int
-    trial: int
-    init: int
-    seed: int
-    epochs_run: int
-    final_train_loss: float
-    normalized_test_mse: float
-    feasibility_ok: bool
-    region_condition_ok: bool
-    violated_lines: int
+        runs.append(_seeded_run(data, n_train, init, config, s_train, trial, truth=truth))
+    fraction_global = sum(run.outcome == GLOBAL for run in runs) / trials
+    return MatchedSummary(d=d, k=k, fraction_global=fraction_global, trials=tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -492,20 +488,6 @@ def experiment_mismatched_random(
                     (config.seed, trial, k, init_index), "seed"
                 ).spawn(2)
                 _, _, init = init_random_pnn(d, k // 2, init_seed)
-                run_seed, result = _seeded_run(data, n_train, init, config, train_seed)
-                signature = result.final_signature
-                runs.append(
-                    MismatchedRun(
-                        k=k,
-                        trial=trial,
-                        init=init_index,
-                        seed=run_seed,
-                        epochs_run=result.epochs_run,
-                        final_train_loss=result.final_train_loss,
-                        normalized_test_mse=result.final_test_loss_normalized,
-                        feasibility_ok=result.line_feasibility_ok,
-                        region_condition_ok=region_condition(signature, d),
-                        violated_lines=signature.single_orientation_count,
-                    )
-                )
+                runs.append(_seeded_run(data, n_train, init, config, train_seed,
+                                        trial, init_index))
     return MismatchedSummary(d=d, k_star=k_star, runs=tuple(runs))

@@ -1,9 +1,9 @@
 """Source guards: the library depends on numpy alone (no module under
 src/porcupine imports scipy or hypothesis, a test dependency only), imports
 no name it does not use, builds every root seed through the seed rule of
-``_checks``, trains only in ``trainer._seeded_run``, writes CSV only in
-``cli.main``, builds its one thread pool in ``risk._ordered_map`` and
-factorizes matrices only in ``kernel``, by its eigen-solves alone."""
+``_checks``, trains and labels runs only in ``trainer._seeded_run``, writes
+CSV only in ``cli.main``, builds its one thread pool in ``risk._ordered_map``
+and factorizes matrices only in ``kernel``, by its eigen-solves alone."""
 
 import ast
 from pathlib import Path
@@ -131,6 +131,11 @@ def source_call_sites(name):
 def test_experiments_train_only_in_the_seeded_run():
     # One run function, so a pool over runs has one place to hook.
     assert source_call_sites("sgd_train") == [("trainer.py", "_seeded_run")]
+
+
+def test_runs_are_labelled_only_in_the_seeded_run():
+    # Both experiments take their runs' labels from one place.
+    assert source_call_sites("classify_outcome") == [("trainer.py", "_seeded_run")]
 
 
 @pytest.mark.parametrize("source, calls", [

@@ -549,6 +549,22 @@ class TestMismatchedExperiment:
         medians = summary.per_k()
         assert set(medians) == {4, 8}
 
+    def test_deterministic_summary(self):
+        # A mismatched run has no gap (None, not NaN), so equal runs compare equal.
+        config = p.TrainConfig(batch_size=50, epochs=3, learning_rate=1e-3, seed=5)
+        a, b = (p.experiment_mismatched_random(3, 4, [2, 4], 2, config, 2, 200, 200)
+                for _ in range(2))
+        assert a == b
+        assert all(run.gap_frobenius_sq is None for run in a.runs)
+
+    def test_outcome_is_the_region_condition(self):
+        config = p.TrainConfig(batch_size=50, epochs=3, learning_rate=1e-3, seed=5)
+        summary = p.experiment_mismatched_random(3, 4, [2, 4, 8], 2, config, 3, 200, 200)
+        outcomes = {run.outcome for run in summary.runs}
+        assert outcomes == {p.GOOD_REGION, p.MAY_HAVE_BAD_LOCAL}
+        for run in summary.runs:
+            assert (run.outcome == p.GOOD_REGION) == run.region_condition_ok
+
     @pytest.mark.parametrize("k_list, trials, inits", [
         ([4], 0, 1), ([4], -1, 1), ([4], 1, 0), ([4], 1, -2), ([], 1, 1),
     ], ids=["no-trials", "negative-trials", "no-inits", "negative-inits", "no-k"])
