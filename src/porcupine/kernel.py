@@ -25,7 +25,8 @@ ASYM_TOL = 1e-9
 # psi(0) = 2/pi: the kernel of orthogonal lines, and its floor.
 PSI_AT_ZERO = 2.0 / np.pi
 
-_PSI_BLOCK = 8192  # entries per block of psi's large-array path
+_PSI_BLOCK = 8192  # entries per block of psi's evaluation
+_FACTOR_ROWS = 256  # rows per block of the inverse factor's products and row sums
 _SYM_TILE = 128  # rows and columns per tile of the exact symmetry check
 
 
@@ -38,29 +39,44 @@ def psi(x):
     raise DomainError (to distinguish roundoff from bugs).  The function is
     even, 1-Lipschitz, and takes values in [2/pi, 1].
 
-    C-contiguous arrays larger than one block are evaluated block by block
-    into the output, with the same operations entry for entry: the result
-    is bit-identical and the temporaries stay cache-sized.
+    One formula, ``_psi_in_place``, writes the output through two work
+    buffers.  An input larger than one block is evaluated block by block
+    into its output with two block-sized buffers, so no temporary grows with
+    the input (a non-contiguous one is first copied flat); every entry goes
+    through the same operations, so the blocks change no bit.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.size > _PSI_BLOCK and arr.flags.c_contiguous:
-        out = np.empty(arr.shape)
+    out = np.empty(arr.shape)
+    if 0 < arr.size <= _PSI_BLOCK:  # one block, the input's own shape
+        _psi_in_place(arr, np.empty(arr.shape), np.empty(arr.shape), out)
+    else:
         flat_in, flat_out = arr.reshape(-1), out.reshape(-1)
+        c, w = np.empty(_PSI_BLOCK), np.empty(_PSI_BLOCK)
         for start in range(0, arr.size, _PSI_BLOCK):
-            flat_out[start:start + _PSI_BLOCK] = _psi_formula(flat_in[start:start + _PSI_BLOCK])
-        return out
-    out = _psi_formula(arr)
+            stop = min(start + _PSI_BLOCK, arr.size)
+            _psi_in_place(flat_in[start:stop], c[:stop - start], w[:stop - start],
+                          flat_out[start:stop])
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
 
 
-def _psi_formula(arr: np.ndarray) -> np.ndarray:
-    """``psi`` of a float array in one pass, after the domain check."""
-    if not np.all(np.abs(arr) <= 1.0 + CLAMP_EPS):  # NaN fails this test too
+def _psi_in_place(arr, c, w, out) -> None:
+    """``out = c + (2/pi) (sqrt(1 - c^2) - c arccos(c))`` with ``c`` the input
+    clipped to [-1, 1], after the domain check, computed in the work buffers
+    ``c`` and ``w`` and in ``out``, all the shape of the non-empty ``arr``."""
+    np.abs(arr, out=w)
+    if not w.max() <= 1.0 + CLAMP_EPS:  # a NaN maximum fails this test too
         raise DomainError("kernel argument outside [-1, 1] beyond tolerance or NaN")
-    c = np.clip(arr, -1.0, 1.0)
-    return c + PSI_AT_ZERO * (np.sqrt(1.0 - c * c) - c * np.arccos(c))
+    np.clip(arr, -1.0, 1.0, out=c)
+    np.multiply(c, c, out=w)
+    np.subtract(1.0, w, out=w)
+    np.sqrt(w, out=w)
+    np.arccos(c, out=out)
+    np.multiply(c, out, out=out)
+    np.subtract(w, out, out=w)
+    np.multiply(PSI_AT_ZERO, w, out=w)
+    np.add(c, w, out=out)
 
 
 def _column_angles(A: np.ndarray, B: np.ndarray):
@@ -190,26 +206,30 @@ def _inverse_factor(sym: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def _guarded_factor(sym: np.ndarray) -> np.ndarray | None:
-    """``_inverse_factor(sym)`` when it proves that the cutoff of
-    ``_inverted_spectrum`` keeps every eigenvalue of ``sym``, else None.
+def _guarded_factor(sym: np.ndarray):
+    """``(Li, row_sum, trace)`` with ``Li = _inverse_factor(sym)``, ``row_sum``
+    the largest absolute row sum of ``sym`` and ``trace = |Li|_F^2``, when they
+    prove that the cutoff of ``_inverted_spectrum`` keeps every eigenvalue of
+    ``sym``, else None.
 
     The proof: the factor exists, so ``sym`` is positive definite, and
-    PINV_CUTOFF times the largest absolute row sum times ``|Li|_F^2`` is
-    below 1.  The row sum bounds the largest eigenvalue and
-    ``|Li|_F^2 = trace(sym^-1)`` is at least one over the smallest, so the
-    smallest exceeds the cutoff.  A NaN anywhere fails the test; a failure
-    proves nothing.
+    PINV_CUTOFF * row_sum * trace is below 1.  The row sum bounds the largest
+    eigenvalue and ``trace = trace(sym^-1)`` is at least one over the
+    smallest, so the smallest exceeds the cutoff.  A NaN anywhere fails the
+    test; a failure proves nothing.  The row sums are taken by row blocks,
+    so no full-size ``|sym|`` is formed.
     """
     if sym.size == 0:
         return None
-    row_sum = float(np.max(np.abs(sym).sum(axis=1)))
+    row_sum = max(float(np.abs(sym[i:i + _FACTOR_ROWS]).sum(axis=1).max())
+                  for i in range(0, len(sym), _FACTOR_ROWS))
     try:
         factor = _inverse_factor(sym)
     except np.linalg.LinAlgError:
         return None
-    if PINV_CUTOFF * row_sum * float(np.vdot(factor, factor)) < 1.0:
-        return factor
+    trace = float(np.vdot(factor, factor))
+    if PINV_CUTOFF * row_sum * trace < 1.0:
+        return factor, row_sum, trace
     return None
 
 
@@ -221,31 +241,53 @@ class _PseudoInverse:
     inverse ``Li' Li``, from one inverse Cholesky factor ``Li``:
     ``solve(rhs)`` is ``Li' (Li rhs)`` and ``quadratic(B)`` is ``M' M`` with
     ``M = Li B``, a symmetric rank-k product that is exactly symmetric.
+    ``condition_bound``, the guard's largest absolute row sum times
+    ``|Li|_F^2``, bounds the condition number from above at no extra cost.
     Otherwise one eigendecomposition ``V diag(lam) V'`` gives
-    ``pinv = V diag(inv) V'``, and ``quadratic(B)`` is ``M' diag(inv) M``
-    with ``M = V' B``.  ``drops_any`` tells whether the cutoff zeroes an
-    eigenvalue.  ``inverted()`` gives ``inv`` (after the factor route, by
-    one ``eigvalsh`` when called) and holds no eigenvectors, so a report may
-    keep it.
+    ``pinv = V diag(inv) V'``, ``quadratic(B)`` is ``M' diag(inv) M`` with
+    ``M = V' B``, and ``condition_bound`` is None.  ``drops_any`` tells
+    whether the cutoff zeroes an eigenvalue.  ``inverted()`` gives ``inv``
+    (after the factor route, by one ``eigvalsh`` when called) and holds no
+    eigenvectors, so a report may keep it.
     """
 
     def __init__(self, matrix):
         sym = _require_symmetric(matrix)
-        self._factor, self._vecs, self.drops_any = _guarded_factor(sym), None, False
-        self.inverted = lambda: _inverted_spectrum(sym, vectors=False)[1]
-        if self._factor is None:
+        guarded = _guarded_factor(sym)
+        self._vecs, self.drops_any = None, False
+        if guarded is not None:
+            self._factor, row_sum, trace = guarded
+            self.condition_bound = row_sum * trace
+            self.inverted = lambda: _inverted_spectrum(sym, vectors=False)[1]
+        else:
+            self._factor, self.condition_bound = None, None
             self._vecs, inv = _inverted_spectrum(sym)
             self._inv, self.drops_any = inv, not inv.all()
             self.inverted = lambda: inv
 
+    def _times_factor(self, B, transpose: bool = False) -> np.ndarray:
+        """``Li B`` (``Li' B`` with ``transpose``) by row blocks of
+        _FACTOR_ROWS rows that stop (start) at the diagonal, so the zero
+        triangle of ``Li`` is never multiplied.  With one block, at most
+        _FACTOR_ROWS rows, this is the plain product."""
+        n = len(self._factor)
+        out = np.empty((n,) + B.shape[1:])
+        for i in range(0, n, _FACTOR_ROWS):
+            e = min(i + _FACTOR_ROWS, n)
+            if transpose:
+                np.matmul(self._factor[i:, i:e].T, B[i:], out=out[i:e])
+            else:
+                np.matmul(self._factor[i:e, :e], B[:e], out=out[i:e])
+        return out
+
     def solve(self, rhs) -> np.ndarray:
         if self._vecs is None:
-            return self._factor.T @ (self._factor @ rhs)
+            return self._times_factor(self._times_factor(rhs), transpose=True)
         return (self._vecs * self._inv[None, :]) @ self._vecs.T @ rhs
 
     def quadratic(self, B) -> np.ndarray:
         if self._vecs is None:
-            m = self._factor @ B
+            m = self._times_factor(B)
             return m.T @ m
         m = self._vecs.T @ B
         return (m.T * self._inv) @ m

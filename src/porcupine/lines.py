@@ -37,6 +37,8 @@ UNIT_NORM_TOL = 1e-12
 _FLOAT_FMT = "%.17g"
 # Below this norm a row's squares lose bits to underflow.
 _TINY_NORM = float(np.sqrt(np.finfo(float).tiny))
+# Entries per chunk of draws that random_line_set orients into its columns.
+_ORIENT_CHUNK = 1 << 17
 
 
 def _unit_columns(units) -> bool:
@@ -44,12 +46,20 @@ def _unit_columns(units) -> bool:
     return bool(np.all(np.abs(np.linalg.norm(units, axis=0) - 1.0) <= UNIT_NORM_TOL))
 
 
-def _oriented_rows(block: np.ndarray):
+def _oriented_rows(block: np.ndarray, columns: np.ndarray | None = None):
     """``(units, flags, norms)``, ``units[i] = flags[i] * block[i] / norms[i]`` with
     its last entry above ZERO_TOL positive: the one code path that orients vectors.
     A norm is one dot product per row (as ``np.linalg.norm``), of the row over its
     peak if its squares overflow or underflow; zero and NaN norms are the caller's
-    to judge."""
+    to judge.
+
+    Each row is divided once, by its signed norm ``flags[i] * norms[i]``; as
+    ``x / (-n) == -(x / n)``, that is the bits of dividing and then flipping.
+    The pivot is read off the row's last unit entry, and only a row whose last
+    entry is at most ZERO_TOL is searched in full.  Given ``columns``, a
+    ``(d, m)`` array, the units are written into its columns and ``units`` is
+    ``columns.T``; they pass through one row-major copy, so a caller hands
+    over cache-sized blocks."""
     block = np.ascontiguousarray(block)
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
@@ -59,15 +69,24 @@ def _oriented_rows(block: np.ndarray):
         peaks[peaks == 0.0] = 1.0  # a zero row has no peak to scale by
         if (peaks != 1.0).any():
             with np.errstate(invalid="ignore"):  # an infinite entry makes its row NaN
-                units, flags, norms = _oriented_rows(block / peaks[:, None])
+                units, flags, norms = _oriented_rows(block / peaks[:, None], columns)
                 return units, flags, norms * peaks
-    units = block / np.where(norms > 0.0, norms, 1.0)[:, None]
-    if not units.shape[1]:  # a vector of length 0 has norm 0 and no pivot
-        return units, np.ones(len(units)), norms
-    pivots = units.shape[1] - 1 - np.argmax((np.abs(units) > ZERO_TOL)[:, ::-1], axis=1)
-    flags = np.where(units[np.arange(len(units)), pivots] > 0, 1.0, -1.0)
-    units *= flags[:, None]
-    return units, flags, norms
+    divisors = np.where(norms > 0.0, norms, 1.0)
+    if not block.shape[1]:  # a vector of length 0 has norm 0 and no pivot
+        return block.copy() if columns is None else columns.T, np.ones(len(block)), norms
+    last = block[:, -1] / divisors
+    flags = np.where(last > 0, 1.0, -1.0)
+    searched = np.flatnonzero(~(np.abs(last) > ZERO_TOL))  # NaN is searched too
+    if searched.size:
+        rows = block[searched] / divisors[searched, None]
+        pivots = block.shape[1] - 1 - np.argmax((np.abs(rows) > ZERO_TOL)[:, ::-1], axis=1)
+        flags[searched] = np.where(rows[np.arange(len(rows)), pivots] > 0, 1.0, -1.0)
+    divisors *= flags
+    units = block / divisors[:, None]
+    if columns is None:
+        return units, flags, norms
+    columns[...] = units.T
+    return columns.T, flags, norms
 
 
 def canonicalize_vector(v):
@@ -237,28 +256,32 @@ def random_line_set(d: int, r: int, seed, max_draws: int | None = None) -> LineS
     preserves uniformity; TooManyCollisions is raised if the draw budget
     is exhausted (only plausible for tiny ``d`` and huge ``r``).
 
-    The lines are drawn as one ``(r, d)`` block, the stream of ``r`` calls
-    of ``standard_normal(d)``; its rows of the assembled set's Gram are
-    walked in draw order by ``_first_kept``, and the shortfall is the next
-    block.  Every draw counts against ``max_draws``, so the lines and the
-    budget are those of drawing one vector at a time.
+    The lines are drawn as one block of ``r`` draws, the stream of ``r``
+    calls of ``standard_normal(d)``, taken in cache-sized chunks of rows,
+    each oriented straight into the columns of the set's unit-vector block;
+    the block's rows of the assembled set's Gram are walked in draw order
+    by ``_first_kept``, and the shortfall is the next block.  Every draw counts
+    against ``max_draws``, so the lines and the budget are those of drawing
+    one vector at a time.
     """
     d, r = count(d, "d"), count(r, "r")
     rng = np.random.default_rng(seed_sequence(seed, "seed"))
     budget = count(max_draws, "max_draws") if max_draws is not None else max(1000, 200 * r)
     units = np.empty((d, 0))
-    draws = 0
+    draws, step = 0, max(1, _ORIENT_CHUNK // d)
     while draws < budget:
-        block = rng.standard_normal((min(r - units.shape[1], budget - draws), d))
-        draws += len(block)
-        oriented, _, norms = _oriented_rows(block)
-        if not (norms > ZERO_TOL).all():  # a draw of norm at most ZERO_TOL is dropped
-            oriented = oriented[norms > ZERO_TOL]
+        wanted = min(r - units.shape[1], budget - draws)
+        draws += wanted
         have = units.shape[1]
-        grown = np.empty((d, have + len(oriented)))
+        grown = np.empty((d, have + wanted))
         grown[:, :have] = units
-        grown[:, have:] = oriented.T
-        block = oriented = None  # grown holds the lines: free both copies before the Gram
+        norms = np.empty(wanted)
+        for start in range(0, wanted, step):
+            stop = min(start + step, wanted)
+            norms[start:stop] = _oriented_rows(rng.standard_normal((stop - start, d)),
+                                               grown[:, have + start:have + stop])[2]
+        if not (norms > ZERO_TOL).all():  # a draw of norm at most ZERO_TOL is dropped
+            grown = grown[:, np.concatenate([np.ones(have, dtype=bool), norms > ZERO_TOL])]
         line_set = _assemble_line_set(grown)
         _, kept = _first_kept(_collinear(line_set.gram[have:]), have)
         if kept.all() and len(kept) == r:

@@ -28,6 +28,7 @@ from .errors import (
 from .kernel import (
     PSI_AT_ZERO,
     KernelBundle,
+    _exactly_symmetric,
     _norm_and_min,
     _PseudoInverse,
     kernel_bundle,
@@ -52,6 +53,10 @@ class SchurReport:
     those the cutoff zeroed, and ``condition`` is the largest kept
     |eigenvalue| over the smallest kept one (inf when none is kept).
     ``add_line_update``'s reports, whose block is never factorized, give None.
+    ``condition_bound`` is an upper bound on ``condition`` that costs
+    nothing: the product the inverse-factor route's guard already formed
+    (``_PseudoInverse.condition_bound``); it is None on the eigen route and
+    for ``add_line_update``'s reports.
     """
 
     schur: np.ndarray
@@ -60,6 +65,7 @@ class SchurReport:
     # Zero-argument function giving the inverted eigenvalues of the model
     # block (``_PseudoInverse.inverted``), or None when they are unknown.
     _inverted: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+    condition_bound: float | None = None
 
     @cached_property
     def _health(self):
@@ -93,12 +99,15 @@ class SchurReport:
         return 0.25 * float(q @ self.schur @ q)
 
 
-def _report_from_matrix(schur: np.ndarray, inverted=None) -> SchurReport:
-    schur = (schur + schur.T) / 2.0
+def _report_from_matrix(schur: np.ndarray, inverted=None, condition_bound=None) -> SchurReport:
+    """The report of a Schur matrix, symmetrised as ``(S + S') / 2`` unless
+    it is exactly symmetric already, when that would be ``S`` itself."""
+    if not _exactly_symmetric(schur):
+        schur = (schur + schur.T) / 2.0
     schur.flags.writeable = False
     norm, min_eig = _norm_and_min(schur)
     return SchurReport(schur=schur, spectral_norm=norm, min_eigenvalue=min_eig,
-                       _inverted=inverted)
+                       _inverted=inverted, condition_bound=condition_bound)
 
 
 def schur_complement(bundle: KernelBundle) -> SchurReport:
@@ -107,13 +116,15 @@ def schur_complement(bundle: KernelBundle) -> SchurReport:
     ``pinv`` is applied by ``kernel._PseudoInverse``: with the inverse
     Cholesky factor ``Li`` of ``psi_lines`` the product is ``M' M`` with
     ``M = Li psi_cross``, or, when the cutoff may drop an eigenvalue, it
-    comes from a factored eigendecomposition.  One ``eigvalsh`` of the
-    symmetrised result gives its spectral norm and smallest eigenvalue; the
-    block's health is computed when first read (see ``SchurReport``).
+    comes from a factored eigendecomposition.  On the factor route the
+    result is exactly symmetric as it comes; the eigen route's is
+    symmetrised.  One ``eigvalsh`` gives its spectral norm and smallest
+    eigenvalue; the block's health is computed when first read (see
+    ``SchurReport``).
     """
     pinv = _PseudoInverse(bundle.psi_lines)
     return _report_from_matrix(bundle.psi_star - pinv.quadratic(bundle.psi_cross),
-                               pinv.inverted)
+                               pinv.inverted, pinv.condition_bound)
 
 
 def good_local_loss(report: SchurReport, q_star):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import porcupine as p
 from porcupine.errors import (
@@ -333,6 +334,105 @@ class TestBatchedOrientation:
         assert np.isnan(norms[1]) and np.all(norms[[0, 2]] == 2.0)
         with pytest.raises(DomainError):
             p.canonicalize_vector(block[1])
+
+
+def oriented_rows_reference(block):
+    """The former body of ``_oriented_rows``: divide each row by its norm,
+    find the pivot by a reversed ``argmax`` of ``|u| > ZERO_TOL`` and
+    multiply by the flag.  ``_oriented_rows`` must give its bits."""
+    block = np.ascontiguousarray(block)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
+    lossy = np.isinf(norms) | (norms < np.sqrt(np.finfo(float).tiny))
+    if lossy.any():
+        peaks = np.where(lossy, np.abs(block).max(axis=1, initial=0.0), 1.0)
+        peaks[peaks == 0.0] = 1.0
+        if (peaks != 1.0).any():
+            with np.errstate(invalid="ignore"):
+                units, flags, norms = oriented_rows_reference(block / peaks[:, None])
+                return units, flags, norms * peaks
+    units = block / np.where(norms > 0.0, norms, 1.0)[:, None]
+    if not units.shape[1]:
+        return units, np.ones(len(units)), norms
+    pivots = units.shape[1] - 1 - np.argmax((np.abs(units) > ZERO_TOL)[:, ::-1], axis=1)
+    flags = np.where(units[np.arange(len(units)), pivots] > 0, 1.0, -1.0)
+    units *= flags[:, None]
+    return units, flags, norms
+
+
+def same_bits(a, b):
+    """Equal shapes and bit patterns, so the sign bits of zeros count."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# Kinds of row in a drawn block: ordinary Gaussian, trailing entries at most
+# ZERO_TOL of the norm (the pivot sits further in), zero (with signed zeros),
+# and rows whose squares overflow or underflow.
+ROW_KINDS = ["ordinary", "tiny_trailing", "zero", "overflow", "underflow", "subnormal"]
+
+
+def drawn_row(kind, d, rng):
+    row = rng.standard_normal(d)
+    if kind == "tiny_trailing":
+        tail = int(rng.integers(1, d + 1))
+        row[d - tail:] *= ZERO_TOL * rng.choice([0.0, 0.25, 1.0], tail) / np.abs(row[d - tail:])
+    elif kind == "zero":
+        row = np.where(row > 0, 0.0, -0.0)
+    elif kind == "overflow":
+        row *= 1e200
+    elif kind == "underflow":
+        row *= 1e-170
+    elif kind == "subnormal":
+        row = np.where(rng.random(d) < 0.5, 0.0, row * 5e-324)
+    return row
+
+
+class TestOrientationPassBits:
+    """_oriented_rows divides once by the signed norm and reads the pivot
+    off the last entry first; it must give the former formula's bits, in
+    the row layout and written into a column layout."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 7), seed=st.integers(0, 2**16),
+           kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=0, max_size=10))
+    def test_matches_the_former_formula(self, d, seed, kinds):
+        rng = np.random.default_rng(seed)
+        block = np.array([drawn_row(kind, d, rng) for kind in kinds]).reshape(len(kinds), d)
+        with np.errstate(over="ignore", under="ignore"):
+            want_units, want_flags, want_norms = oriented_rows_reference(block)
+            units, flags, norms = _oriented_rows(block)
+            columns = np.full((d, len(kinds) + 3), np.nan)
+            written, written_flags, written_norms = _oriented_rows(block, columns[:, 2:-1])
+        assert same_bits(units, want_units)
+        assert same_bits(flags, want_flags) and same_bits(norms, want_norms)
+        assert same_bits(columns[:, 2:-1].T, want_units) and same_bits(written, want_units)
+        assert same_bits(written_flags, want_flags) and same_bits(written_norms, want_norms)
+        assert np.isnan(columns[:, :2]).all() and np.isnan(columns[:, -1]).all()
+
+    # (1024, 263): two whole chunks of draws and a short one.
+    @pytest.mark.parametrize("d, r, max_draws",
+                             [(1024, 2048, None), (1024, 263, None), (2, 3000, 4000)])
+    def test_random_line_set_is_the_reference_layout(self, d, r, max_draws):
+        # The former draw loop, oriented by the former formula: one block
+        # at d = 1024, drawn by random_line_set in chunks of 128 rows;
+        # block after block of redraws at d = 2.
+        from porcupine.lines import _collinear, _first_kept
+
+        rng = np.random.default_rng(11)
+        budget = max_draws or max(1000, 200 * r)
+        units, draws = np.empty((d, 0)), 0
+        while units.shape[1] < r:
+            block = rng.standard_normal((min(r - units.shape[1], budget - draws), d))
+            draws += len(block)
+            oriented, _, norms = oriented_rows_reference(block)
+            grown = np.concatenate([units, oriented[norms > ZERO_TOL].T], axis=1)
+            have = units.shape[1]
+            _, kept = _first_kept(_collinear((grown.T @ grown)[have:]), have)
+            units = grown[:, kept]
+        assert draws > r or d > 2  # the d = 2 case redraws
+        line_set = p.random_line_set(d, r, 11, max_draws=max_draws)
+        assert same_bits(line_set.unit_vectors, units)
 
 
 def test_every_line_set_has_one_layout(tmp_path):

@@ -762,3 +762,79 @@ class TestSingularityDecision:
             residual = U.T @ z + bundle.psi_lines @ q - bundle.psi_cross @ np.ones(r)
             assert np.max(np.abs(residual)) <= 1e-9
         assert outcomes == {True, False}
+
+
+class TestFactorApplication:
+    """The inverse factor is applied by row blocks that stop at its diagonal:
+    within 1e-13 of the full products, and the full products' bits while the
+    factor fits one block."""
+
+    @pytest.mark.parametrize("r", [255, 256, 257, 600])
+    def test_products_match_the_full_factor(self, r):
+        from porcupine.kernel import _FACTOR_ROWS, _PseudoInverse
+
+        bundle = random_bundle(128, r, 96, (45, r))
+        pinv = _PseudoInverse(bundle.psi_lines)
+        Li = pinv._factor
+        assert Li is not None  # the factor route
+        B = bundle.psi_cross
+        M = Li @ B
+        b = B[:, 0].copy()
+        for got, want in ((pinv.quadratic(B), M.T @ M), (pinv.solve(b), Li.T @ (Li @ b))):
+            if r <= _FACTOR_ROWS:
+                assert np.array_equal(got, want)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("r", [64, 300])
+    def test_factor_route_schur_is_exactly_symmetric(self, r):
+        bundle = random_bundle(64, r, 48, (46, r))
+        assert keeps_all(bundle.psi_lines)
+        schur = p.schur_complement(bundle).schur
+        assert np.array_equal(schur, schur.T)
+
+    def test_eigen_route_schur_is_symmetrised(self):
+        from porcupine.kernel import _PseudoInverse
+
+        bundle = p.kernel_bundle(p.random_line_set(2, 60, 11), p.random_line_set(2, 5, 12))
+        raw = bundle.psi_star - _PseudoInverse(bundle.psi_lines).quadratic(bundle.psi_cross)
+        assert not np.array_equal(raw, raw.T)  # the eigen route's product is not symmetric
+        np.testing.assert_array_equal(p.schur_complement(bundle).schur, (raw + raw.T) / 2.0)
+
+
+class TestConditionBound:
+    """``condition_bound`` is the guard's row sum times ``|Li|_F^2``, an upper
+    bound on ``condition`` from no further factorization."""
+
+    @pytest.mark.parametrize("d, r, r_star, seed", [
+        (6, 9, 4, 31),  # TestSchurHealth.test_full_rank_block
+        (64, 128, 64, 34),  # TestSchurSolveRoute.test_well_conditioned_block_makes_no_eigh_call
+        (8, 16, 8, 35),  # TestSchurSolveRoute.test_health_is_computed_once_on_first_read
+        *[(d, factor * d, d, (33, d, factor)) for d in (8, 64, 256) for factor in (1, 2)],
+    ])
+    def test_bounds_the_condition_on_the_factor_route(self, d, r, r_star, seed):
+        bundle = random_bundle(d, r, r_star, seed)
+        assert keeps_all(bundle.psi_lines)
+        report = p.schur_complement(bundle)
+        A = bundle.psi_lines
+        Li = np.linalg.inv(np.linalg.cholesky(A))
+        expected = np.abs(A).sum(axis=1).max() * np.sum(Li * Li)
+        assert report.condition_bound == pytest.approx(expected, rel=1e-10)
+        assert report.condition_bound >= report.condition
+
+    def test_no_factorization_is_added(self, monkeypatch):
+        calls = []
+        original = p.kernel._inverted_spectrum
+        monkeypatch.setattr(p.kernel, "_inverted_spectrum",
+                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        report = p.schur_complement(random_bundle(8, 16, 8, 35))
+        assert report.condition_bound > 1.0 and calls == []
+
+    def test_none_on_the_eigen_route_and_after_an_update(self):
+        lines = p.random_line_set(2, 60, 11)
+        star = p.random_line_set(2, 5, 12)
+        assert p.schur_complement(p.kernel_bundle(lines, star)).condition_bound is None
+        bundle = random_bundle(4, 3, 2, 32)
+        report = p.schur_complement(bundle)
+        assert report.condition_bound is not None
+        updated, _, _ = p.add_line_update(report, bundle, np.array([1.0, 2.0, -1.0, 0.5]))
+        assert updated.condition_bound is None

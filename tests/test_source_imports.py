@@ -2,8 +2,9 @@
 src/porcupine imports scipy or hypothesis, a test dependency only), imports
 no name it does not use, builds every root seed through the seed rule of
 ``_checks``, trains and labels runs only in ``trainer._seeded_run``, writes
-CSV only in ``cli.main``, builds its one thread pool in ``risk._ordered_map``
-and factorizes matrices only in ``kernel``, by its eigen-solves alone."""
+CSV only in ``cli.main``, builds its one thread pool in ``risk._ordered_map``,
+factorizes matrices only in ``kernel``, by its eigen-solves alone, and applies
+the inverse factor only by the row blocks of ``_PseudoInverse._times_factor``."""
 
 import ast
 from pathlib import Path
@@ -324,6 +325,54 @@ def test_kernel_factorizes_only_by_eigen_solves():
 ])
 def test_guard_sees_factorizations(source, sites):
     assert factorization_sites(ast.parse(source)) == sites
+
+
+def _reads_factor(node) -> bool:
+    """Whether the expression ``node`` reads an attribute ``_factor``."""
+    return any(isinstance(n, ast.Attribute) and n.attr == "_factor" for n in ast.walk(node))
+
+
+def factor_product_sites(tree, owner=None):
+    """``(line, function)`` of each product, ``@`` or a call of ``matmul`` or
+    ``dot``, with an operand that reads ``_factor`` (the inverse factor of
+    ``kernel._PseudoInverse``), with the innermost function around it."""
+    sites = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        else:
+            operands = node.args[:2] if called_name(node) in ("matmul", "dot") else []
+        if any(_reads_factor(operand) for operand in operands):
+            sites.append((node.lineno, owner))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        sites += factor_product_sites(node, inner)
+    return sorted(sites)
+
+
+def test_inverse_factor_is_applied_only_by_row_blocks():
+    # A full Li @ B multiplies the zero triangle of the factor too.
+    owners = {(path.name, owner) for path in SOURCES
+              for _, owner in factor_product_sites(ast.parse(path.read_text(encoding="utf-8")))}
+    assert owners == {("kernel.py", "_times_factor")}
+
+
+@pytest.mark.parametrize("source, sites", [
+    # The two sites of the earlier code: _PseudoInverse.solve and .quadratic.
+    ("def solve(self, rhs):\n"
+     "    if self._vecs is None:\n"
+     "        return self._factor.T @ (self._factor @ rhs)",
+     [(3, "solve"), (3, "solve")]),
+    ("def quadratic(self, B):\n"
+     "    if self._vecs is None:\n"
+     "        m = self._factor @ B\n"
+     "        return m.T @ m",
+     [(3, "quadratic")]),
+    ("np.matmul(self._factor[i:e, :e], B[:e], out=out[i:e])", [(1, None)]),
+    ("np.dot(B.T, pinv._factor)", [(1, None)]),
+    ("self._factor = factor\nm.T @ m\nfloat(np.vdot(factor, factor))", []),
+])
+def test_guard_sees_factor_products(source, sites):
+    assert factor_product_sites(ast.parse(source)) == sites
 
 
 def test_pinv_callers_use_the_one_routine():
