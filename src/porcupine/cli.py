@@ -132,6 +132,7 @@ def _cmd_risk(args):
     if args.demo == "scalar" and args.mismatched:
         raise ParameterOutOfRange("--demo scalar is a matched demo; drop --mismatched")
     if args.demo == "scalar":
+        _reject_ignored(args, "risk --demo scalar", ("d", "r", "k", "r_star", "k_star"))
         demos = [
             ("flat-valley", np.array([5.0, 5.0]), np.array([6.0, 4.0])),
             ("same-point", np.array([6.0, 4.0]), np.array([6.0, 4.0])),
@@ -141,15 +142,17 @@ def _cmd_risk(args):
         for name, w, w_star in demos:
             instances.append((name, w[None, :], w_star[None, :], scalar_risk(w, w_star)))
     else:
+        if not args.mismatched:
+            _reject_ignored(args, "risk --matched", ("r_star", "k_star"))
         if args.d is None or args.r is None or args.k is None:
             raise ParameterOutOfRange("need --d, --r, --k (or --demo scalar)")
         if args.k < args.r:
             raise ParameterOutOfRange("need k >= r so the line map can be surjective")
         r_star = args.r if args.r_star is None else args.r_star
         k_star = args.k if args.k_star is None else args.k_star
-        if args.mismatched and k_star < r_star:
+        if k_star < r_star:
             raise ParameterOutOfRange("need k_star >= r_star")
-        _check_line_count(args.d, max(args.r, r_star) if args.mismatched else args.r)
+        _check_line_count(args.d, max(args.r, r_star))
         seq = seed_sequence(args.seed, "--seed").spawn(2)
         weights = _random_instance(args.d, args.r, args.k, seq[0])
         if args.mismatched:
@@ -311,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_risk = sub.add_parser("risk", help="closed-form risk breakdowns")
-    kind = p_risk.add_mutually_exclusive_group()
-    kind.add_argument("--matched", action="store_true")
+    kind = p_risk.add_mutually_exclusive_group()  # one dest: --matched is the default
+    kind.add_argument("--matched", dest="mismatched", action="store_false")
     kind.add_argument("--mismatched", action="store_true")
     p_risk.add_argument("--demo", choices=["scalar"], default=None)
     p_risk.add_argument("--d", type=int)
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_risk.add_argument("--mc-samples", type=int, default=None,
                         help="Monte Carlo sample count (enables MC cross-checks)")
     _add_common(p_risk)
-    p_risk.set_defaults(func=_cmd_risk)
+    p_risk.set_defaults(func=_cmd_risk, mismatched=False)
 
     p_land = sub.add_parser("landscape", help="region classification tables")
     p_land.add_argument("action", choices=["classify"])

@@ -31,7 +31,7 @@ from .kernel import (
     min_eigenvalue,
     psi,
 )
-from .lines import PNNWeights, RegionSignature, ZERO_TOL
+from .lines import PNNWeights, RegionSignature, ZERO_TOL, _weight_matrix
 from .risk import _line_risk, _line_terms
 
 ONLY_GLOBAL = "OnlyGlobal"
@@ -183,10 +183,8 @@ def analytic_gradient(weights: PNNWeights, weights_star: PNNWeights):
     line.  Requires every column of ``weights`` to be non-zero (the risk
     is not differentiable at zero columns).
     """
-    if weights.dim != weights_star.dim:
-        raise DimensionMismatch("networks live in different input dimensions")
     W = weights.matrix
-    W_star = weights_star.matrix
+    W_star = _weight_matrix(weights_star, "target weights", weights.dim)
     W_star = W_star[:, np.linalg.norm(W_star, axis=0) > ZERO_TOL]
     others = np.hstack([W, W_star])
     norms, other_norms, _, theta = _column_angles(W, others)

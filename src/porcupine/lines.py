@@ -139,8 +139,12 @@ class LineSet:
         return self.unit_vectors[:, index]
 
     def subset(self, indices) -> "LineSet":
-        """Line set restricted to ``indices`` (order preserved)."""
-        idx = list(indices)
+        """Line set restricted to ``indices`` (order preserved, repeats kept): a
+        non-empty list of integers in ``[0, num_lines)``, else ParameterOutOfRange."""
+        idx = np.asarray(indices)
+        if not (idx.ndim == 1 and idx.size and idx.dtype.kind in "iu"
+                and idx.min() >= 0 and idx.max() < self.num_lines):
+            raise ParameterOutOfRange("need indices in [0, %d), got %r" % (self.num_lines, indices))
         units = np.take(self.unit_vectors, idx, axis=1)  # C-contiguous, like every line set's
         gram = self.gram[np.ix_(idx, idx)]
         units.flags.writeable = gram.flags.writeable = False
@@ -242,7 +246,8 @@ def axes_line_set(d: int) -> LineSet:
 
 
 def cross_gram(a: LineSet, b: LineSet) -> np.ndarray:
-    """Pairwise cosines between the lines of ``a`` (rows) and ``b`` (columns)."""
+    """Pairwise cosines between the lines of ``a`` (rows) and ``b`` (columns),
+    clipped to [-1, 1]: the one product of two line families' unit vectors."""
     if a.dim != b.dim:
         raise DimensionMismatch("line sets live in d=%d and d=%d" % (a.dim, b.dim))
     return np.clip(a.unit_vectors.T @ b.unit_vectors, -1.0, 1.0)
@@ -302,15 +307,13 @@ class NeuronLineMap:
 
     def __post_init__(self):
         count(self.num_neurons, "num_neurons")
-        assignment = tuple(int(a) for a in self.assignment)
+        assignment = tuple(count(a, "line index", 0) for a in self.assignment)
         object.__setattr__(self, "assignment", assignment)
         if len(assignment) != self.num_neurons:
             raise DimensionMismatch(
                 "assignment length %d != num_neurons %d"
                 % (len(assignment), self.num_neurons)
             )
-        if min(assignment) < 0:
-            raise ParameterOutOfRange("line indices must be non-negative")
         r = max(assignment) + 1
         if set(assignment) != set(range(r)):
             raise ParameterOutOfRange(
@@ -480,6 +483,18 @@ class PNNWeights:
             self.line_set.same_geometry(other.line_set)
             and self.neuron_map == other.neuron_map
         )
+
+
+def _weight_matrix(weights, name: str = "weights", dim: int | None = None) -> np.ndarray:
+    """The finite ``d x k`` matrix of an array (by ``finite_array``) or of a
+    PNNWeights (checked when built, so by its shape alone), with ``d = dim`` when
+    ``dim`` is given: the one intake of a weight matrix."""
+    if not isinstance(weights, PNNWeights):
+        return finite_array(weights, name, (dim, None))
+    if dim not in (None, weights.dim):
+        raise DimensionMismatch("%s must have shape %s, got %s"
+                                % (name, (dim, None), weights.matrix.shape))
+    return weights.matrix
 
 
 def decompose_weights(weights: PNNWeights):

@@ -16,7 +16,8 @@ import numpy as np
 
 from ._checks import count, finite_array, real, seed_sequence
 from .errors import CoverageNotReached, DomainError, ParameterOutOfRange
-from .lines import _oriented_rows, _unit_columns, load_vectors_csv, save_vectors_csv
+from .lines import _oriented_rows, _unit_columns, _weight_matrix
+from .lines import load_vectors_csv, save_vectors_csv
 
 # Probes drawn and screened against the net per matmul.
 _PROBE_BLOCK = 1024
@@ -200,9 +201,10 @@ def nearest_net_approx(w_star, net: AngularNet):
     Returns ``(w_tilde, max_angle)``.  Each column is replaced by the
     closest vector of the net or its negation, rescaled to the original
     norm, so ``|w - w_tilde|^2 = 2 |w|^2 (1 - cos angle)`` per column.
-    Zero columns stay zero; non-finite entries raise DomainError.
+    ``w_star`` is a PNNWeights or a ``d x k`` array.  Zero columns stay
+    zero; non-finite entries raise DomainError.
     """
-    W = finite_array(w_star, "weights", (net.dim, None))
+    W = _weight_matrix(w_star, "weights", net.dim)
     if net.size < 1:
         raise ParameterOutOfRange("the net is empty")
     norms = _oriented_rows(W.T)[2]  # true norms, also where the squares overflow

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import count, finite_array, seed_sequence
-from .errors import ConfigMismatch, DimensionMismatch, ParameterOutOfRange, ZeroVector
+from .errors import ConfigMismatch, ParameterOutOfRange, ZeroVector
 from .kernel import _column_angles, kernel_bundle, psi
-from .lines import NeuronLineMap, PNNWeights, ZERO_TOL, _line_masses, axes_line_set
+from .lines import NeuronLineMap, PNNWeights, ZERO_TOL, _line_masses, _weight_matrix, axes_line_set
 
 _MC_CHUNK_PAIRS = 1 << 16
 # Pairs per block within a chunk: the block's (block x k) products stay in
@@ -36,31 +36,11 @@ class RiskBreakdown:
         return self.linear_term + self.kernel_term
 
 
-def _finite_pair(weights, weights_star):
-    """Both weight matrices, finite and of one input dimension, for the
-    oracles that take arbitrary matrices."""
-    A = finite_array(_as_matrix(weights), "weights", (None, None))
-    return A, finite_array(_as_matrix(weights_star), "target weights", (A.shape[0], None))
-
-
-def _as_matrix(weights) -> np.ndarray:
-    if isinstance(weights, PNNWeights):
-        return weights.matrix
-    matrix = np.asarray(weights, dtype=float)
-    if matrix.ndim != 2:
-        raise DimensionMismatch("expected a d x k weight matrix")
-    return matrix
-
-
 def network_output(x, weight_matrix):
-    """``sum_i relu(w_i' x)`` for a single input or a batch of rows."""
-    W = _as_matrix(weight_matrix)
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != W.shape[0]:
-        raise DimensionMismatch(
-            "input dimension %d does not match weights d=%d"
-            % (x.shape[-1], W.shape[0])
-        )
+    """``sum_i relu(w_i' x)`` for a single input or a batch of rows, both read
+    finite (DomainError) and of one ``d`` (DimensionMismatch)."""
+    W = _weight_matrix(weight_matrix)
+    x = finite_array(x, "inputs", (None,) * (np.ndim(x) - 1) + (W.shape[0],))
     out = np.maximum(x @ W, 0.0).sum(axis=-1)
     return float(out) if x.ndim == 1 else out
 
@@ -91,7 +71,8 @@ def monte_carlo_risk(weights, weights_star, n_samples: int = 2_000_000,
     are summed over the whole chunk, so the blocks change no bit of the
     result.  Non-finite weights raise DomainError.
     """
-    A, B = _finite_pair(weights, weights_star)
+    A = _weight_matrix(weights)
+    B = _weight_matrix(weights_star, "target weights", A.shape[0])
     pairs = (count(n_samples, "n_samples") + 1) // 2
     threads = count(threads, "threads")
     d = A.shape[0]
@@ -153,10 +134,8 @@ def degree_one_risk(W, W_star, neuron_map: NeuronLineMap) -> RiskBreakdown:
     Columns off their axes raise InfeasibleWeights, non-finite entries
     DomainError.
     """
-    A = _as_matrix(W)
-    B = _as_matrix(W_star)
-    if A.shape != B.shape:
-        raise DimensionMismatch("weight matrices must share a shape")
+    A = _weight_matrix(W)
+    B = _weight_matrix(W_star, "target weights", A.shape[0])
     axes = axes_line_set(A.shape[0])
     return matched_risk(PNNWeights(A, axes, neuron_map), PNNWeights(B, axes, neuron_map))
 
@@ -164,9 +143,8 @@ def degree_one_risk(W, W_star, neuron_map: NeuronLineMap) -> RiskBreakdown:
 def _line_terms(weights: PNNWeights, weights_star: PNNWeights):
     """``(gap, q, q*)``: the column-sum gap ``sum w - sum w*`` and both
     networks' per-line masses, the pieces of the risk's quadratic."""
-    if weights.dim != weights_star.dim:
-        raise DimensionMismatch("networks live in different input dimensions")
-    gap = weights.column_sum() - weights_star.column_sum()
+    B = _weight_matrix(weights_star, "target weights", weights.dim)
+    gap = weights.column_sum() - B.sum(axis=1)
     return gap, _line_masses(weights), _line_masses(weights_star)
 
 
@@ -249,7 +227,8 @@ def pairwise_population_risk(weights, weights_star) -> float:
     bookkeeping.  Zero columns contribute nothing.  Non-finite weights
     raise DomainError.
     """
-    A, B = _finite_pair(weights, weights_star)
+    A = _weight_matrix(weights)
+    B = _weight_matrix(weights_star, "target weights", A.shape[0])
     value = (
         _pairwise_correlations(A, A).sum()
         + _pairwise_correlations(B, B).sum()

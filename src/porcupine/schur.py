@@ -35,7 +35,7 @@ from .kernel import (
     min_eigenvalue,
     psi,
 )
-from .lines import LineSet, _collinear, canonicalize_vector
+from .lines import LineSet, _collinear, build_line_set, cross_gram
 
 # The pivot 1 - zeta' D11^{-1} zeta of an added line must exceed this.
 PIVOT_TOL = 1e-12
@@ -141,16 +141,15 @@ def good_local_loss(report: SchurReport, q_star):
 def add_line_update(report: SchurReport, bundle: KernelBundle, new_line):
     """Rank-one downdate of the Schur complement after adding one line.
 
-    ``new_line`` must span a line distinct from every current model line,
-    and the model-line kernel block must be invertible.  Returns
+    ``new_line``, read as a one-line set, must span a line distinct from every
+    model line, and the model-line kernel block must be invertible.  Returns
     ``(new_report, alpha, v)`` with ``new_schur = schur - alpha * v v'``
     and ``alpha >= 0``, so the spectral norm never increases.  The new
     report's ``kept_rank``, ``dropped_eigenvalues`` and ``condition`` are
     None (see ``SchurReport``).
     """
-    unit, _ = canonicalize_vector(np.asarray(new_line, dtype=float))
-    z1 = np.clip(bundle.lines.unit_vectors.T @ unit, -1.0, 1.0)
-    z2 = np.clip(bundle.star.unit_vectors.T @ unit, -1.0, 1.0)
+    added = build_line_set([new_line])
+    z1, z2 = cross_gram(bundle.lines, added)[:, 0], cross_gram(bundle.star, added)[:, 0]
     if _collinear(z1).any():
         raise DuplicateLine("the added line coincides with an existing model line")
     pinv = _PseudoInverse(bundle.psi_lines)
@@ -194,7 +193,8 @@ def nearest_line_subset(lines: LineSet, targets: LineSet) -> NearestSubset:
             "need at least as many model lines (%d) as targets (%d)"
             % (lines.num_lines, targets.num_lines)
         )
-    affinity = np.abs(lines.unit_vectors.T @ targets.unit_vectors)
+    affinity = cross_gram(lines, targets)
+    np.abs(affinity, out=affinity)  # in place: no second r x r* array
     winners = np.argmax(affinity, axis=0).tolist()
     taken = np.zeros(lines.num_lines, dtype=bool)
     chosen: list[int] = []

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._checks import count, finite_array, real, seed_sequence
 from .errors import ConfigError, DimensionMismatch, Diverged
-from .landscape import GOOD_REGION, MAY_HAVE_BAD_LOCAL, region_condition, stationarity_check
+from .landscape import GOOD_REGION, classify_region, region_condition, stationarity_check
 from .lines import (
     LineSet,
     NeuronLineMap,
@@ -24,6 +24,7 @@ from .lines import (
     _line_coordinates,
     _off_line,
     _signature,
+    _weight_matrix,
     axes_line_set,
     random_line_set,
     weights_from_masses,
@@ -136,10 +137,7 @@ class TrainResult:
 def generate_dataset(w_star, n: int, seed):
     """``n`` pairs ``(x, h(x; W*))`` with standard Gaussian inputs."""
     n = count(n, "n")
-    if isinstance(w_star, PNNWeights):
-        W = w_star.matrix
-    else:
-        W = finite_array(w_star, "target weights", (None, None))
+    W = _weight_matrix(w_star, "target weights")
     rng = np.random.default_rng(seed_sequence(seed, "seed"))
     X = rng.standard_normal((n, W.shape[0]))
     return X, network_output(X, W)
@@ -377,19 +375,20 @@ def _seeded_run(data, n_train: int, init: PNNWeights, config: TrainConfig, seed,
     run_seed = int(np.random.default_rng(seed).integers(2**31))
     result = sgd_train((X[:n_train], y[:n_train]), init, replace(config, seed=run_seed),
                        test_data=(X[n_train:], y[n_train:]))
-    signature = result.final_signature
-    region_ok = region_condition(signature, init.line_set.dim)
     if truth is None:
-        outcome, gap = (GOOD_REGION if region_ok else MAY_HAVE_BAD_LOCAL), None
+        signature, gap = result.final_signature, None
+        outcome = classify_region(signature, init.line_set.dim).label
+        region_ok, violated = outcome == GOOD_REGION, signature.single_orientation_count
     else:
-        outcome = classify_outcome(result, truth).outcome
+        report = classify_outcome(result, truth)
+        outcome, region_ok, violated = (report.outcome, report.region_condition_ok,
+                                        report.violated_lines)
         gap = float(np.linalg.norm(result.final_matrix - truth.matrix) ** 2)
     return TrainRun(k=init.neuron_map.num_neurons, trial=trial, init=init_index, seed=run_seed,
                     outcome=outcome, final_train_loss=result.final_train_loss,
                     normalized_test_mse=result.final_test_loss_normalized, gap_frobenius_sq=gap,
                     epochs_run=result.epochs_run, feasibility_ok=result.line_feasibility_ok,
-                    region_condition_ok=region_ok,
-                    violated_lines=signature.single_orientation_count)
+                    region_condition_ok=region_ok, violated_lines=violated)
 
 
 def degree_one_map(d: int, k: int) -> NeuronLineMap:

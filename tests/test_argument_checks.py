@@ -113,6 +113,8 @@ NET = p.greedy_angular_net(2, 0.5, seed=0)
 CONFIG = p.TrainConfig(batch_size=10, epochs=1, learning_rate=1e-3)
 _TRUTH = p.weights_from_masses(p.build_line_set([[1.0]]), p.NeuronLineMap(2, (0, 0)), [2.0, 3.0])
 RESULT = p.sgd_train(p.generate_dataset(_TRUTH, 20, 0), _TRUTH, CONFIG)
+BUNDLE = p.kernel_bundle(LINES, LINES)
+REPORT = p.schur_complement(BUNDLE)
 
 COUNT = (NAN, INF, -INF, 2.5, 0, -1)  # an integer of at least 1 (or 2)
 SEED = (NAN, INF, -INF, 2.5, -1, True, "1", [1, -1], [])  # an integer >= 0, or a list of them
@@ -207,6 +209,18 @@ ARGUMENTS = [
     ("init_random_pnn.seed", lambda v: p.init_random_pnn(3, 2, v), SEED),
     ("monte_carlo_risk.seed", lambda v: p.monte_carlo_risk(W, W, n_samples=10, seed=v), SEED),
     ("TrainConfig.seed", lambda v: p.TrainConfig(seed=v), SEED),
+    # A weight matrix, a pair of line sets, a map entry and subset indices
+    # enter through one rule each.
+    ("network_output.weights", lambda v: p.network_output(np.ones(3), [[v], [0.0], [0.0]]),
+     FINITE),
+    ("network_output.x", lambda v: p.network_output([v, 0.0, 0.0], [[1.0], [0.0], [0.0]]),
+     FINITE),
+    ("nearest_line_subset.targets_d",
+     lambda v: p.nearest_line_subset(p.random_line_set(3, 4, 0), p.random_line_set(v, 2, 1)),
+     (4,)),
+    ("add_line_update.new_line", lambda v: p.add_line_update(REPORT, BUNDLE, v), ([1.0, 0.0],)),
+    ("NeuronLineMap.assignment", lambda v: p.NeuronLineMap(2, (v, 0)), (NAN, 0.5, True, "1")),
+    ("LineSet.subset", lambda v: LINES.subset(v), ([7], [-1], [])),
 ]
 
 PROBES = [pytest.param(call, value, id="%s=%r" % (name, value))
@@ -271,6 +285,12 @@ EXIT_CODES = [
     (["minimax", "bound", "--d", "4", "--delta", "0.3", "--k", "1" + "0" * 400], 0),
     (["risk", "--matched", "--mismatched", "--d", "3", "--r", "2", "--k", "3"], 2),
     (["risk", "--mismatched", "--demo", "scalar"], 2),
+    # Flags the mode never reads.
+    (["risk", "--demo", "scalar", "--d", "7", "--r-star", "4"], 2),
+    (["risk", "--demo", "scalar", "--k-star", "4"], 2),
+    (["risk", "--matched", "--d", "3", "--r", "2", "--k", "3", "--r-star", "5", "--k-star", "9"],
+     2),
+    (["risk", "--d", "3", "--r", "2", "--k", "3", "--k-star", "9"], 2),
 ]
 
 

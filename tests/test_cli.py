@@ -58,6 +58,16 @@ class TestRiskCommand:
         parts = body[1].split(",")
         assert float(parts[3]) >= 0.0
 
+    def test_matched_is_the_default_with_one_spec(self, tmp_path):
+        # --matched and --mismatched share one dest, so the spec line echoes
+        # the mode the run reads, given or not.
+        paths = [tmp_path / "given.csv", tmp_path / "default.csv"]
+        for path, mode in zip(paths, (["--matched"], [])):
+            argv = ["risk"] + mode + ["--d", "3", "--r", "2", "--k", "3", "--out", str(path)]
+            assert run_cli(argv) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert '"mismatched": false' in paths[0].read_text()
+
     def test_missing_dimensions_rejected(self):
         assert run_cli(["risk", "--matched"]) == 2
 

@@ -433,6 +433,17 @@ class TestNearestNetApprox:
             3.0 * math.sqrt(2.0 - 2.0 * math.cos(phi)), abs=1e-10
         )
 
+    def test_porcupine_weights_snap_as_their_matrix(self):
+        # A PNNWeights enters through the one weight rule, as everywhere else.
+        net = p.greedy_angular_net(3, 0.3, seed=8)
+        lines = p.random_line_set(3, 4, 5)
+        w = p.weights_from_masses(lines, p.NeuronLineMap(6, (0, 1, 2, 3, 0, 2)),
+                                  [1.5, -0.5, 2.0, 0.0, -3.0, 0.25])
+        approx, angle = p.nearest_net_approx(w, net)
+        expected, expected_angle = p.nearest_net_approx(w.matrix, net)
+        np.testing.assert_array_equal(approx, expected)
+        assert angle == expected_angle
+
 
 def nearest_net_reference(W, net):
     """nearest_net_approx's former per-column loop."""

@@ -3,8 +3,10 @@ src/porcupine imports scipy or hypothesis, a test dependency only), imports
 no name it does not use, builds every root seed through the seed rule of
 ``_checks``, trains and labels runs only in ``trainer._seeded_run``, writes
 CSV only in ``cli.main``, builds its one thread pool in ``risk._ordered_map``,
-factorizes matrices only in ``kernel``, by its eigen-solves alone, and applies
-the inverse factor only by the row blocks of ``_PseudoInverse._times_factor``."""
+factorizes matrices only in ``kernel``, by its eigen-solves alone, applies
+the inverse factor only by the row blocks of ``_PseudoInverse._times_factor``,
+multiplies two line sets' unit vectors only in ``lines.cross_gram`` and reads
+a ``PNNWeights`` as a matrix only in ``lines._weight_matrix``."""
 
 import ast
 from pathlib import Path
@@ -327,26 +329,34 @@ def test_guard_sees_factorizations(source, sites):
     assert factorization_sites(ast.parse(source)) == sites
 
 
-def _reads_factor(node) -> bool:
-    """Whether the expression ``node`` reads an attribute ``_factor``."""
-    return any(isinstance(n, ast.Attribute) and n.attr == "_factor" for n in ast.walk(node))
+def _reads(node, name: str) -> bool:
+    """Whether the expression ``node`` reads ``name``, as an attribute or a
+    bare name."""
+    return any(getattr(n, "attr", getattr(n, "id", None)) == name for n in ast.walk(node)
+               if isinstance(n, (ast.Attribute, ast.Name)))
 
 
-def factor_product_sites(tree, owner=None):
+def product_sites(tree, hit, owner=None):
     """``(line, function)`` of each product, ``@`` or a call of ``matmul`` or
-    ``dot``, with an operand that reads ``_factor`` (the inverse factor of
-    ``kernel._PseudoInverse``), with the innermost function around it."""
+    ``dot``, whose two operands make ``hit(operands)`` true, with the innermost
+    function around it (None at module level)."""
     sites = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
             operands = [node.left, node.right]
         else:
             operands = node.args[:2] if called_name(node) in ("matmul", "dot") else []
-        if any(_reads_factor(operand) for operand in operands):
+        if operands and hit(operands):
             sites.append((node.lineno, owner))
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-        sites += factor_product_sites(node, inner)
+        sites += product_sites(node, hit, inner)
     return sorted(sites)
+
+
+def factor_product_sites(tree):
+    """Products with an operand that reads ``_factor`` (the inverse factor of
+    ``kernel._PseudoInverse``)."""
+    return product_sites(tree, lambda operands: any(_reads(o, "_factor") for o in operands))
 
 
 def test_inverse_factor_is_applied_only_by_row_blocks():
@@ -387,3 +397,66 @@ def test_pinv_callers_use_the_one_routine():
                      for alias in node.names}
             assert names & helpers == set(), path.name
             assert "_PseudoInverse" in names, path.name
+
+
+def line_pair_sites(tree):
+    """Products whose two operands both read ``unit_vectors``: the cosines
+    between two line families."""
+    return product_sites(tree, lambda operands: all(_reads(o, "unit_vectors") for o in operands))
+
+
+def test_two_line_sets_meet_only_in_cross_gram():
+    # One product, so every pair of line sets gets its dimension check and clip.
+    owners = [(path.name, owner) for path in SOURCES
+              for _, owner in line_pair_sites(ast.parse(path.read_text(encoding="utf-8")))]
+    assert owners == [("lines.py", "cross_gram")]
+
+
+@pytest.mark.parametrize("source, sites", [
+    # The site of the earlier schur.nearest_line_subset, and cross_gram's earlier form.
+    ("def nearest_line_subset(lines, targets):\n"
+     "    affinity = np.abs(lines.unit_vectors.T @ targets.unit_vectors)",
+     [(2, "nearest_line_subset")]),
+    ("np.clip(a.unit_vectors.T @ b.unit_vectors, -1.0, 1.0)", [(1, None)]),
+    ("np.dot(a.unit_vectors.T, b.unit_vectors)\n"
+     "np.matmul(a.unit_vectors.T, b.unit_vectors, out=c)", [(1, None), (2, None)]),
+    ("units.T @ units\nweights.line_set.unit_vectors.T @ gap\n"
+     "np.linalg.norm(lines.unit_vectors - targets.unit_vectors)", []),
+])
+def test_guard_sees_line_pair_products(source, sites):
+    assert line_pair_sites(ast.parse(source)) == sites
+
+
+def weight_branch_sites(tree, owner=None):
+    """``(line, function)`` of each ``isinstance`` test against
+    ``PNNWeights``, with the innermost function around it."""
+    sites = []
+    for node in ast.iter_child_nodes(tree):
+        if called_name(node) == "isinstance" and _reads(node.args[-1], "PNNWeights"):
+            sites.append((node.lineno, owner))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        sites += weight_branch_sites(node, inner)
+    return sorted(sites)
+
+
+def test_weights_are_read_only_by_the_weight_rule():
+    # One intake, so an array and a PNNWeights are checked alike everywhere.
+    owners = [(path.name, owner) for path in SOURCES
+              for _, owner in weight_branch_sites(ast.parse(path.read_text(encoding="utf-8")))]
+    assert owners == [("lines.py", "_weight_matrix")]
+
+
+@pytest.mark.parametrize("source, sites", [
+    # The two sites of the earlier code: risk._as_matrix and trainer.generate_dataset.
+    ("def _as_matrix(weights):\n"
+     "    if isinstance(weights, PNNWeights):\n"
+     "        return weights.matrix", [(2, "_as_matrix")]),
+    ("def generate_dataset(w_star, n, seed):\n"
+     "    n = count(n, 'n')\n"
+     "    if isinstance(w_star, PNNWeights):\n"
+     "        W = w_star.matrix", [(3, "generate_dataset")]),
+    ("isinstance(w, (lines.PNNWeights, np.ndarray))", [(1, None)]),
+    ("isinstance(w, LineSet)\nPNNWeights(matrix, line_set, neuron_map)", []),
+])
+def test_guard_sees_weight_branches(source, sites):
+    assert weight_branch_sites(ast.parse(source)) == sites
