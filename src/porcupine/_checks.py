@@ -1,7 +1,8 @@
 """The four rules that check the package's arguments.
 
 ``count`` checks an integer size, ``real`` a real number within bounds,
-``finite_array`` an array of a given shape and ``seed_sequence`` a seed.
+``finite_array`` an array of a given shape (its first step, ``float_array``,
+only converts) and ``seed_sequence`` a seed.
 Whatever fails raises a PorcupineError: DomainError for a non-finite value,
 ParameterOutOfRange for a value out of range, DimensionMismatch for a wrong
 shape.  Each rule costs O(1) for a number and one pass for an array.
@@ -47,14 +48,21 @@ def real(value, name: str, low: float = -math.inf, high: float = math.inf, *,
     raise (error or failure)("%s must be %s, got %r" % (name, want, value))
 
 
+def float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; what numpy cannot convert (a ragged
+    nested list, a string) raises DimensionMismatch.  The first step of
+    ``finite_array``, alone for a caller that checks the rest itself."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch("%s must be a numeric array" % name) from None
+
+
 def finite_array(values, name: str, shape: tuple) -> np.ndarray:
     """``values`` as a float array of ``shape``, in which a None entry
     matches any size: another shape raises DimensionMismatch, a non-finite
     entry DomainError."""
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise DimensionMismatch("%s must be a numeric array" % name) from None
+    arr = float_array(values, name)
     if arr.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, arr.shape)):
         raise DimensionMismatch("%s must have shape %s, got %s" % (name, shape, arr.shape))
     if not np.isfinite(arr).all():

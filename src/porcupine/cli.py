@@ -48,8 +48,6 @@ from .trainer import (
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
         return _FMT % value
     return str(value)
@@ -275,8 +273,6 @@ def _cmd_train(args):
 
 
 def _cmd_minimax(args):
-    if args.delta is None:
-        raise ParameterOutOfRange("--delta is required")
     if args.action == "bound":
         # --M scales the minimax risk bound, which needs --k.
         _reject_ignored(args, "minimax bound",
@@ -372,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mini.add_argument("action", choices=["bound", "net"])
     p_mini.add_argument("--d", type=int, required=True)
     p_mini.add_argument("--s", type=int, default=None)
-    p_mini.add_argument("--delta", type=float, default=None)
+    p_mini.add_argument("--delta", type=float, required=True)
     p_mini.add_argument("--k", type=int, default=None)
     p_mini.add_argument("--M", type=float, default=None, help="default 1")
     p_mini.add_argument("--probes", type=int, default=None, help="default 100000")

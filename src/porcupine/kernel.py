@@ -40,22 +40,19 @@ def psi(x):
     even, 1-Lipschitz, and takes values in [2/pi, 1].
 
     One formula, ``_psi_in_place``, writes the output through two work
-    buffers.  An input larger than one block is evaluated block by block
-    into its output with two block-sized buffers, so no temporary grows with
-    the input (a non-contiguous one is first copied flat); every entry goes
-    through the same operations, so the blocks change no bit.
+    buffers.  The input is evaluated block by block into its output, through
+    two buffers of ``min(size, _PSI_BLOCK)`` entries, so no temporary grows
+    with the input (a non-contiguous one is first copied flat); every entry
+    goes through the same operations, so the blocks change no bit.
     """
     arr = np.asarray(x, dtype=float)
     out = np.empty(arr.shape)
-    if 0 < arr.size <= _PSI_BLOCK:  # one block, the input's own shape
-        _psi_in_place(arr, np.empty(arr.shape), np.empty(arr.shape), out)
-    else:
-        flat_in, flat_out = arr.reshape(-1), out.reshape(-1)
-        c, w = np.empty(_PSI_BLOCK), np.empty(_PSI_BLOCK)
-        for start in range(0, arr.size, _PSI_BLOCK):
-            stop = min(start + _PSI_BLOCK, arr.size)
-            _psi_in_place(flat_in[start:stop], c[:stop - start], w[:stop - start],
-                          flat_out[start:stop])
+    flat_in, flat_out = arr.reshape(-1), out.reshape(-1)
+    c, w = np.empty((2, min(arr.size, _PSI_BLOCK)))
+    for start in range(0, arr.size, _PSI_BLOCK):
+        stop = min(start + _PSI_BLOCK, arr.size)
+        _psi_in_place(flat_in[start:stop], c[:stop - start], w[:stop - start],
+                      flat_out[start:stop])
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
@@ -64,7 +61,7 @@ def psi(x):
 def _psi_in_place(arr, c, w, out) -> None:
     """``out = c + (2/pi) (sqrt(1 - c^2) - c arccos(c))`` with ``c`` the input
     clipped to [-1, 1], after the domain check, computed in the work buffers
-    ``c`` and ``w`` and in ``out``, all the shape of the non-empty ``arr``."""
+    ``c`` and ``w`` and in ``out``, all as long as the non-empty flat ``arr``."""
     np.abs(arr, out=w)
     if not w.max() <= 1.0 + CLAMP_EPS:  # a NaN maximum fails this test too
         raise DomainError("kernel argument outside [-1, 1] beyond tolerance or NaN")
@@ -120,7 +117,7 @@ def _require_symmetric(matrix) -> np.ndarray:
     # Kernel blocks are exactly symmetric, and then (m + m') / 2 is m itself.
     if _exactly_symmetric(matrix):
         return matrix
-    if matrix.size and np.max(np.abs(matrix - matrix.T)) > ASYM_TOL:
+    if np.max(np.abs(matrix - matrix.T)) > ASYM_TOL:
         raise NotSymmetric("asymmetry %.3g exceeds %.3g"
                            % (float(np.max(np.abs(matrix - matrix.T))), ASYM_TOL))
     return (matrix + matrix.T) / 2.0
@@ -153,7 +150,8 @@ def spectral_norm(matrix) -> float:
 
 
 def _inverted_spectrum(matrix, vectors: bool = True):
-    """Eigenvectors of a symmetric matrix and its inverted eigenvalues.
+    """Eigenvectors of a non-empty symmetric matrix, already checked by
+    ``_require_symmetric``, and its inverted eigenvalues.
 
     Returns ``(vecs, inv)`` with ``pinv(matrix) = vecs diag(inv) vecs'``.
     Eigenvalues with magnitude at most PINV_CUTOFF times the largest
@@ -161,12 +159,11 @@ def _inverted_spectrum(matrix, vectors: bool = True):
     one place the pseudo-inverse cutoff is applied.  With ``vectors=False``
     only the eigenvalues are computed and ``vecs`` is None.
     """
-    sym = _require_symmetric(matrix)
     if vectors:
-        vals, vecs = np.linalg.eigh(sym)
+        vals, vecs = np.linalg.eigh(matrix)
     else:
-        vals, vecs = np.linalg.eigvalsh(sym), None
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+        vals, vecs = np.linalg.eigvalsh(matrix), None
+    scale = float(np.max(np.abs(vals)))
     keep = np.abs(vals) > PINV_CUTOFF * scale
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / vals[keep]
@@ -219,8 +216,6 @@ def _guarded_factor(sym: np.ndarray):
     test; a failure proves nothing.  The row sums are taken by row blocks,
     so no full-size ``|sym|`` is formed.
     """
-    if sym.size == 0:
-        return None
     row_sum = max(float(np.abs(sym[i:i + _FACTOR_ROWS]).sum(axis=1).max())
                   for i in range(0, len(sym), _FACTOR_ROWS))
     try:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._checks import count, finite_array, seed_sequence
+from ._checks import count, finite_array, float_array, seed_sequence
 from .errors import (
     DimensionMismatch,
     DuplicateLine,
@@ -46,7 +46,7 @@ def _unit_columns(units) -> bool:
     return bool(np.all(np.abs(np.linalg.norm(units, axis=0) - 1.0) <= UNIT_NORM_TOL))
 
 
-def _oriented_rows(block: np.ndarray, columns: np.ndarray | None = None):
+def _oriented_rows(block: np.ndarray):
     """``(units, flags, norms)``, ``units[i] = flags[i] * block[i] / norms[i]`` with
     its last entry above ZERO_TOL positive: the one code path that orients vectors.
     A norm is one dot product per row (as ``np.linalg.norm``), of the row over its
@@ -56,10 +56,7 @@ def _oriented_rows(block: np.ndarray, columns: np.ndarray | None = None):
     Each row is divided once, by its signed norm ``flags[i] * norms[i]``; as
     ``x / (-n) == -(x / n)``, that is the bits of dividing and then flipping.
     The pivot is read off the row's last unit entry, and only a row whose last
-    entry is at most ZERO_TOL is searched in full.  Given ``columns``, a
-    ``(d, m)`` array, the units are written into its columns and ``units`` is
-    ``columns.T``; they pass through one row-major copy, so a caller hands
-    over cache-sized blocks."""
+    entry is at most ZERO_TOL is searched in full."""
     block = np.ascontiguousarray(block)
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
@@ -69,11 +66,11 @@ def _oriented_rows(block: np.ndarray, columns: np.ndarray | None = None):
         peaks[peaks == 0.0] = 1.0  # a zero row has no peak to scale by
         if (peaks != 1.0).any():
             with np.errstate(invalid="ignore"):  # an infinite entry makes its row NaN
-                units, flags, norms = _oriented_rows(block / peaks[:, None], columns)
+                units, flags, norms = _oriented_rows(block / peaks[:, None])
                 return units, flags, norms * peaks
     divisors = np.where(norms > 0.0, norms, 1.0)
     if not block.shape[1]:  # a vector of length 0 has norm 0 and no pivot
-        return block.copy() if columns is None else columns.T, np.ones(len(block)), norms
+        return block.copy(), np.ones(len(block)), norms
     last = block[:, -1] / divisors
     flags = np.where(last > 0, 1.0, -1.0)
     searched = np.flatnonzero(~(np.abs(last) > ZERO_TOL))  # NaN is searched too
@@ -82,11 +79,7 @@ def _oriented_rows(block: np.ndarray, columns: np.ndarray | None = None):
         pivots = block.shape[1] - 1 - np.argmax((np.abs(rows) > ZERO_TOL)[:, ::-1], axis=1)
         flags[searched] = np.where(rows[np.arange(len(rows)), pivots] > 0, 1.0, -1.0)
     divisors *= flags
-    units = block / divisors[:, None]
-    if columns is None:
-        return units, flags, norms
-    columns[...] = units.T
-    return columns.T, flags, norms
+    return block / divisors[:, None], flags, norms
 
 
 def canonicalize_vector(v):
@@ -141,7 +134,10 @@ class LineSet:
     def subset(self, indices) -> "LineSet":
         """Line set restricted to ``indices`` (order preserved, repeats kept): a
         non-empty list of integers in ``[0, num_lines)``, else ParameterOutOfRange."""
-        idx = np.asarray(indices)
+        try:
+            idx = np.asarray(indices)
+        except ValueError:  # a ragged nested list fails the test below as [] does
+            idx = np.empty(0, dtype=int)
         if not (idx.ndim == 1 and idx.size and idx.dtype.kind in "iu"
                 and idx.min() >= 0 and idx.max() < self.num_lines):
             raise ParameterOutOfRange("need indices in [0, %d), got %r" % (self.num_lines, indices))
@@ -156,9 +152,6 @@ class LineSet:
             and self.unit_vectors.shape == other.unit_vectors.shape
             and np.array_equal(self.unit_vectors, other.unit_vectors)
         )
-
-    def save(self, path) -> None:
-        save_line_set(self, path)
 
 
 def _assemble_line_set(units: np.ndarray) -> LineSet:
@@ -263,7 +256,7 @@ def random_line_set(d: int, r: int, seed, max_draws: int | None = None) -> LineS
 
     The lines are drawn as one block of ``r`` draws, the stream of ``r``
     calls of ``standard_normal(d)``, taken in cache-sized chunks of rows,
-    each oriented straight into the columns of the set's unit-vector block;
+    each oriented and copied into the columns of the set's unit-vector block;
     the block's rows of the assembled set's Gram are walked in draw order
     by ``_first_kept``, and the shortfall is the next block.  Every draw counts
     against ``max_draws``, so the lines and the budget are those of drawing
@@ -283,8 +276,9 @@ def random_line_set(d: int, r: int, seed, max_draws: int | None = None) -> LineS
         norms = np.empty(wanted)
         for start in range(0, wanted, step):
             stop = min(start + step, wanted)
-            norms[start:stop] = _oriented_rows(rng.standard_normal((stop - start, d)),
-                                               grown[:, have + start:have + stop])[2]
+            chunk, _, norms[start:stop] = _oriented_rows(rng.standard_normal((stop - start, d)))
+            grown[:, have + start:have + stop] = chunk.T
+            del chunk  # freed before the next draw, so the heap reuses its block
         if not (norms > ZERO_TOL).all():  # a draw of norm at most ZERO_TOL is dropped
             grown = grown[:, np.concatenate([np.ones(have, dtype=bool), norms > ZERO_TOL])]
         line_set = _assemble_line_set(grown)
@@ -350,10 +344,6 @@ class RegionSignature:
         for s, z in zip(self.signs, self.nonzero):
             if len(s) != len(z):
                 raise DimensionMismatch("per-line sign/flag lengths disagree")
-
-    @property
-    def num_lines(self) -> int:
-        return len(self.signs)
 
     @cached_property
     def _orientations(self) -> tuple:
@@ -543,7 +533,7 @@ def weights_from_columns(matrix) -> PNNWeights:
     COLLINEARITY_TOL of an earlier column's line but more than
     FEASIBILITY_TOL off it raises InfeasibleWeights.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = float_array(matrix, "matrix")
     if matrix.ndim != 2:
         raise DimensionMismatch("expected a d x k matrix")
     units = _line_units(matrix.T)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import count, finite_array, seed_sequence
+from ._checks import count, finite_array, float_array, seed_sequence
 from .errors import ConfigMismatch, ParameterOutOfRange, ZeroVector
 from .kernel import _column_angles, kernel_bundle, psi
 from .lines import NeuronLineMap, PNNWeights, ZERO_TOL, _line_masses, _weight_matrix, axes_line_set
@@ -40,7 +40,8 @@ def network_output(x, weight_matrix):
     """``sum_i relu(w_i' x)`` for a single input or a batch of rows, both read
     finite (DomainError) and of one ``d`` (DimensionMismatch)."""
     W = _weight_matrix(weight_matrix)
-    x = finite_array(x, "inputs", (None,) * (np.ndim(x) - 1) + (W.shape[0],))
+    x = float_array(x, "inputs")
+    x = finite_array(x, "inputs", (None,) * (x.ndim - 1) + (W.shape[0],))
     out = np.maximum(x @ W, 0.0).sum(axis=-1)
     return float(out) if x.ndim == 1 else out
 

@@ -220,7 +220,30 @@ ARGUMENTS = [
      (4,)),
     ("add_line_update.new_line", lambda v: p.add_line_update(REPORT, BUNDLE, v), ([1.0, 0.0],)),
     ("NeuronLineMap.assignment", lambda v: p.NeuronLineMap(2, (v, 0)), (NAN, 0.5, True, "1")),
-    ("LineSet.subset", lambda v: LINES.subset(v), ([7], [-1], [])),
+    ("LineSet.subset", lambda v: LINES.subset(v), ([7], [-1], [], [[0], [1, 2]])),
+    # A vector of length 0, arrays numpy cannot convert, and a 1-D matrix.
+    ("canonicalize_vector.v", lambda v: p.canonicalize_vector(v), ([],)),
+    ("weights_from_columns.matrix", lambda v: p.weights_from_columns(v),
+     ([["a"]], [[1.0], [1.0, 2.0]], [1.0, 2.0])),
+    ("network_output.inputs", lambda v: p.network_output(v, np.ones((2, 1))),
+     ([[1.0], [1.0, 2.0]],)),
+    # Arguments that disagree in size with each other.
+    ("RegionSignature.nonzero", lambda v: p.RegionSignature(((1,), (1, -1)), v),
+     (((True,),), ((True,), (True,)))),
+    ("NeuronLineMap.assignment_length", lambda v: p.NeuronLineMap(3, v), ((0, 1),)),
+    ("PNNWeights.neuron_map", lambda v: p.PNNWeights(np.zeros((3, 2)), LINES, v),
+     (p.NeuronLineMap(2, (0, 1)),)),
+    ("nearest_net_approx.w_star_d",
+     lambda v: p.nearest_net_approx(p.weights_from_columns(np.eye(v)), NET), (3,)),
+    ("bad_region_stationary.line_signs",
+     lambda v: p.bad_region_stationary(BUNDLE, np.ones(3), v), ([1, -1],)),
+    # Two target lines against three, and three far from LINES for the size check.
+    ("perturbation_bound.targets_r",
+     lambda v: p.perturbation_bound(LINES, p.random_line_set(3, v, 1), 0.01), (2, 3)),
+    ("nearest_net_approx.net", lambda v: p.nearest_net_approx(np.ones((2, 1)), v),
+     (p.AngularNet(2, 0.5, np.empty((2, 0))),)),
+    ("sgd_train.data", lambda v: p.sgd_train(v, _TRUTH, CONFIG),
+     ((np.empty((0, 1)), np.empty(0)),)),
 ]
 
 PROBES = [pytest.param(call, value, id="%s=%r" % (name, value))
@@ -291,6 +314,12 @@ EXIT_CODES = [
     (["risk", "--matched", "--d", "3", "--r", "2", "--k", "3", "--r-star", "5", "--k-star", "9"],
      2),
     (["risk", "--d", "3", "--r", "2", "--k", "3", "--k-star", "9"], 2),
+    # Too few neurons for the lines, a subset larger than its lines, a missing flag.
+    (["risk", "--matched", "--d", "3", "--r", "3", "--k", "2"], 2),
+    (["risk", "--mismatched", "--d", "3", "--r", "2", "--k", "3", "--r-star", "3",
+      "--k-star", "2"], 2),
+    (["schur-sweep", "--d", "3", "--r-star", "3", "--r", "2", "--trials", "1", "--nearest"], 2),
+    (["minimax", "bound", "--d", "3"], 2),
 ]
 
 

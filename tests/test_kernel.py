@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import porcupine as p
-from porcupine.errors import DomainError, NotSymmetric, ParameterOutOfRange
+from porcupine.errors import DimensionMismatch, DomainError, NotSymmetric, ParameterOutOfRange
 from porcupine.kernel import CLAMP_EPS, _PSI_BLOCK, _SYM_TILE, _exactly_symmetric
 
 
@@ -290,6 +290,16 @@ class TestSpectralHelperInput:
     def test_empty_matrix_rejected(self, helper, shape):
         with pytest.raises(ParameterOutOfRange):
             helper(np.zeros(shape))
+
+    @pytest.mark.parametrize("helper", SPECTRAL_HELPERS)
+    def test_non_square_matrix_rejected(self, helper):
+        with pytest.raises(DimensionMismatch):
+            helper(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("helper", SPECTRAL_HELPERS)
+    def test_nearly_symmetric_matrix_is_averaged(self, helper):
+        matrix = np.array([[2.0, 1.0 + 1e-12], [1.0, 3.0]])
+        assert np.array_equal(helper(matrix), helper((matrix + matrix.T) / 2.0))
 
 
 class TestKernelBundle:

@@ -390,8 +390,7 @@ def drawn_row(kind, d, rng):
 
 class TestOrientationPassBits:
     """_oriented_rows divides once by the signed norm and reads the pivot
-    off the last entry first; it must give the former formula's bits, in
-    the row layout and written into a column layout."""
+    off the last entry first; it must give the former formula's bits."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(d=st.integers(1, 7), seed=st.integers(0, 2**16),
@@ -402,13 +401,8 @@ class TestOrientationPassBits:
         with np.errstate(over="ignore", under="ignore"):
             want_units, want_flags, want_norms = oriented_rows_reference(block)
             units, flags, norms = _oriented_rows(block)
-            columns = np.full((d, len(kinds) + 3), np.nan)
-            written, written_flags, written_norms = _oriented_rows(block, columns[:, 2:-1])
         assert same_bits(units, want_units)
         assert same_bits(flags, want_flags) and same_bits(norms, want_norms)
-        assert same_bits(columns[:, 2:-1].T, want_units) and same_bits(written, want_units)
-        assert same_bits(written_flags, want_flags) and same_bits(written_norms, want_norms)
-        assert np.isnan(columns[:, :2]).all() and np.isnan(columns[:, -1]).all()
 
     # (1024, 263): two whole chunks of draws and a short one.
     @pytest.mark.parametrize("d, r, max_draws",
@@ -933,6 +927,14 @@ class TestVectorFileErrors:
         path.write_bytes(text.encode("latin-1"))
         with pytest.raises(error):
             loader(path)
+
+    @pytest.mark.parametrize("text", ["2,1\r\n2,0\r\n", "2,1\r\n0,-1\r\n"],
+                             ids=["not unit norm", "not canonically oriented"])
+    def test_bad_line_file_raises(self, tmp_path, text):
+        path = tmp_path / "lines.csv"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ParameterOutOfRange):
+            p.load_line_set(path)
 
 
 def tiled_gram(units, tile=64):

@@ -792,6 +792,16 @@ class TestFactorApplication:
         schur = p.schur_complement(bundle).schur
         assert np.array_equal(schur, schur.T)
 
+    def test_eigen_route_solve_is_the_pseudo_inverse_product(self):
+        from porcupine.kernel import _PseudoInverse
+
+        lines = p.random_line_set(2, 40, 0)
+        matrix = p.kernel_bundle(lines, lines).psi_lines
+        pinv = _PseudoInverse(matrix)
+        assert pinv._factor is None  # the eigen route
+        rhs = np.random.default_rng(47).standard_normal((40, 3))
+        assert np.array_equal(pinv.solve(rhs), p.symmetric_pseudo_inverse(matrix) @ rhs)
+
     def test_eigen_route_schur_is_symmetrised(self):
         from porcupine.kernel import _PseudoInverse
 
