@@ -386,14 +386,6 @@ def _line_coordinates(matrix: np.ndarray, units: np.ndarray):
     return scales, norms, residuals
 
 
-def _off_line(norms: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """True for each column that is not zero (norm above ZERO_TOL) and
-    lies more than FEASIBILITY_TOL * max(1, norm) off its line; a
-    non-finite column is off its line."""
-    bound = FEASIBILITY_TOL * np.maximum(1.0, norms)
-    return ~(norms <= ZERO_TOL) & ~(residuals <= bound)
-
-
 def _signature(scales, norms, neuron_map: NeuronLineMap) -> RegionSignature:
     """Orientation signature: neuron ``i`` takes the sign of its scalar
     ``scales[i]``; a column of norm at most ZERO_TOL is zero, with a +1
@@ -443,11 +435,13 @@ class PNNWeights:
 
     def _check_feasible(self):
         """Read every column on its line, keep the scalars as ``scales``,
-        and raise InfeasibleWeights on the first column off its line."""
+        and raise InfeasibleWeights on the first column that is not zero
+        (norm above ZERO_TOL) and lies more than FEASIBILITY_TOL * max(1,
+        norm) off its line."""
         assignment = self.neuron_map.assignment
         units = self.line_set.unit_vectors[:, list(assignment)]
         scales, norms, residuals = _line_coordinates(self.matrix, units)
-        bad = _off_line(norms, residuals)
+        bad = ~(norms <= ZERO_TOL) & ~(residuals <= FEASIBILITY_TOL * np.maximum(1.0, norms))
         if bad.any():
             i = int(np.argmax(bad))
             raise InfeasibleWeights(

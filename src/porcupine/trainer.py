@@ -21,8 +21,6 @@ from .lines import (
     NeuronLineMap,
     PNNWeights,
     RegionSignature,
-    _line_coordinates,
-    _off_line,
     _signature,
     _weight_matrix,
     axes_line_set,
@@ -106,32 +104,33 @@ def desk_mismatched_config(seed: int = 0) -> TrainConfig:
 class TrainResult:
     """Final state and per-epoch mean losses (``trajectory``) of one run.
 
-    ``final_matrix`` is the trained scalars times their lines' unit
-    vectors.  ``max_line_deviation`` is the largest distance of a final
-    column from its assigned line, measured once on ``final_matrix``;
-    ``line_feasibility_ok`` says every column passes the PNNWeights rule,
-    so ``final_weights()`` constructs exactly when it is True.  Trained
-    runs keep their columns on their lines; a hand-built result need not.
+    The trained scalars ``final_scalars`` are the result: ``final_matrix``,
+    ``final_weights()`` and ``final_signature`` derive from them, so a
+    result off its lines cannot be represented.  The normalized test loss
+    is NaN without test data and when every test target is zero.
+    ``line_feasibility_ok`` is True for every result sgd_train returns and
+    nothing under ``src/`` reads it; the benchmark's feasibility watch
+    does, and it goes with the benchmark's next change (ROADMAP item 1).
     """
 
     final_train_loss: float
     final_test_loss_normalized: float
     epochs_run: int
     final_signature: RegionSignature
-    line_feasibility_ok: bool
-    max_line_deviation: float
     trajectory: tuple
-    final_matrix: np.ndarray
+    final_scalars: np.ndarray
     line_set: LineSet
     neuron_map: NeuronLineMap
+    line_feasibility_ok: bool = True
+
+    @property
+    def final_matrix(self) -> np.ndarray:
+        """The trained scalars times their lines' unit vectors."""
+        return self.line_set.unit_vectors[:, list(self.neuron_map.assignment)] * self.final_scalars
 
     def final_weights(self) -> PNNWeights:
-        """Final matrix as a porcupine network (requires feasibility)."""
-        return PNNWeights(
-            matrix=self.final_matrix,
-            line_set=self.line_set,
-            neuron_map=self.neuron_map,
-        )
+        """The final network as a porcupine network."""
+        return weights_from_masses(self.line_set, self.neuron_map, self.final_scalars)
 
 
 def generate_dataset(w_star, n: int, seed):
@@ -143,8 +142,8 @@ def generate_dataset(w_star, n: int, seed):
     return X, network_output(X, W)
 
 
-def init_random_pnn(d: int, r: int, seed):
-    """Random porcupine initialization with two neurons per line.
+def init_random_pnn(d: int, r: int, seed) -> PNNWeights:
+    """Random porcupine network with two neurons per line.
 
     Draws ``r`` uniform lines; on each line one neuron gets a Uniform(0,1)
     scale and the other a Uniform(-1,0) scale, so every line starts with
@@ -158,17 +157,20 @@ def init_random_pnn(d: int, r: int, seed):
     scales = np.empty(2 * r)
     scales[0::2] = rng.uniform(0.0, 1.0, size=r)
     scales[1::2] = rng.uniform(-1.0, 0.0, size=r)
-    return line_set, neuron_map, weights_from_masses(line_set, neuron_map, scales)
+    return weights_from_masses(line_set, neuron_map, scales)
 
 
 def _checked_data(data, dim: int, name: str):
-    """``(X, y)`` as finite float arrays of shapes ``(n, dim)`` and ``(n,)``."""
+    """``(X, y)`` as finite float arrays of shapes ``(n, dim)`` and ``(n,)``, n > 0."""
     try:
         X, y = data
     except (TypeError, ValueError):
         raise DimensionMismatch("%s data must be an (X, y) pair" % name) from None
     X = finite_array(X, name + " inputs", (None, dim))
-    return X, finite_array(y, name + " targets", (X.shape[0],))
+    y = finite_array(y, name + " targets", (X.shape[0],))
+    if X.shape[0] == 0:
+        raise ConfigError("%s data is empty" % name)
+    return X, y
 
 
 def _train_line_coordinates(X, y, init_weights: PNNWeights, config: TrainConfig):
@@ -255,44 +257,33 @@ def sgd_train(
     lines (the start point is the init's scalars).  The relu subgradient at
     exactly zero is taken to be zero.  ``data`` and ``test_data`` are
     ``(X, y)`` pairs with X of shape ``(n, d)`` and y of shape ``(n,)``;
-    other shapes raise DimensionMismatch.  Returns the last state (no
-    best-iterate selection), with per-epoch mean losses recorded.  Raises
-    Diverged after the first batch whose loss makes the epoch's running
-    loss non-finite, or when the final scalars are non-finite.  The final
-    matrix is read on its lines once: each neuron's orientation is the
-    sign of its scalar there, and ``max_line_deviation`` and
-    ``line_feasibility_ok`` come from the residuals.
+    other shapes raise DimensionMismatch, and no rows ConfigError.  Returns
+    the last scalars (no best-iterate selection), with per-epoch mean
+    losses recorded; each neuron's orientation is the sign of its scalar.
+    Raises Diverged after the first batch whose loss makes the epoch's
+    running loss non-finite, or when the final scalars are non-finite.
     """
     dim = init_weights.line_set.dim
     X, y = _checked_data(data, dim, "training")
     if test_data is not None:
         X_test, y_test = _checked_data(test_data, dim, "test")
-    n = X.shape[0]
-    if n == 0:
-        raise ConfigError("training data is empty")
-    if config.batch_size > n:
-        raise ConfigError("batch_size %d exceeds n=%d" % (config.batch_size, n))
+    if config.batch_size > X.shape[0]:
+        raise ConfigError("batch_size %d exceeds n=%d" % (config.batch_size, X.shape[0]))
     c, trajectory = _train_line_coordinates(X, y, init_weights, config)
-    units = init_weights.line_set.unit_vectors[:, list(init_weights.neuron_map.assignment)]
-    W = units * c[None, :]
-    scales, norms, residuals = _line_coordinates(W, units)
-
+    normalized = float("nan")
     if test_data is not None:
+        W = init_weights.line_set.unit_vectors[:, list(init_weights.neuron_map.assignment)] * c
         errors = network_output(X_test, W) - y_test
         denom = float(y_test @ y_test)
-        normalized = float(errors @ errors) / denom if denom > 0 else float("nan")
-    else:
-        normalized = float("nan")
-
+        if denom > 0:
+            normalized = float(errors @ errors) / denom
     return TrainResult(
         final_train_loss=trajectory[-1],
         final_test_loss_normalized=normalized,
         epochs_run=len(trajectory),
-        final_signature=_signature(scales, norms, init_weights.neuron_map),
-        line_feasibility_ok=not _off_line(norms, residuals).any(),
-        max_line_deviation=float(np.max(residuals)),
+        final_signature=_signature(c, np.abs(c), init_weights.neuron_map),
         trajectory=tuple(trajectory),
-        final_matrix=W,
+        final_scalars=c,
         line_set=init_weights.line_set,
         neuron_map=init_weights.neuron_map,
     )
@@ -317,7 +308,9 @@ def classify_outcome(
     Global when the final training loss is within ``tol`` of zero;
     BadLocal when the population risk's gradient along every neuron's
     line vanishes (within ``stationarity_tol``) at a loss above ``tol``;
-    NotConverged otherwise.  The report also flags whether the final
+    NotConverged otherwise.  The gradient is read at the final scalars and
+    only when none is zero; a run with a zero scalar is NotConverged with
+    ``stationary`` None.  The report also flags whether the final
     signature satisfies the mixed-orientation condition and counts the
     single-orientation lines.  A non-finite threshold raises DomainError,
     a negative one ParameterOutOfRange.
@@ -329,7 +322,7 @@ def classify_outcome(
     if result.final_train_loss <= tol:
         outcome = GLOBAL
     else:
-        if result.line_feasibility_ok and all(map(all, signature.nonzero)):
+        if all(map(all, signature.nonzero)):
             stationary = stationarity_check(result.final_weights(), w_star, tol=stationarity_tol)
         outcome = BAD_LOCAL if stationary else NOT_CONVERGED
     return OutcomeReport(
@@ -344,10 +337,10 @@ def classify_outcome(
 class TrainRun:
     """One experiment run: its width ``k``, trial, initialization index
     (0 for a matched run) and training seed, its label, losses and final
-    region.  A matched run's ``outcome`` comes from classify_outcome and
-    ``gap_frobenius_sq`` is its squared distance from the target; a
-    mismatched run's target is no porcupine network, so its ``outcome`` is
-    GoodRegion or MayHaveBadLocal and its gap is None."""
+    region, read off its final scalars.  A matched run's ``outcome`` comes
+    from classify_outcome and ``gap_frobenius_sq`` is its squared distance
+    from the target; a mismatched run's target is no porcupine network, so
+    its ``outcome`` is GoodRegion or MayHaveBadLocal and its gap is None."""
 
     k: int
     trial: int
@@ -358,7 +351,6 @@ class TrainRun:
     normalized_test_mse: float
     gap_frobenius_sq: float | None
     epochs_run: int
-    feasibility_ok: bool
     region_condition_ok: bool
     violated_lines: int
 
@@ -387,8 +379,8 @@ def _seeded_run(data, n_train: int, init: PNNWeights, config: TrainConfig, seed,
     return TrainRun(k=init.neuron_map.num_neurons, trial=trial, init=init_index, seed=run_seed,
                     outcome=outcome, final_train_loss=result.final_train_loss,
                     normalized_test_mse=result.final_test_loss_normalized, gap_frobenius_sq=gap,
-                    epochs_run=result.epochs_run, feasibility_ok=result.line_feasibility_ok,
-                    region_condition_ok=region_ok, violated_lines=violated)
+                    epochs_run=result.epochs_run, region_condition_ok=region_ok,
+                    violated_lines=violated)
 
 
 def degree_one_map(d: int, k: int) -> NeuronLineMap:
@@ -486,7 +478,7 @@ def experiment_mismatched_random(
                 init_seed, train_seed = seed_sequence(
                     (config.seed, trial, k, init_index), "seed"
                 ).spawn(2)
-                _, _, init = init_random_pnn(d, k // 2, init_seed)
+                init = init_random_pnn(d, k // 2, init_seed)
                 runs.append(_seeded_run(data, n_train, init, config, train_seed,
                                         trial, init_index))
     return MismatchedSummary(d=d, k_star=k_star, runs=tuple(runs))

@@ -112,7 +112,8 @@ W = p.weights_from_masses(LINES, MAP, [1.0, -0.5, 2.0])
 NET = p.greedy_angular_net(2, 0.5, seed=0)
 CONFIG = p.TrainConfig(batch_size=10, epochs=1, learning_rate=1e-3)
 _TRUTH = p.weights_from_masses(p.build_line_set([[1.0]]), p.NeuronLineMap(2, (0, 0)), [2.0, 3.0])
-RESULT = p.sgd_train(p.generate_dataset(_TRUTH, 20, 0), _TRUTH, CONFIG)
+DATA = p.generate_dataset(_TRUTH, 20, 0)
+RESULT = p.sgd_train(DATA, _TRUTH, CONFIG)
 BUNDLE = p.kernel_bundle(LINES, LINES)
 REPORT = p.schur_complement(BUNDLE)
 
@@ -243,6 +244,8 @@ ARGUMENTS = [
     ("nearest_net_approx.net", lambda v: p.nearest_net_approx(np.ones((2, 1)), v),
      (p.AngularNet(2, 0.5, np.empty((2, 0))),)),
     ("sgd_train.data", lambda v: p.sgd_train(v, _TRUTH, CONFIG),
+     ((np.empty((0, 1)), np.empty(0)),)),
+    ("sgd_train.test_data", lambda v: p.sgd_train(DATA, _TRUTH, CONFIG, test_data=v),
      ((np.empty((0, 1)), np.empty(0)),)),
 ]
 

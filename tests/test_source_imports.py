@@ -5,8 +5,10 @@ no name it does not use, builds every root seed through the seed rule of
 CSV only in ``cli.main``, builds its one thread pool in ``risk._ordered_map``,
 factorizes matrices only in ``kernel``, by its eigen-solves alone, applies
 the inverse factor only by the row blocks of ``_PseudoInverse._times_factor``,
-multiplies two line sets' unit vectors only in ``lines.cross_gram`` and reads
-a ``PNNWeights`` as a matrix only in ``lines._weight_matrix``."""
+multiplies two line sets' unit vectors only in ``lines.cross_gram``, reads
+a ``PNNWeights`` as a matrix only in ``lines._weight_matrix``, reads columns
+on their lines only in ``PNNWeights._check_feasible`` and never reads a
+result's ``line_feasibility_ok``."""
 
 import ast
 from pathlib import Path
@@ -460,3 +462,64 @@ def test_weights_are_read_only_by_the_weight_rule():
 ])
 def test_guard_sees_weight_branches(source, sites):
     assert weight_branch_sites(ast.parse(source)) == sites
+
+
+def test_columns_are_read_on_their_lines_only_by_the_weight_check():
+    # A trained run is its line scalars; only PNNWeights reads a matrix back.
+    assert source_call_sites("_line_coordinates") == [("lines.py", "_check_feasible")]
+
+
+@pytest.mark.parametrize("source, calls", [
+    # The two sites of the earlier code: PNNWeights._check_feasible and trainer.sgd_train.
+    ("class PNNWeights:\n"
+     "    def _check_feasible(self):\n"
+     "        scales, norms, residuals = _line_coordinates(self.matrix, units)",
+     [(3, "_check_feasible")]),
+    ("def sgd_train(data, init_weights, config, test_data=None):\n"
+     "    W = units * c[None, :]\n"
+     "    scales, norms, residuals = _line_coordinates(W, units)",
+     [(3, "sgd_train")]),
+    ("lines._line_coordinates(matrix, units)", [(1, None)]),
+    ("from .lines import _line_coordinates\nread = _line_coordinates", []),
+])
+def test_guard_sees_line_readings(source, calls):
+    assert call_sites(ast.parse(source), "_line_coordinates") == calls
+
+
+def attribute_reads(tree, name: str):
+    """Lines that read the attribute ``name``, as ``x.name`` in a load or by
+    ``getattr(x, "name")``.  Not ``_reads``: it also sees the bare name that
+    declares a dataclass field."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            hit = node.attr == name
+        elif called_name(node) == "getattr" and len(node.args) > 1:
+            hit = isinstance(node.args[1], ast.Constant) and node.args[1].value == name
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_source_reads_the_feasibility_flag():
+    # Every trained run ends on its lines; the flag is kept for the benchmark alone.
+    hits = [(path.name, line) for path in SOURCES
+            for line in attribute_reads(ast.parse(path.read_text(encoding="utf-8")),
+                                        "line_feasibility_ok")]
+    assert hits == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    # The two reads of the earlier code: trainer.classify_outcome and trainer._seeded_run.
+    ("if result.line_feasibility_ok and all(map(all, signature.nonzero)):\n    pass", [1]),
+    ("TrainRun(epochs_run=result.epochs_run,\n"
+     "         feasibility_ok=result.line_feasibility_ok)", [2]),
+    ("ok = getattr(result, 'line_feasibility_ok', True)", [1]),
+    ("class TrainResult:\n    line_feasibility_ok: bool = True", []),
+    ("replace(result, line_feasibility_ok=False)\nresult.line_feasibility_ok = False", []),
+    ("getattr(result, 'max_line_deviation')", []),
+])
+def test_guard_sees_feasibility_flag_reads(source, lines):
+    assert attribute_reads(ast.parse(source), "line_feasibility_ok") == lines

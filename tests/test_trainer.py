@@ -1,6 +1,5 @@
 """Data generation, SGD on line scalars, outcome classification, experiments."""
 
-import dataclasses
 import re
 
 import numpy as np
@@ -13,7 +12,6 @@ from porcupine.errors import (
     DimensionMismatch,
     Diverged,
     DomainError,
-    InfeasibleWeights,
     ParameterOutOfRange,
 )
 
@@ -70,16 +68,16 @@ class TestGenerateDataset:
 
 class TestInitRandomPnn:
     def test_structure(self):
-        line_set, neuron_map, weights = p.init_random_pnn(5, 4, seed=4)
-        assert neuron_map.num_neurons == 8
-        assert line_set.num_lines == 4
+        weights = p.init_random_pnn(5, 4, seed=4)
+        assert weights.neuron_map.num_neurons == 8
+        assert weights.line_set.num_lines == 4
         _, signature = p.decompose_weights(weights)
         assert signature.mixed == (True,) * 4
         assert np.all(np.linalg.norm(weights.matrix, axis=0) <= 1.0 + 1e-12)
 
     def test_deterministic(self):
-        _, _, a = p.init_random_pnn(4, 3, seed=5)
-        _, _, b = p.init_random_pnn(4, 3, seed=5)
+        a = p.init_random_pnn(4, 3, seed=5)
+        b = p.init_random_pnn(4, 3, seed=5)
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
@@ -111,6 +109,11 @@ NON_FINITE_DATA = {
     "test_inf_y": lambda X, y: ((X, y), (X, with_entry(y, np.inf))),
 }
 
+EMPTY_DATA = {
+    "empty": lambda X, y: ((X[:0], y[:0]), None),
+    "test_empty": lambda X, y: ((X, y), (X[:0], y[:0])),
+}
+
 
 class TestSgdTrain:
     def test_early_stop_at_optimum(self):
@@ -139,44 +142,16 @@ class TestSgdTrain:
 
     def test_projection_keeps_columns_on_lines(self):
         seq = np.random.SeedSequence(9).spawn(3)
-        _, _, truth = p.init_random_pnn(4, 3, seq[0])
+        truth = p.init_random_pnn(4, 3, seq[0])
         X, y = p.generate_dataset(truth, 2000, seq[1])
-        _, _, init = p.init_random_pnn(4, 5, seq[2])
+        init = p.init_random_pnn(4, 5, seq[2])
         config = p.TrainConfig(batch_size=100, epochs=20, learning_rate=0.01, seed=10)
         result = p.sgd_train((X, y), init, config)
-        assert result.line_feasibility_ok
-        assert result.max_line_deviation <= 1e-6
         units = init.line_set.unit_vectors[:, list(init.neuron_map.assignment)]
         residual = result.final_matrix - units * np.einsum(
             "dk,dk->k", units, result.final_matrix
         )
         assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-6
-
-    def test_slightly_unprojected_run_is_classified(self):
-        # A hand-built result whose columns sit about 2e-7 off their lines:
-        # far outside FEASIBILITY_TOL, so the result is not feasible and
-        # classify_outcome labels it without building its weights.
-        seq = np.random.SeedSequence(99).spawn(4)
-        _, _, truth = p.init_random_pnn(4, 3, seq[0])
-        X, y = p.generate_dataset(truth, 2000, seq[1])
-        _, _, init = p.init_random_pnn(4, 5, seq[2])
-        config = p.TrainConfig(batch_size=100, epochs=1, learning_rate=1e-8, seed=10)
-        trained = p.sgd_train((X, y), init, config)
-        units = init.line_set.unit_vectors[:, list(init.neuron_map.assignment)]
-        off = np.random.default_rng(seq[3]).standard_normal(units.shape)
-        off -= units * np.einsum("dk,dk->k", units, off)
-        off *= 2e-7 / np.linalg.norm(off, axis=0)
-        result = dataclasses.replace(
-            trained,
-            final_matrix=trained.final_matrix + off,
-            line_feasibility_ok=False,
-            max_line_deviation=2e-7,
-        )
-        with pytest.raises(InfeasibleWeights):
-            result.final_weights()
-        report = p.classify_outcome(result, truth)
-        assert report.outcome == p.NOT_CONVERGED
-        assert report.stationary is None
 
     def test_deterministic(self):
         line_set, neuron_map, truth = scalar_setup([1.0, 2.0])
@@ -220,14 +195,17 @@ class TestSgdTrain:
         ):
             p.sgd_train((X, y), init, config)
 
-    @pytest.mark.parametrize("case", sorted(BAD_DATA) + sorted(NON_FINITE_DATA))
+    @pytest.mark.parametrize("case", sorted(BAD_DATA) + sorted(NON_FINITE_DATA)
+                             + sorted(EMPTY_DATA))
     def test_bad_data_shapes_rejected(self, case):
         # Shapes and pairs raise DimensionMismatch, non-finite entries
-        # DomainError, both before anything is trained.
+        # DomainError and no rows ConfigError (not a NaN test loss), all
+        # before anything is trained.
         line_set, neuron_map, truth = scalar_setup([1.0, 2.0])
         X, y = p.generate_dataset(truth, 100, seed=15)
-        error = DimensionMismatch if case in BAD_DATA else DomainError
-        train, test = {**BAD_DATA, **NON_FINITE_DATA}[case](X, y)
+        error = (DimensionMismatch if case in BAD_DATA
+                 else DomainError if case in NON_FINITE_DATA else ConfigError)
+        train, test = {**BAD_DATA, **NON_FINITE_DATA, **EMPTY_DATA}[case](X, y)
         config = p.TrainConfig(batch_size=10, epochs=1, learning_rate=0.01)
         with pytest.raises(error):
             p.sgd_train(train, truth, config, test_data=test)
@@ -302,8 +280,8 @@ def _trainer_case(name):
         return p.generate_dataset(truth, 1000, 42), init, p.TrainConfig(**base)
     if name == "two_per_line":
         seq = np.random.SeedSequence(43).spawn(3)
-        _, _, truth = p.init_random_pnn(4, 3, seq[0])
-        _, _, init = p.init_random_pnn(4, 5, seq[1])
+        truth = p.init_random_pnn(4, 3, seq[0])
+        init = p.init_random_pnn(4, 5, seq[1])
         return p.generate_dataset(truth, 1000, seq[2]), init, p.TrainConfig(**base)
     if name == "three_and_one":
         data, init = _random_lines_case(
@@ -355,20 +333,15 @@ class TestLineCoordinateTrainer:
         np.testing.assert_allclose(got.trajectory, want_trajectory, rtol=1e-12, atol=0)
         assert got.epochs_run == len(want_trajectory)
         assert got.final_signature == p.decompose_weights(got.final_weights())[1]
-        assert got.line_feasibility_ok
-        assert got.max_line_deviation <= 1e-12
 
     @pytest.mark.parametrize("name", TRAINER_CASES)
-    def test_feasible_exactly_when_final_weights_construct(self, name):
+    def test_final_weights_read_back_the_final_scalars(self, name):
+        # The final network is a valid PNNWeights, and reading its columns
+        # on their lines gives back the trained scalars.
         data, init, config = _trainer_case(name)
         result = p.sgd_train(data, init, config)
-        try:
-            result.final_weights()
-            constructs = True
-        except InfeasibleWeights:
-            constructs = False
-        assert result.line_feasibility_ok == constructs
-        assert constructs
+        np.testing.assert_allclose(result.final_weights().scales, result.final_scalars,
+                                   rtol=1e-14, atol=0)
 
     def test_cases_cover_their_features(self):
         data, init, config = _trainer_case("zero_mass")
@@ -448,7 +421,7 @@ class TestClassifyOutcome:
     @pytest.mark.parametrize("init_scales, epochs, outcome, stationary", [
         ([7.0, -5.0], 20, p.GLOBAL, None),
         ([3.0, 3.0], 1, p.BAD_LOCAL, True),
-        # One epoch from near the optimum: feasible, no zero scalar, still moving.
+        # One epoch from near the optimum: no zero scalar, still moving.
         ([7.0, -5.0], 1, p.NOT_CONVERGED, False),
         # A zero scalar stays zero, so no line gradient is checked.
         ([3.0, 0.0], 1, p.NOT_CONVERGED, None),
@@ -544,7 +517,6 @@ class TestMismatchedExperiment:
         )
         assert len(summary.runs) == 8
         for run in summary.runs:
-            assert run.feasibility_ok
             assert run.normalized_test_mse >= 0.0
         medians = summary.per_k()
         assert set(medians) == {4, 8}
